@@ -2,9 +2,10 @@
 
 Each iteration propagates assignment probabilities through the affinity
 operator, projects back toward the doubly stochastic set, and refines the
-affinities by the probability ratio between consecutive iterates. The trace
-shows the binary score climbing toward 1 and the objective improving until
-the early stop fires.
+affinities by the probability ratio between consecutive iterates. The
+refinement is a row-scale vector over a fixed K, and the trace's objective
+x . K x is taken against that original K. The trace shows the binary score
+climbing toward 1 and the objective improving until the early stop fires.
 """
 
 import numpy as np

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import AttributedGraph
+from .graphs import AttributedGraph, edge_pairs
 from .linalg import SparseAffinity, spmv
 
 
@@ -54,20 +54,11 @@ def assemble_affinity(g1: AttributedGraph, g2: AttributedGraph,
 
     e1 = g1.edge_list()
     e2 = g2.edge_list()
-    if len(e1) == 0 or len(e2) == 0:
-        return SparseAffinity(n1, n2, unary)
-
     len1, ang1 = _edge_geometry(g1.points, e1)
     len2, ang2 = _edge_geometry(g2.points, e2)
-
-    # Cross both orientations of every graph-2 edge with every graph-1 edge.
-    i = np.repeat(e1[:, 0], 2 * len(e2))
-    j = np.repeat(e1[:, 1], 2 * len(e2))
-    ab = np.concatenate([e2, e2[:, ::-1]], axis=0)
-    a = np.tile(ab[:, 0], len(e1))
-    b = np.tile(ab[:, 1], len(e1))
-    dlen = np.abs(np.repeat(len1, 2 * len(e2)) - np.tile(np.concatenate([len2, len2]), len(e1)))
-    dang_raw = np.abs(np.repeat(ang1, 2 * len(e2)) - np.tile(np.concatenate([ang2, ang2]), len(e1)))
+    k1, k2, i, j, a, b = edge_pairs(e1, e2)
+    dlen = np.abs(len1[k1] - len2[k2])
+    dang_raw = np.abs(ang1[k1] - ang2[k2])
     dang = np.minimum(dang_raw, np.pi - dang_raw)
     vals = np.exp(-(dlen / cfg.sigma_len) ** 2) * np.exp(-(dang / cfg.sigma_ang) ** 2)
 

@@ -83,6 +83,11 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self, need_checkpoint: bool = True):
+        for name, least in (("n", 3), ("instances", 1), ("workers", 1), ("batch_size", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}")
+        if not self.noise_levels or len(set(self.noise_levels)) < len(self.noise_levels):
+            raise ConfigError("noise_levels must be non-empty and distinct")
         if self.solver not in SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.affinity_source not in AFFINITY_SOURCES:
@@ -94,6 +99,8 @@ class ExperimentConfig:
         if (need_checkpoint and self.affinity_source == "learned"
                 and not self.checkpoint):
             raise ConfigError("learned affinity source requires a checkpoint path")
+        if self.affinity_source == "learned" and self.workers > 1:
+            raise ConfigError("the learned affinity source needs workers = 1")
 
     def echo(self) -> dict:
         return asdict(self)
@@ -146,10 +153,15 @@ def _jsonable(v):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
+def instance_seed(seed: int, k: int, level: int = 0) -> int:
+    """Seed of test instance k at noise level index ``level``."""
+    return seed + _TEST_SEED_BASE + k + 1_000_000 * level
+
+
 def dataset_seeds(cfg: ExperimentConfig, split: str = "test") -> list:
-    base = {"test": _TEST_SEED_BASE, "train": _TRAIN_SEED_BASE}[split]
-    count = cfg.instances if split == "test" else cfg.train_instances
-    return [cfg.seed + base + k for k in range(count)]
+    if split == "test":
+        return [instance_seed(cfg.seed, k) for k in range(cfg.instances)]
+    return [cfg.seed + _TRAIN_SEED_BASE + k for k in range(cfg.train_instances)]
 
 
 def _load_store(cfg: ExperimentConfig):
@@ -201,10 +213,6 @@ def _run_instance(cfg: ExperimentConfig, noise: float, index: int, inst_seed: in
     }
 
 
-def _run_instance_args(args):
-    return _run_instance(*args)
-
-
 def _aggregate(rows: list, noise_levels) -> dict:
     agg = {"overall": _stats(rows)}
     for noise in noise_levels:
@@ -232,16 +240,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """
     cfg.validate()
     store = _load_store(cfg) if cfg.affinity_source == "learned" else None
-    seeds = dataset_seeds(cfg, "test")
     tasks = []
-    index = 0
-    for noise in cfg.noise_levels:
+    for li, noise in enumerate(cfg.noise_levels):
         for k in range(cfg.instances):
-            tasks.append((cfg, noise, index, seeds[k % len(seeds)] + 1_000_000 * list(cfg.noise_levels).index(noise), store))
-            index += 1
+            tasks.append((cfg, noise, len(tasks), instance_seed(cfg.seed, k, li), store))
     if cfg.workers > 1 and store is None:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_run_instance_args, tasks))
+            rows = list(pool.map(_run_instance, *zip(*tasks)))
     else:
         rows = [_run_instance(*t) for t in tasks]
     rows.sort(key=lambda r: r["index"])
@@ -278,6 +283,9 @@ def train_and_eval(cfg: ExperimentConfig):
     curve are written under ``cfg.out_dir``.
     """
     cfg.validate(need_checkpoint=False)
+    eval_cfg = replace(cfg, affinity_source="learned", solver="dpgm",
+                       instances=cfg.test_instances)
+    eval_cfg.validate(need_checkpoint=False)
     noise = cfg.noise_levels[0]
     train_pairs = [synthesize_pair(cfg.n, noise, rotation_max=cfg.rotation_max,
                                    seed=s, translation_max=cfg.translation_max)
@@ -294,7 +302,5 @@ def train_and_eval(cfg: ExperimentConfig):
         writer = csv.DictWriter(f, fieldnames=sorted({k for m in metrics for k in m}))
         writer.writeheader()
         writer.writerows(metrics)
-    eval_cfg = replace(cfg, affinity_source="learned", solver="dpgm",
-                       checkpoint=str(ckpt), instances=cfg.test_instances)
-    report = run_experiment(eval_cfg)
+    report = run_experiment(replace(eval_cfg, checkpoint=str(ckpt)))
     return report, str(ckpt), metrics

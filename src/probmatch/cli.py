@@ -18,8 +18,10 @@ import numpy as np
 
 from .affinity import AffinityConfig, assemble_affinity
 from .bench import (
+    ConfigError,
     ExperimentConfig,
     compare_solvers,
+    instance_seed,
     run_experiment,
     train_and_eval,
 )
@@ -102,13 +104,14 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     for key, val in vars(args).items():
         if key in field_names and val is not None:
             values[key] = val
-    sub = {}
-    for name, cls in _SUB_FIELDS.items():
-        if name in values:
-            sub[name] = cls(**values.pop(name))
     unknown = set(values) - field_names
+    for name, cls in _SUB_FIELDS.items():
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown |= {f"{name}.{key}" for key in values.get(name, {}) if key not in known}
     if unknown:
         raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+    sub = {name: cls(**values.pop(name)) for name, cls in _SUB_FIELDS.items()
+           if name in values}
     cfg = ExperimentConfig(**values, **sub)
     if "noise_levels" in values:
         cfg.noise_levels = tuple(cfg.noise_levels)
@@ -122,7 +125,7 @@ def _cmd_gen(cfg: ExperimentConfig, args) -> int:
     for li, noise in enumerate(cfg.noise_levels):
         for k in range(cfg.instances):
             pair = synthesize_pair(cfg.n, noise, rotation_max=cfg.rotation_max,
-                                   seed=cfg.seed + 20_000 + k + 1_000_000 * li,
+                                   seed=instance_seed(cfg.seed, k, li),
                                    translation_max=cfg.translation_max)
             save_pair(pair, out / f"pair_{index:04d}.json")
             index += 1
@@ -133,7 +136,7 @@ def _cmd_gen(cfg: ExperimentConfig, args) -> int:
 def _cmd_solve(cfg: ExperimentConfig, args) -> int:
     pair = synthesize_pair(cfg.n, cfg.noise_levels[0],
                            rotation_max=cfg.rotation_max,
-                           seed=cfg.seed + 20_000,
+                           seed=instance_seed(cfg.seed, 0),
                            translation_max=cfg.translation_max)
     K = assemble_affinity(pair.g1, pair.g2, cfg.affinity_cfg)
     X0 = np.full((cfg.n, cfg.n), 1.0 / cfg.n)
@@ -199,7 +202,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = _load_config(args)
-    return _COMMANDS[args.command](cfg, args)
+    try:
+        cfg.validate(need_checkpoint=False)
+        return _COMMANDS[args.command](cfg, args)
+    except ConfigError as exc:
+        raise SystemExit(f"probmatch: {exc}")
 
 
 if __name__ == "__main__":

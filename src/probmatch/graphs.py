@@ -96,12 +96,9 @@ def delaunay_adjacency(points: np.ndarray) -> tuple[np.ndarray, bool]:
         fallback = True
     else:
         try:
-            tri = Delaunay(points)
-            for simplex in tri.simplices:
-                for a in range(3):
-                    for b in range(a + 1, 3):
-                        adj[simplex[a], simplex[b]] = True
-                        adj[simplex[b], simplex[a]] = True
+            s = Delaunay(points).simplices
+            adj[s[:, [0, 0, 1]], s[:, [1, 2, 2]]] = True
+            adj |= adj.T
             fallback = False
         except QhullError:
             fallback = True
@@ -182,6 +179,20 @@ def synthesize_pair(n: int, noise_sigma: float, rotation_max: float = 0.0,
     return GraphPair(g1, g2, gt, meta)
 
 
+def edge_pairs(e1: np.ndarray, e2: np.ndarray):
+    """Cross each graph-1 edge with every graph-2 edge, as listed then reversed.
+
+    Returns (k1, k2, i, j, a, b): pair t joins graph-1 edge k1[t] = (i[t], j[t])
+    with graph-2 edge k2[t], oriented as (a[t], b[t]).
+    """
+    m1, m2 = len(e1), len(e2)
+    k1 = np.repeat(np.arange(m1), 2 * m2)
+    k2 = np.tile(np.arange(m2), 2 * m1)
+    i, j = e1[k1].T
+    a, b = np.tile(np.concatenate([e2, e2[:, ::-1]]), (m1, 1)).T
+    return k1, k2, i, j, a, b
+
+
 def build_aa_graph(g1: AttributedGraph, g2: AttributedGraph) -> AAGraph:
     """Association graph of a pair of attributed graphs.
 
@@ -196,24 +207,10 @@ def build_aa_graph(g1: AttributedGraph, g2: AttributedGraph) -> AAGraph:
     node_attrs = np.concatenate(
         [np.repeat(g1.features, n2, axis=0), np.tile(g2.features, (n1, 1))], axis=1)
 
-    e1 = g1.edge_list()
-    e2 = g2.edge_list()
-    if len(e1) == 0 or len(e2) == 0:
-        edges = np.zeros((0, 2), dtype=np.int64)
-        edge_attrs = np.zeros((0, 8))
-        return AAGraph(n1, n2, node_attrs, edges, edge_attrs)
-
-    # Cross every graph-1 edge with every graph-2 edge in both orientations.
-    i = np.repeat(e1[:, 0], 2 * len(e2))
-    j = np.repeat(e1[:, 1], 2 * len(e2))
-    ab = np.concatenate([e2, e2[:, ::-1]], axis=0)
-    a = np.tile(ab[:, 0], len(e1))
-    b = np.tile(ab[:, 1], len(e1))
+    _, _, i, j, a, b = edge_pairs(g1.edge_list(), g2.edge_list())
     p = i * n2 + a
     q = j * n2 + b
-    lo = np.minimum(p, q)
-    hi = np.maximum(p, q)
-    edges = np.stack([lo, hi], axis=1)
+    edges = np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
     edge_attrs = np.concatenate(
         [g1.points[i], g1.points[j], g2.points[a], g2.points[b]], axis=1)
     return AAGraph(n1, n2, node_attrs, edges, edge_attrs)

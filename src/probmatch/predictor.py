@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .graphs import AAGraph, GraphPair, build_aa_graph
 from .linalg import SparseAffinity, perm_matrix
-from .solvers import SolverConfig
+from .solvers import PROB_FLOOR, SolverConfig
 
 
 @dataclass
@@ -188,7 +188,7 @@ def learned_affinity(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
 # ---------------------------------------------------------------------------
 # Differentiable solver (tape version of solvers.probabilistic_solve)
 
-def sinkhorn_tape(X: Tensor, iters: int, floor: float = 1e-12) -> Tensor:
+def sinkhorn_tape(X: Tensor, iters: int, floor: float = PROB_FLOOR) -> Tensor:
     X = ad.clamp_min(X, floor)
     for _ in range(iters):
         X = ad.div(X, ad.tsum(X, axis=1, keepdims=True))
@@ -199,10 +199,13 @@ def sinkhorn_tape(X: Tensor, iters: int, floor: float = 1e-12) -> Tensor:
 def solve_tape(X0: Tensor, unary: Tensor, vals: Tensor, rows, cols,
                shape: tuple, cfg: SolverConfig):
     """Differentiable probabilistic solve; gradients flow through only the
-    iterations that actually executed before the early stop."""
+    iterations that actually executed before the early stop. As in
+    ``solvers.probabilistic_solve``, (unary, vals) stay fixed and refinement
+    is a row-scale vector multiplying each propagation K x."""
     n1, n2 = shape
     size = n1 * n2
-    X = ad.clamp_min(X0, cfg.init_floor)
+    X = ad.clamp_min(X0, PROB_FLOOR)
+    scale = None
     iters = 0
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
@@ -210,6 +213,8 @@ def solve_tape(X0: Tensor, unary: Tensor, vals: Tensor, rows, cols,
         y = ad.mul(unary, xv)
         if len(rows):
             y = ad.add(y, ad.scatter_add(ad.mul(vals, ad.gather(xv, cols)), rows, size))
+        if scale is not None:
+            y = ad.mul(scale, y)
         X_new = sinkhorn_tape(ad.reshape(y, (n1, n2)), cfg.sinkhorn_iters)
         iters += 1
         delta_sq = float(((X_new.data.ravel() - xv.data) ** 2).sum())
@@ -217,11 +222,8 @@ def solve_tape(X0: Tensor, unary: Tensor, vals: Tensor, rows, cols,
             stop_reason = "early_stop"
             X = X_new
             break
-        if not cfg.disable_refinement:
-            ratio = ad.div(ad.reshape(X_new, (size,)), ad.clamp_min(xv, cfg.ratio_floor))
-            if len(rows):
-                vals = ad.mul(vals, ad.gather(ratio, rows))
-            unary = ad.mul(unary, ratio)
+        ratio = ad.div(ad.reshape(X_new, (size,)), ad.clamp_min(xv, PROB_FLOOR))
+        scale = ratio if scale is None else ad.mul(scale, ratio)
         X = X_new
     return X, iters, stop_reason
 

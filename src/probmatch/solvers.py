@@ -3,8 +3,9 @@
 The probabilistic solver alternates three steps: propagate assignment
 probabilities through the affinity operator (x <- K x), project back toward
 the doubly stochastic set with Sinkhorn, and refine the affinities by the
-elementwise probability ratio between consecutive iterates. Early stop fires
-when the squared change of the assignment vector drops below a threshold.
+elementwise probability ratio between consecutive iterates, kept as a
+row-scale vector over a fixed K. Early stop fires when the squared change of
+the assignment vector drops below a threshold.
 """
 
 from __future__ import annotations
@@ -16,16 +17,14 @@ import numpy as np
 
 from .linalg import SparseAffinity, binary_score, hungarian, perm_matrix, sinkhorn, spmv
 
+PROB_FLOOR = 1e-12   # clamp on the initial assignment and ratio denominators
+
 
 @dataclass
 class SolverConfig:
     max_iters: int = 10            # S
     stop_eta: float = 1e-5         # eta
     sinkhorn_iters: int = 20
-    sinkhorn_tol: float = 1e-9
-    ratio_floor: float = 1e-12
-    init_floor: float = 1e-12
-    disable_refinement: bool = False   # force all affinity ratios to 1
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -36,7 +35,7 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration record of a probabilistic solve."""
+    """Per-iteration record of a probabilistic solve; objectives use the original K."""
 
     assignments: list = field(default_factory=list)
     binary_scores: list = field(default_factory=list)
@@ -44,11 +43,10 @@ class SolveTrace:
     stop_reason: str = "max_iters"
     last_delta_sq: float = float("nan")
 
-    def record(self, X: np.ndarray, K: SparseAffinity):
-        from .affinity import objective
+    def record(self, X: np.ndarray, Kx: np.ndarray):
         self.assignments.append(X.copy())
         self.binary_scores.append(binary_score(X))
-        self.objectives.append(objective(K, X.ravel()))
+        self.objectives.append(float(np.dot(X.ravel(), Kx)))
 
     def to_json(self) -> str:
         doc = {
@@ -67,43 +65,39 @@ def probabilistic_solve(K: SparseAffinity, X_init: np.ndarray,
     """Iterative probabilistic QAP solver.
 
     Returns the final soft assignment and the full per-iteration trace. The
-    input assignment is clamped below by ``cfg.init_floor`` so Sinkhorn and the
-    refinement ratios are well defined.
+    input assignment is clamped below by ``PROB_FLOOR`` so Sinkhorn and the
+    refinement ratios are well defined. Refining row p of K by ratio_p is
+    (diag(r) K) x = r * (K x), so K stays fixed and ``scale``, the running
+    product of the ratios, multiplies each propagation K x.
     """
     cfg = cfg or SolverConfig()
-    n1, n2 = K.n1, K.n2
-    X = np.maximum(np.asarray(X_init, dtype=np.float64), cfg.init_floor)
+    X = np.maximum(np.asarray(X_init, dtype=np.float64), PROB_FLOOR)
     trace = SolveTrace()
 
     if K.unary.max(initial=0.0) == 0.0 and (K.vals.size == 0 or K.vals.max() == 0.0):
         # Degenerate operator: propagation is identically zero. Return the
         # normalized input immediately.
-        X = sinkhorn(X, cfg.sinkhorn_iters, cfg.sinkhorn_tol)
-        trace.record(X, K)
+        X = sinkhorn(X, cfg.sinkhorn_iters)
+        trace.record(X, spmv(K, X.ravel()))
         trace.stop_reason = "early_stop"
         trace.last_delta_sq = 0.0
         return X, trace
 
-    K_cur = K.copy()
-    trace.record(X, K_cur)
+    scale = np.ones(K.size)
     for _ in range(cfg.max_iters):
         x = X.ravel()
-        y = spmv(K_cur, x)
-        X_new = sinkhorn(y.reshape(n1, n2), cfg.sinkhorn_iters, cfg.sinkhorn_tol)
-        trace.record(X_new, K_cur)
+        Kx = spmv(K, x)
+        trace.record(X, Kx)
+        X_new = sinkhorn((scale * Kx).reshape(K.n1, K.n2), cfg.sinkhorn_iters)
         delta_sq = float(((X_new.ravel() - x) ** 2).sum())
         if delta_sq < cfg.stop_eta:
             trace.stop_reason = "early_stop"
-            trace.last_delta_sq = delta_sq
-            return X_new, trace
-        if not cfg.disable_refinement:
-            ratio = X_new.ravel() / np.maximum(x, cfg.ratio_floor)
-            # Scale row p of the operator by ratio_p (diagonal included).
-            K_cur.vals = K_cur.vals * ratio[K_cur.rows]
-            K_cur.unary = K_cur.unary * ratio
+            X = X_new
+            break
+        scale = scale * (X_new.ravel() / np.maximum(x, PROB_FLOOR))
         X = X_new
-    trace.stop_reason = "max_iters"
     trace.last_delta_sq = delta_sq
+    trace.record(X, spmv(K, X.ravel()))
     return X, trace
 
 

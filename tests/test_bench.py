@@ -42,6 +42,34 @@ def test_config_validation():
         _tiny_cfg(ablation="wps").validate()   # ablations need learned source
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(n=2),
+    dict(instances=0),
+    dict(noise_levels=()),
+    dict(noise_levels=(0.01, 0.01)),
+    dict(workers=0),
+    dict(batch_size=0),
+])
+def test_bad_sizes_rejected(overrides):
+    with pytest.raises(ConfigError):
+        _tiny_cfg(**overrides).validate(need_checkpoint=False)
+
+
+def test_learned_source_with_workers_fails_before_work(tmp_path):
+    cfg = _tiny_cfg(affinity_source="learned", workers=2,
+                    checkpoint=_untrained_checkpoint(tmp_path))
+    with pytest.raises(ConfigError):
+        run_experiment(cfg)
+
+
+def test_train_and_eval_with_workers_fails_before_training(tmp_path):
+    cfg = _tiny_cfg(workers=2, train_instances=2, test_instances=2, epochs=1,
+                    out_dir=str(tmp_path))
+    with pytest.raises(ConfigError):
+        train_and_eval(cfg)
+    assert not (tmp_path / "predictor.ckpt").exists()
+
+
 def test_learned_source_without_checkpoint_fails_before_work():
     cfg = _tiny_cfg(affinity_source="learned")
     with pytest.raises(ConfigError):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from probmatch import bench
 from probmatch.cli import main
-from probmatch.graphs import load_pair
+from probmatch.graphs import load_pair, synthesize_pair
 
 
 def _run(capsys, argv):
@@ -82,6 +83,42 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"grid_size": 9}))
     with pytest.raises(SystemExit):
         main(["bench", "--config", str(cfg_path)])
+
+
+def test_unknown_nested_config_key_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solver_cfg": {"max_iters": 4,
+                                                   "ratio_floor": 1e-12}}))
+    with pytest.raises(SystemExit, match=r"solver_cfg\.ratio_floor"):
+        main(["bench", "--config", str(cfg_path)])
+
+
+def test_invalid_config_exits_before_work(tmp_path, capsys):
+    with pytest.raises(SystemExit, match="instances"):
+        main(["gen", "--n", "5", "--instances", "0", "--out-dir", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
+def test_gen_writes_the_pairs_bench_evaluates(tmp_path, capsys, monkeypatch):
+    argv = ["--n", "5", "--noise", "0.01", "0.04", "--instances", "3",
+            "--seed", "7", "--out-dir", str(tmp_path)]
+    assert main(["gen"] + argv) == 0
+    written = [load_pair(f) for f in sorted(tmp_path.glob("pair_*.json"))]
+
+    evaluated = []
+
+    def recording_synthesize_pair(*args, **kwargs):
+        pair = synthesize_pair(*args, **kwargs)
+        evaluated.append(pair)
+        return pair
+
+    monkeypatch.setattr(bench, "synthesize_pair", recording_synthesize_pair)
+    assert main(["bench"] + argv) == 0
+    assert len(evaluated) == len(written) == 6
+    for got, want in zip(evaluated, written):
+        assert np.array_equal(got.g1.points, want.g1.points)
+        assert np.array_equal(got.g2.points, want.g2.points)
+        assert np.array_equal(got.ground_truth, want.ground_truth)
 
 
 def test_train_subcommand_tiny(tmp_path, capsys):

@@ -44,6 +44,22 @@ def test_delaunay_unit_square_five_edges():
     assert np.triu(adj).sum() == 5   # 4 hull edges + exactly one diagonal
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(3, 40))
+def test_delaunay_adjacency_matches_simplex_loop_oracle(seed, n):
+    from scipy.spatial import Delaunay
+    points = np.random.default_rng(seed).uniform(size=(n, 2))
+    expected = np.zeros((n, n), dtype=bool)
+    for simplex in Delaunay(points).simplices:
+        for a in range(3):
+            for b in range(a + 1, 3):
+                expected[simplex[a], simplex[b]] = True
+                expected[simplex[b], simplex[a]] = True
+    adj, fallback = delaunay_adjacency(points)
+    assert not fallback
+    assert np.array_equal(adj, expected)
+
+
 def test_delaunay_collinear_fallback():
     adj, fallback = delaunay_adjacency([[0, 0], [0.5, 0.5], [1, 1]])
     assert fallback

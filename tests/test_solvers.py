@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_qap, random_sparse_affinity
+from conftest import brute_force_qap, random_sparse_affinity, reference_probabilistic_solve
+from probmatch.autodiff import Tensor
 from probmatch.affinity import assemble_affinity, objective
 from probmatch.graphs import synthesize_pair
 from probmatch.linalg import SparseAffinity, hungarian, perm_matrix, sinkhorn, spmv
+from probmatch.predictor import solve_tape
 from probmatch.solvers import (
     SolverConfig,
     accuracy,
@@ -80,16 +84,63 @@ def test_early_stop_delta_below_threshold():
     assert len(trace.assignments) <= SolverConfig().max_iters + 1
 
 
-def test_disable_refinement_degenerates_to_projected_power_iteration():
+def test_single_iteration_is_one_projected_power_step():
     pair = synthesize_pair(5, 0.05, seed=9)
     K = assemble_affinity(pair.g1, pair.g2)
-    cfg = SolverConfig(disable_refinement=True, stop_eta=1e-300, max_iters=4)
-    X, _ = probabilistic_solve(K, np.full((5, 5), 0.2), cfg)
-    # manual projected power iteration on a constant operator
-    Y = np.maximum(np.full((5, 5), 0.2), 1e-12)
-    for _ in range(4):
-        Y = sinkhorn(spmv(K, Y.ravel()).reshape(5, 5))
-    assert np.allclose(X, Y, atol=1e-12)
+    X0 = np.full((5, 5), 0.2)
+    X, trace = probabilistic_solve(K, X0, SolverConfig(max_iters=1))
+    assert len(trace.assignments) == 2
+    assert np.array_equal(X, sinkhorn(spmv(K, X0.ravel()).reshape(5, 5)))
+
+
+def test_trace_objectives_use_the_original_operator():
+    pair = synthesize_pair(8, 0.03, seed=4)
+    K = assemble_affinity(pair.g1, pair.g2)
+    _, trace = probabilistic_solve(K, np.full((8, 8), 1 / 8),
+                                   SolverConfig(stop_eta=1e-300))
+    assert len(trace.objectives) == len(trace.assignments) == 11
+    for f, X in zip(trace.objectives, trace.assignments):
+        assert f == pytest.approx(objective(K, X.ravel()), rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _solver_case(draw):
+    n = draw(st.integers(3, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    K = random_sparse_affinity(rng, n, n, density=min(0.3, 12.0 / (n * n)))
+    X0 = rng.uniform(0.0, 1.0, size=(n, n))
+    # Some entries below, at and just above the probability floor.
+    tiny = rng.uniform(size=(n, n)) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+    X0[tiny] = 10.0 ** rng.uniform(-13, -10, size=int(tiny.sum()))
+    # Put stop_eta just above or just below the squared change of one
+    # iteration, so the early stop fires there or one iteration later.
+    _, deltas, _ = reference_probabilistic_solve(K, X0, stop_eta=1e-300)
+    t = draw(st.integers(0, len(deltas) - 1))
+    assume(deltas[t] > 1e-12)
+    side = draw(st.sampled_from([1.0 + 1e-6, 1.0 - 1e-6]))
+    return K, X0, SolverConfig(stop_eta=deltas[t] * side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_solver_case())
+def test_fixed_operator_solvers_match_refined_operator_oracle(case):
+    K, X0, cfg = case
+    X_ref, deltas, stop_ref = reference_probabilistic_solve(
+        K, X0, cfg.max_iters, cfg.stop_eta, cfg.sinkhorn_iters)
+
+    X_np, trace = probabilistic_solve(K, X0, cfg)
+    assert np.abs(X_np - X_ref).max() < 1e-10
+    assert len(trace.assignments) - 1 == len(deltas)
+    assert trace.stop_reason == stop_ref
+
+    # The tape Sinkhorn always runs every pass, so its oracle does too.
+    X_ref, deltas, stop_ref = reference_probabilistic_solve(
+        K, X0, cfg.max_iters, cfg.stop_eta, cfg.sinkhorn_iters, sinkhorn_tol=1e-300)
+    X_tape, iters, stop = solve_tape(Tensor(X0), Tensor(K.unary), Tensor(K.vals),
+                                     K.rows, K.cols, (K.n1, K.n2), cfg)
+    assert np.abs(X_tape.data - X_ref).max() < 1e-10
+    assert (iters, stop) == (len(deltas), stop_ref)
 
 
 def test_solver_deterministic():
