@@ -23,26 +23,18 @@ from .affinity import AffinityConfig, assemble_affinity, objective
 from .graphs import build_aa_graph, synthesize_pair
 from .linalg import binary_score, perm_matrix
 from .predictor import (
+    ABLATIONS,
     LossConfig,
     PredictorConfig,
-    evaluate,
+    dpgm_assignment,
     init_params,
     learned_affinity,
     train,
 )
-from .solvers import (
-    SolverConfig,
-    accuracy,
-    discretize,
-    ipfp,
-    probabilistic_solve,
-    rrwm,
-    spectral_match,
-)
+from .solvers import SolverConfig, accuracy, discretize, ipfp, rrwm, spectral_match
 
 SOLVERS = ("dpgm", "spectral", "ipfp", "rrwm")
 AFFINITY_SOURCES = ("handcrafted", "learned")
-ABLATIONS = ("full", "tia", "wps")
 
 _TRAIN_SEED_BASE = 10_000
 _TEST_SEED_BASE = 20_000
@@ -94,8 +86,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown affinity source {self.affinity_source!r}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
-        if self.ablation != "full" and self.affinity_source != "learned":
-            raise ConfigError("ablations require the learned affinity source")
+        if self.ablation != "full" and (self.affinity_source, self.solver) != ("learned", "dpgm"):
+            raise ConfigError("ablations require the learned affinity source and the dpgm solver")
         if (need_checkpoint and self.affinity_source == "learned"
                 and not self.checkpoint):
             raise ConfigError("learned affinity source requires a checkpoint path")
@@ -186,12 +178,8 @@ def _run_instance(cfg: ExperimentConfig, noise: float, index: int, inst_seed: in
         K, X_init = learned_affinity(aa, store, cfg.predictor_cfg)
 
     iterations = 0
-    if cfg.ablation == "wps":
-        X = X_init
-    elif cfg.solver == "dpgm":
-        start = uniform if cfg.ablation == "tia" else X_init
-        X, trace = probabilistic_solve(K, start, cfg.solver_cfg)
-        iterations = len(trace.assignments) - 1
+    if cfg.solver == "dpgm":
+        X, iterations = dpgm_assignment(K, X_init, cfg.solver_cfg, cfg.ablation)
     elif cfg.solver == "spectral":
         X = spectral_match(K).reshape(n, n)
         iterations = 100

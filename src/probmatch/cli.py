@@ -18,6 +18,8 @@ import numpy as np
 
 from .affinity import AffinityConfig, assemble_affinity
 from .bench import (
+    AFFINITY_SOURCES,
+    SOLVERS,
     ConfigError,
     ExperimentConfig,
     compare_solvers,
@@ -27,7 +29,7 @@ from .bench import (
 )
 from .graphs import build_aa_graph, save_pair, synthesize_pair
 from .linalg import perm_matrix
-from .predictor import LossConfig, PredictorConfig, grad_check, init_params
+from .predictor import ABLATIONS, LossConfig, PredictorConfig, grad_check, init_params
 from .solvers import SolverConfig, probabilistic_solve
 
 _SUB_FIELDS = {
@@ -64,10 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark experiment")
     _add_common(p)
-    p.add_argument("--solver", choices=("dpgm", "spectral", "ipfp", "rrwm"))
-    p.add_argument("--affinity-source", dest="affinity_source",
-                   choices=("handcrafted", "learned"))
-    p.add_argument("--ablation", choices=("full", "tia", "wps"))
+    p.add_argument("--solver", choices=SOLVERS)
+    p.add_argument("--affinity-source", dest="affinity_source", choices=AFFINITY_SOURCES)
+    p.add_argument("--ablation", choices=ABLATIONS)
     p.add_argument("--checkpoint")
     p.add_argument("--workers", type=int)
 
@@ -82,8 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="accuracy table over all solvers")
     _add_common(p)
-    p.add_argument("--affinity-source", dest="affinity_source",
-                   choices=("handcrafted", "learned"))
+    p.add_argument("--affinity-source", dest="affinity_source", choices=AFFINITY_SOURCES)
     p.add_argument("--checkpoint")
 
     p = sub.add_parser("gradcheck", help="verify solver gradients against "
@@ -110,8 +110,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         unknown |= {f"{name}.{key}" for key in values.get(name, {}) if key not in known}
     if unknown:
         raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    sub = {name: cls(**values.pop(name)) for name, cls in _SUB_FIELDS.items()
-           if name in values}
+    sub = {}
+    for name, cls in _SUB_FIELDS.items():
+        try:
+            sub[name] = cls(**values.pop(name, {}))
+        except (TypeError, ValueError) as exc:
+            raise SystemExit(f"probmatch: {name}: {exc}")
     cfg = ExperimentConfig(**values, **sub)
     if "noise_levels" in values:
         cfg.noise_levels = tuple(cfg.noise_levels)

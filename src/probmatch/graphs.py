@@ -16,6 +16,7 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 FEATURE_DIM = 8
+AA_EDGE_DIM = 8     # AA-edge attribute [p_i; p_j; p_a; p_b] of planar points
 _N_DIST_BINS = 4
 _N_ANGLE_BINS = 4
 _LOG_DIST_RANGE = (np.log(5e-3), np.log(1.5))
@@ -74,9 +75,9 @@ class AAGraph:
 
     n1: int
     n2: int
-    node_attrs: np.ndarray   # (n1*n2, 2*d_F)
+    node_attrs: np.ndarray   # (n1*n2, 2 * FEATURE_DIM)
     edges: np.ndarray        # (m, 2) int
-    edge_attrs: np.ndarray   # (m, 8) coordinate concatenations
+    edge_attrs: np.ndarray   # (m, AA_EDGE_DIM) coordinate concatenations
 
     @property
     def size(self) -> int:

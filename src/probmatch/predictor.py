@@ -5,33 +5,30 @@ spaces, alternates edge (affinity) and node (assignment) update layers T
 times, and decodes sigmoid scores for every candidate match and every
 affinity-bearing match pair. The decoded assignment seeds the differentiable
 probabilistic solver, whose output is supervised with a balanced cross-entropy
-loss against the ground-truth permutation.
+loss against the ground-truth permutation. Inference needs no tape: it runs
+the numpy solver through ``dpgm_assignment``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .graphs import AAGraph, GraphPair, build_aa_graph
+from .graphs import AA_EDGE_DIM, FEATURE_DIM, AAGraph, GraphPair, build_aa_graph
 from .linalg import SparseAffinity, perm_matrix
-from .solvers import PROB_FLOOR, SolverConfig
+from .solvers import PROB_FLOOR, SolverConfig, accuracy, discretize, probabilistic_solve
+
+ABLATIONS = ("full", "tia", "wps")
 
 
 @dataclass
 class PredictorConfig:
-    d_V: int = 32
-    d_E: int = 32
-    T: int = 5
-    mlp_hidden: tuple = ()   # empty: one hidden layer of width max(d_V, d_E)
-    node_in_dim: int = 16    # 2 * d_F
-    edge_in_dim: int = 8
-
-    def hidden(self) -> tuple:
-        return self.mlp_hidden or (max(self.d_V, self.d_E),)
+    d_V: int = 32   # assignment (node) latent width
+    d_E: int = 32   # affinity (edge) latent width
+    T: int = 5      # affinity/assignment update rounds
 
 
 @dataclass
@@ -54,8 +51,11 @@ def _init_mlp(store: ParamStore, name: str, widths, rng):
         store.add(f"{name}.b{k}", rng.uniform(-bound, bound, size=(dout,)))
 
 
-def mlp_forward(store: ParamStore, name: str, n_layers: int, x: Tensor) -> Tensor:
-    """Affine-ReLU stack with a final affine layer (no activation)."""
+def mlp_forward(store: ParamStore, name: str, x: Tensor) -> Tensor:
+    """Affine-ReLU stack of the layers ``name.w0, name.w1, ...`` in the store."""
+    n_layers = 0
+    while f"{name}.w{n_layers}" in store:
+        n_layers += 1
     for k in range(n_layers):
         x = ad.add(ad.matmul(x, store[f"{name}.w{k}"]), store[f"{name}.b{k}"])
         if k < n_layers - 1:
@@ -63,42 +63,38 @@ def mlp_forward(store: ParamStore, name: str, n_layers: int, x: Tensor) -> Tenso
     return x
 
 
-def _mlp_specs(cfg: PredictorConfig) -> dict:
-    h = list(cfg.hidden())
-    return {
-        "rho_v": [cfg.node_in_dim] + h + [cfg.d_V],
-        "rho_e": [cfg.edge_in_dim] + h + [cfg.d_E],
-        "tau": [cfg.d_E + cfg.d_V] + h + [cfg.d_E],
-        "kappa": [cfg.d_E + cfg.d_V] + h + [cfg.d_V],
-        "phi_n": [cfg.d_V] + h + [1],
-        "phi_e": [cfg.d_E] + h + [1],
-    }
-
-
 def init_params(cfg: PredictorConfig, seed: int = 0) -> ParamStore:
+    """Every MLP has one hidden layer of width max(d_V, d_E)."""
     rng = np.random.default_rng(seed)
     store = ParamStore()
-    for name, widths in _mlp_specs(cfg).items():
+    h, d_V, d_E = max(cfg.d_V, cfg.d_E), cfg.d_V, cfg.d_E
+    specs = {
+        "rho_v": [2 * FEATURE_DIM, h, d_V],
+        "rho_e": [AA_EDGE_DIM, h, d_E],
+        "tau": [d_E + d_V, h, d_E],
+        "kappa": [d_E + d_V, h, d_V],
+        "phi_n": [d_V, h, 1],
+        "phi_e": [d_E, h, 1],
+    }
+    for name, widths in specs.items():
         _init_mlp(store, name, widths, rng)
-    bound = _INIT_GAIN / np.sqrt(cfg.d_V)
-    store.add("M1", rng.uniform(-bound, bound, size=(cfg.d_V, cfg.d_V)))
-    store.add("M2", rng.uniform(-bound, bound, size=(cfg.d_V, cfg.d_V)))
+    bound = _INIT_GAIN / np.sqrt(d_V)
+    store.add("M1", rng.uniform(-bound, bound, size=(d_V, d_V)))
+    store.add("M2", rng.uniform(-bound, bound, size=(d_V, d_V)))
     return store
 
 
 # ---------------------------------------------------------------------------
 # Forward passes
 
-def encode(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
+def encode(aa: AAGraph, store: ParamStore):
     """Map raw node/edge attributes into the latent spaces."""
-    specs = _mlp_specs(cfg)
-    V = mlp_forward(store, "rho_v", len(specs["rho_v"]) - 1, Tensor(aa.node_attrs))
-    E = mlp_forward(store, "rho_e", len(specs["rho_e"]) - 1, Tensor(aa.edge_attrs))
+    V = mlp_forward(store, "rho_v", Tensor(aa.node_attrs))
+    E = mlp_forward(store, "rho_e", Tensor(aa.edge_attrs))
     return V, E
 
 
-def affinity_update(V: Tensor, E: Tensor, src, dst, store: ParamStore,
-                    cfg: PredictorConfig) -> Tensor:
+def affinity_update(V: Tensor, E: Tensor, src, dst, store: ParamStore) -> Tensor:
     """Edge update: gated product of endpoint embeddings, then an MLP.
 
     The product is averaged over both edge directions so the stored value is
@@ -109,30 +105,24 @@ def affinity_update(V: Tensor, E: Tensor, src, dst, store: ParamStore,
     fwd = ad.mul(ad.gather(A, src), ad.gather(B, dst))
     rev = ad.mul(ad.gather(A, dst), ad.gather(B, src))
     ebar = ad.mul(ad.add(fwd, rev), 0.5)
-    n_layers = len(_mlp_specs(cfg)["tau"]) - 1
-    return mlp_forward(store, "tau", n_layers, ad.concat([E, ebar], axis=1))
+    return mlp_forward(store, "tau", ad.concat([E, ebar], axis=1))
 
 
-def assignment_update(V: Tensor, E: Tensor, src, dst, store: ParamStore,
-                      cfg: PredictorConfig) -> Tensor:
+def assignment_update(V: Tensor, E: Tensor, src, dst, store: ParamStore) -> Tensor:
     """Node update: aggregate incident edge embeddings, then an MLP.
 
     Nodes with no incident AA-edges aggregate a zero vector.
     """
     n = V.data.shape[0]
     agg = ad.add(ad.scatter_add(E, src, n), ad.scatter_add(E, dst, n))
-    n_layers = len(_mlp_specs(cfg)["kappa"]) - 1
-    return mlp_forward(store, "kappa", n_layers, ad.concat([agg, V], axis=1))
+    return mlp_forward(store, "kappa", ad.concat([agg, V], axis=1))
 
 
-def decode(V: Tensor, E: Tensor, store: ParamStore, cfg: PredictorConfig):
+def decode(V: Tensor, E: Tensor, store: ParamStore):
     """Sigmoid score per candidate match and per AA-edge; both in (0, 1)."""
-    specs = _mlp_specs(cfg)
-    x = ad.sigmoid(ad.reshape(
-        mlp_forward(store, "phi_n", len(specs["phi_n"]) - 1, V), (-1,)))
+    x = ad.sigmoid(ad.reshape(mlp_forward(store, "phi_n", V), (-1,)))
     if E.data.shape[0] > 0:
-        e = ad.sigmoid(ad.reshape(
-            mlp_forward(store, "phi_e", len(specs["phi_e"]) - 1, E), (-1,)))
+        e = ad.sigmoid(ad.reshape(mlp_forward(store, "phi_e", E), (-1,)))
     else:
         e = Tensor(np.zeros(0))
     return x, e
@@ -166,11 +156,11 @@ def predictor_forward(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
     """
     src = aa.edges[:, 0]
     dst = aa.edges[:, 1]
-    V, E = encode(aa, store, cfg)
+    V, E = encode(aa, store)
     for _ in range(cfg.T):
-        E = _rms_rescale(affinity_update(V, E, src, dst, store, cfg))
-        V = _rms_rescale(assignment_update(V, E, src, dst, store, cfg))
-    x_scores, e_scores = decode(V, E, store, cfg)
+        E = _rms_rescale(affinity_update(V, E, src, dst, store))
+        V = _rms_rescale(assignment_update(V, E, src, dst, store))
+    x_scores, e_scores = decode(V, E, store)
     rows = np.concatenate([src, dst])
     cols = np.concatenate([dst, src])
     return x_scores, e_scores, rows, cols
@@ -183,6 +173,22 @@ def learned_affinity(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
     K = SparseAffinity(aa.n1, aa.n2, x_scores.data.copy(), rows, cols, vals)
     X_init = x_scores.data.reshape(aa.n1, aa.n2).copy()
     return K, X_init
+
+
+def dpgm_assignment(K: SparseAffinity, X_init: np.ndarray, scfg: SolverConfig,
+                    ablation: str):
+    """Numpy inference: solve K from X_init; returns (X, iterations).
+
+    Ablations: "tia" solves from the uniform assignment instead, and "wps"
+    returns X_init without solving."""
+    if ablation not in ABLATIONS:
+        raise ValueError(f"unknown ablation {ablation!r}")
+    if ablation == "wps":
+        return X_init, 0
+    if ablation == "tia":
+        X_init = np.full(X_init.shape, 1.0 / X_init.shape[1])
+    X, trace = probabilistic_solve(K, X_init, scfg)
+    return X, len(trace.assignments) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +235,12 @@ def solve_tape(X0: Tensor, unary: Tensor, vals: Tensor, rows, cols,
 
 
 def pipeline_forward(aa: AAGraph, store: ParamStore, pcfg: PredictorConfig,
-                     scfg: SolverConfig, ablation: str = "full") -> Tensor:
-    """Predictor plus solver; returns the flat final assignment vector.
-
-    Ablations: "tia" replaces the predicted initial assignment by the uniform
-    one; "wps" skips the solver and returns the decoded scores directly.
-    """
-    if ablation not in ("full", "tia", "wps"):
-        raise ValueError(f"unknown ablation {ablation!r}")
+                     scfg: SolverConfig) -> Tensor:
+    """Training forward: the predictor, then the tape solver from the decoded
+    assignment; returns the flat final assignment vector on the tape.
+    Inference runs ``learned_affinity`` and ``dpgm_assignment`` instead."""
     x_scores, e_scores, rows, cols = predictor_forward(aa, store, pcfg)
-    if ablation == "wps":
-        return x_scores
-    if ablation == "tia":
-        X0 = Tensor(np.full((aa.n1, aa.n2), 1.0 / aa.n2))
-    else:
-        X0 = ad.reshape(x_scores, (aa.n1, aa.n2))
+    X0 = ad.reshape(x_scores, (aa.n1, aa.n2))
     vals = ad.concat([e_scores, e_scores]) if e_scores.data.size else e_scores
     X_final, _, _ = solve_tape(X0, x_scores, vals, rows, cols,
                                (aa.n1, aa.n2), scfg)
@@ -264,9 +261,8 @@ def balanced_ce_loss(x: Tensor, x_gt: np.ndarray, cfg: LossConfig) -> Tensor:
 
 
 def instance_loss(aa: AAGraph, gt_vec: np.ndarray, store: ParamStore,
-                  pcfg: PredictorConfig, scfg: SolverConfig, lcfg: LossConfig,
-                  ablation: str = "full") -> Tensor:
-    x = pipeline_forward(aa, store, pcfg, scfg, ablation)
+                  pcfg: PredictorConfig, scfg: SolverConfig, lcfg: LossConfig) -> Tensor:
+    x = pipeline_forward(aa, store, pcfg, scfg)
     return balanced_ce_loss(x, gt_vec, lcfg)
 
 
@@ -275,10 +271,10 @@ def instance_loss(aa: AAGraph, gt_vec: np.ndarray, store: ParamStore,
 
 def grad_check(aa: AAGraph, gt_vec: np.ndarray, store: ParamStore,
                pcfg: PredictorConfig, scfg: SolverConfig, lcfg: LossConfig,
-               step: float = 1e-5, ablation: str = "full") -> float:
+               step: float = 1e-5) -> float:
     """Max relative error between backward and central finite differences."""
     store.zero_grad()
-    loss = instance_loss(aa, gt_vec, store, pcfg, scfg, lcfg, ablation)
+    loss = instance_loss(aa, gt_vec, store, pcfg, scfg, lcfg)
     loss.backward()
     g_ad = store.grad_vector()
 
@@ -289,7 +285,7 @@ def grad_check(aa: AAGraph, gt_vec: np.ndarray, store: ParamStore,
             pert = theta.copy()
             pert[k] += sign * step
             store.set_vector(pert)
-            val = instance_loss(aa, gt_vec, store, pcfg, scfg, lcfg, ablation).data
+            val = instance_loss(aa, gt_vec, store, pcfg, scfg, lcfg).data
             if slot == 0:
                 plus = float(val)
             else:
@@ -302,22 +298,21 @@ def grad_check(aa: AAGraph, gt_vec: np.ndarray, store: ParamStore,
 
 def evaluate(pairs, store: ParamStore, pcfg: PredictorConfig,
              scfg: SolverConfig, ablation: str = "full") -> float:
-    """Mean matching accuracy of the learned pipeline over instances."""
-    from .solvers import accuracy, discretize
+    """Mean matching accuracy of the learned pipeline over instances, by the
+    experiment runner's numpy inference: ``learned_affinity``, then
+    ``dpgm_assignment`` under ``ablation``."""
     accs = []
     for pair in pairs:
-        aa = build_aa_graph(pair.g1, pair.g2)
-        x = pipeline_forward(aa, store, pcfg, scfg, ablation)
-        pred = discretize(x.data.reshape(aa.n1, aa.n2))
-        accs.append(accuracy(pred, pair.ground_truth))
+        K, X_init = learned_affinity(build_aa_graph(pair.g1, pair.g2), store, pcfg)
+        X, _ = dpgm_assignment(K, X_init, scfg, ablation)
+        accs.append(accuracy(discretize(X), pair.ground_truth))
     return float(np.mean(accs))
 
 
 def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
           lcfg: LossConfig, epochs: int = 50, lr: float = 1e-3,
-          batch_size: int = 8, seed: int = 0, ablation: str = "full",
-          monitor_pairs=None, target_accuracy: float | None = None,
-          verbose: bool = False):
+          batch_size: int = 8, seed: int = 0, monitor_pairs=None,
+          target_accuracy: float | None = None, verbose: bool = False):
     """Mini-batch Adam training of the predictor through the solver.
 
     Returns the trained ParamStore and a per-epoch metrics list. If
@@ -343,13 +338,13 @@ def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
             store.zero_grad()
             for idx in batch:
                 aa, gt_vec = prepared[idx]
-                loss = instance_loss(aa, gt_vec, store, pcfg, scfg, lcfg, ablation)
+                loss = instance_loss(aa, gt_vec, store, pcfg, scfg, lcfg)
                 loss.backward()
                 losses.append(float(loss.data))
             store.adam_step(lr=lr)
         entry = {"epoch": epoch, "mean_loss": float(np.mean(losses))}
         if target_accuracy is not None:
-            acc = evaluate(monitor_pairs, store, pcfg, scfg, ablation)
+            acc = evaluate(monitor_pairs, store, pcfg, scfg)
             entry["monitor_accuracy"] = acc
             metrics.append(entry)
             if verbose:

@@ -12,7 +12,8 @@ from probmatch.bench import (
     run_experiment,
     train_and_eval,
 )
-from probmatch.predictor import PredictorConfig, init_params
+from probmatch.graphs import synthesize_pair
+from probmatch.predictor import ABLATIONS, PredictorConfig, evaluate, init_params
 from probmatch.solvers import SolverConfig
 
 TINY_PRED = PredictorConfig(d_V=4, d_E=4, T=1)
@@ -40,6 +41,9 @@ def test_config_validation():
         _tiny_cfg(ablation="none").validate()
     with pytest.raises(ConfigError):
         _tiny_cfg(ablation="wps").validate()   # ablations need learned source
+    with pytest.raises(ConfigError, match="dpgm"):
+        _tiny_cfg(affinity_source="learned", solver="spectral",
+                  ablation="tia").validate(need_checkpoint=False)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -89,6 +93,20 @@ def test_wps_untrained_near_chance(tmp_path):
     acc = run_experiment(cfg).aggregates["overall"]["accuracy_mean"]
     # chance level is 1/6; allow generous binomial noise around it
     assert acc < 0.45
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_learned_runner_matches_evaluate(tmp_path, ablation):
+    cfg = _tiny_cfg(n=6, noise_levels=(0.03,), instances=8,
+                    affinity_source="learned", ablation=ablation,
+                    checkpoint=_untrained_checkpoint(tmp_path, seed=3))
+    rows = run_experiment(cfg).rows
+    store = init_params(TINY_PRED)
+    store.load(cfg.checkpoint)
+    for row, seed in zip(rows, dataset_seeds(cfg)):
+        pair = synthesize_pair(cfg.n, 0.03, rotation_max=cfg.rotation_max, seed=seed,
+                               translation_max=cfg.translation_max)
+        assert evaluate([pair], store, TINY_PRED, cfg.solver_cfg, ablation) == row["accuracy"]
 
 
 def test_rows_byte_identical_across_reruns():

@@ -87,10 +87,26 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 def test_unknown_nested_config_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"solver_cfg": {"max_iters": 4,
-                                                   "ratio_floor": 1e-12}}))
-    with pytest.raises(SystemExit, match=r"solver_cfg\.ratio_floor"):
-        main(["bench", "--config", str(cfg_path)])
+    for nested, key in (({"solver_cfg": {"max_iters": 4, "ratio_floor": 1e-12}},
+                         r"solver_cfg\.ratio_floor"),
+                        ({"predictor_cfg": {"d_V": 4, "mlp_hidden": [8]}},
+                         r"predictor_cfg\.mlp_hidden")):
+        cfg_path.write_text(json.dumps(nested))
+        with pytest.raises(SystemExit, match=rf"unknown config keys.*{key}"):
+            main(["bench", "--config", str(cfg_path)])
+
+
+@pytest.mark.parametrize("nested", [{"solver_cfg": {"max_iters": 0}},
+                                    {"affinity_cfg": {"sigma_len": 0}}])
+def test_bad_nested_config_value_exits_with_one_line(tmp_path, capsys, nested):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(nested))
+    out_dir = tmp_path / "out"
+    name = next(iter(nested))
+    with pytest.raises(SystemExit, match=rf"^probmatch: {name}: ") as exc:
+        main(["bench", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+    assert "\n" not in str(exc.value)
+    assert not out_dir.exists()
 
 
 def test_invalid_config_exits_before_work(tmp_path, capsys):

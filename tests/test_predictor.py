@@ -3,22 +3,23 @@ import pytest
 
 import probmatch.autodiff as ad
 from probmatch.autodiff import ParamStore, Tensor
-from probmatch.graphs import build_aa_graph, synthesize_pair
+from probmatch.graphs import AA_EDGE_DIM, FEATURE_DIM, build_aa_graph, synthesize_pair
 from probmatch.linalg import perm_matrix
 from probmatch.predictor import (
+    ABLATIONS,
     LossConfig,
     PredictorConfig,
     affinity_update,
     assignment_update,
     balanced_ce_loss,
     decode,
+    dpgm_assignment,
     encode,
     evaluate,
     init_params,
     instance_loss,
     learned_affinity,
     mlp_forward,
-    pipeline_forward,
     predictor_forward,
     solve_tape,
     train,
@@ -42,7 +43,7 @@ def test_mlp_zero_params_zero_output():
     store = ParamStore()
     store.add("f.w0", np.zeros((3, 2)))
     store.add("f.b0", np.zeros(2))
-    out = mlp_forward(store, "f", 1, Tensor(np.ones((4, 3))))
+    out = mlp_forward(store, "f", Tensor(np.ones((4, 3))))
     assert np.allclose(out.data, 0.0)
 
 
@@ -51,7 +52,7 @@ def test_mlp_identity_layer_passthrough():
     store.add("f.w0", np.eye(3))
     store.add("f.b0", np.zeros(3))
     x = np.random.default_rng(0).normal(size=(5, 3))
-    out = mlp_forward(store, "f", 1, Tensor(x.copy()))
+    out = mlp_forward(store, "f", Tensor(x.copy()))
     assert np.allclose(out.data, x)
 
 
@@ -65,7 +66,7 @@ def test_mlp_two_layer_matches_loop_oracle():
     for name, arr in (("f.w0", w0), ("f.b0", b0), ("f.w1", w1), ("f.b1", b1)):
         store.add(name, arr)
     x = rng.normal(size=(6, 3))
-    out = mlp_forward(store, "f", 2, Tensor(x.copy()))
+    out = mlp_forward(store, "f", Tensor(x.copy()))
     expected = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -79,10 +80,10 @@ def test_affinity_update_ignores_nodes_when_gates_zero():
     store["M1"].data[:] = 0.0
     store["M2"].data[:] = 0.0
     src, dst = aa.edges[:, 0], aa.edges[:, 1]
-    V1, E = encode(aa, store, TINY)
+    V1, E = encode(aa, store)
     V2 = Tensor(V1.data + 17.0)
-    out1 = affinity_update(V1, E, src, dst, store, TINY)
-    out2 = affinity_update(V2, E, src, dst, store, TINY)
+    out1 = affinity_update(V1, E, src, dst, store)
+    out2 = affinity_update(V2, E, src, dst, store)
     assert np.allclose(out1.data, out2.data)
 
 
@@ -92,7 +93,7 @@ def test_affinity_update_single_edge_hand_oracle():
     E = Tensor(np.random.default_rng(6).normal(size=(1, 4)))
     src = np.array([0])
     dst = np.array([1])
-    out = affinity_update(V, E, src, dst, store, TINY)
+    out = affinity_update(V, E, src, dst, store)
 
     A = V.data @ store["M1"].data
     B = V.data @ store["M2"].data
@@ -107,9 +108,9 @@ def test_affinity_update_symmetric_under_edge_reversal():
     _, aa, _ = _tiny_instance()
     store = init_params(TINY, seed=7)
     src, dst = aa.edges[:, 0], aa.edges[:, 1]
-    V, E = encode(aa, store, TINY)
-    out = affinity_update(V, E, src, dst, store, TINY)
-    rev = affinity_update(V, E, dst, src, store, TINY)
+    V, E = encode(aa, store)
+    out = affinity_update(V, E, src, dst, store)
+    rev = affinity_update(V, E, dst, src, store)
     assert np.allclose(out.data, rev.data, atol=1e-12)
 
 
@@ -120,7 +121,7 @@ def test_assignment_update_isolated_and_single_edge_aggregates():
     E = Tensor(rng.normal(size=(1, 4)))
     src = np.array([0])
     dst = np.array([1])
-    out = assignment_update(V, E, src, dst, store, TINY)
+    out = assignment_update(V, E, src, dst, store)
 
     def kappa(agg, v):
         x = np.concatenate([agg, v])[None, :]
@@ -136,8 +137,8 @@ def test_assignment_update_matches_explicit_loop():
     _, aa, _ = _tiny_instance()
     store = init_params(TINY, seed=10)
     src, dst = aa.edges[:, 0], aa.edges[:, 1]
-    V, E = encode(aa, store, TINY)
-    out = assignment_update(V, E, src, dst, store, TINY)
+    V, E = encode(aa, store)
+    out = assignment_update(V, E, src, dst, store)
 
     agg = np.zeros_like(V.data)
     for k in range(len(src)):
@@ -155,8 +156,8 @@ def test_assignment_update_matches_explicit_loop():
 def test_decode_scores_strictly_inside_unit_interval():
     _, aa, _ = _tiny_instance(n=4, seed=11)
     store = init_params(TINY, seed=11)
-    V, E = encode(aa, store, TINY)
-    x, e = decode(V, E, store, TINY)
+    V, E = encode(aa, store)
+    x, e = decode(V, E, store)
     assert np.all(x.data > 0) and np.all(x.data < 1)
     assert np.all(e.data > 0) and np.all(e.data < 1)
 
@@ -263,22 +264,41 @@ def test_linear_model_gradient_is_exact():
 
 
 def test_ablation_argument_validation_and_shapes():
-    _, aa, gt_vec = _tiny_instance(n=3, seed=17)
+    _, aa, _ = _tiny_instance(n=3, seed=17)
     store = init_params(TINY, seed=17)
+    K, X_init = learned_affinity(aa, store, TINY)
     scfg = SolverConfig(max_iters=2)
-    for ablation in ("full", "tia", "wps"):
-        x = pipeline_forward(aa, store, TINY, scfg, ablation)
-        assert x.data.shape == (9,)
+    for ablation in ABLATIONS:
+        X, iterations = dpgm_assignment(K, X_init, scfg, ablation)
+        assert X.shape == (3, 3)
+        assert 0 <= iterations <= scfg.max_iters
+    # "full" solves from the predicted assignment, "tia" from the uniform one
+    for ablation, start in (("full", X_init), ("tia", np.full((3, 3), 1.0 / 3))):
+        X, iterations = dpgm_assignment(K, X_init, scfg, ablation)
+        expected, trace = probabilistic_solve(K, start, scfg)
+        assert np.array_equal(X, expected)
+        assert iterations == len(trace.assignments) - 1
     with pytest.raises(ValueError):
-        pipeline_forward(aa, store, TINY, scfg, "nope")
+        dpgm_assignment(K, X_init, scfg, "nope")
 
 
 def test_wps_ablation_returns_decoded_scores():
     _, aa, _ = _tiny_instance(n=3, seed=18)
     store = init_params(TINY, seed=18)
-    x = pipeline_forward(aa, store, TINY, SolverConfig(), "wps")
+    K, X_init = learned_affinity(aa, store, TINY)
+    X, iterations = dpgm_assignment(K, X_init, SolverConfig(), "wps")
     scores, _, _, _ = predictor_forward(aa, store, TINY)
-    assert np.allclose(x.data, scores.data)
+    assert np.allclose(X.ravel(), scores.data)
+    assert iterations == 0
+
+
+def test_init_params_widths_follow_latent_sizes():
+    store = init_params(PredictorConfig(d_V=3, d_E=5, T=1), seed=0)
+    assert store["rho_v.w0"].data.shape == (2 * FEATURE_DIM, 5)   # max(d_V, d_E)
+    assert store["rho_e.w0"].data.shape == (AA_EDGE_DIM, 5)
+    assert store["tau.w1"].data.shape == (5, 5)
+    assert store["kappa.w1"].data.shape == (5, 3)
+    assert "rho_v.w2" not in store
 
 
 # ---------------------------------------------------------------------------
