@@ -3,9 +3,9 @@
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar result sweeps the tape in reverse topological order
 and accumulates gradients into every reachable leaf. Only the operations the
-predictor and the differentiable solver actually need are provided; anything
-else simply does not exist on the tape, so an unsupported construction fails
-at graph-building time.
+predictor needs are provided (the solver is one node, ``predictor.solve_tape``);
+anything else does not exist on the tape, so an unsupported construction
+fails at graph-building time.
 """
 
 from __future__ import annotations
@@ -209,13 +209,11 @@ def reshape(a: Tensor, shape) -> Tensor:
     return out
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
+def tsum(a: Tensor) -> Tensor:
+    out = Tensor(a.data.sum(), (a,))
 
     def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a.grad += np.broadcast_to(g, a.data.shape)
+        a.grad += g
 
     out._backward = backward
     return out
@@ -243,17 +241,6 @@ def scatter_add(a: Tensor, index: np.ndarray, size: int) -> Tensor:
 
     def backward(g):
         a.grad += g[index]
-
-    out._backward = backward
-    return out
-
-
-def clamp_min(a: Tensor, lo: float) -> Tensor:
-    out = Tensor(np.maximum(a.data, lo), (a,))
-    mask = a.data > lo
-
-    def backward(g):
-        a.grad += g * mask
 
     out._backward = backward
     return out

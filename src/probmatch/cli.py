@@ -38,6 +38,7 @@ _SUB_FIELDS = {
     "predictor_cfg": PredictorConfig,
     "loss_cfg": LossConfig,
 }
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -96,14 +97,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_types(cls, values: dict, prefix: str = ""):
+    """Exit with one line naming the first value of the wrong JSON type for
+    its field of ``cls``; nested configs are checked field by field."""
+    for f in dataclasses.fields(cls):
+        if f.name not in values:
+            continue
+        key, val = prefix + f.name, values[f.name]
+        kind = f.type.removesuffix(" | None")
+        if f.name in _SUB_FIELDS:
+            ok, want = isinstance(val, dict), "a JSON object"
+        elif kind == "tuple":
+            ok, want = isinstance(val, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in val
+            ), "a list of numbers"
+        else:
+            ok = ((val is None and kind != f.type)
+                  or (isinstance(val, _JSON_TYPES[kind]) and not isinstance(val, bool)))
+            want = kind + (" or null" if kind != f.type else "")
+        if not ok:
+            raise SystemExit(f"probmatch: {key}: expected {want}, got {json.dumps(val)}")
+        if f.name in _SUB_FIELDS:
+            _check_types(_SUB_FIELDS[f.name], val, key + ".")
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if getattr(args, "config", None):
-        values.update(json.loads(Path(args.config).read_text()))
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"probmatch: {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            raise SystemExit(f"probmatch: {args.config}: expected a JSON object")
+        values.update(loaded)
     field_names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for key, val in vars(args).items():
         if key in field_names and val is not None:
             values[key] = val
+    _check_types(ExperimentConfig, values)
     unknown = set(values) - field_names
     for name, cls in _SUB_FIELDS.items():
         known = {f.name for f in dataclasses.fields(cls)}

@@ -93,10 +93,11 @@ def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9,
     Entries are clamped below by ``floor`` before the first pass, so the output
     is strictly positive and the iteration is well defined for inputs with
     zeros. Stops when the largest row/column-sum deviation from 1 drops below
-    ``tol``, or after ``max_iters`` passes.
+    ``tol``, or after ``max_iters`` passes. ``tol=0`` skips the deviation
+    check and runs exactly ``max_iters`` passes.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError("sinkhorn expects a square matrix")
@@ -104,9 +105,8 @@ def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9,
     for _ in range(max_iters):
         X = X / X.sum(axis=1, keepdims=True)
         X = X / X.sum(axis=0, keepdims=True)
-        dev = max(np.abs(X.sum(axis=1) - 1.0).max(),
-                  np.abs(X.sum(axis=0) - 1.0).max())
-        if dev < tol:
+        if tol and max(np.abs(X.sum(axis=1) - 1.0).max(),
+                       np.abs(X.sum(axis=0) - 1.0).max()) < tol:
             break
     return X
 

@@ -3,10 +3,10 @@
 The predictor encodes association-graph node and edge attributes into latent
 spaces, alternates edge (affinity) and node (assignment) update layers T
 times, and decodes sigmoid scores for every candidate match and every
-affinity-bearing match pair. The decoded assignment seeds the differentiable
-probabilistic solver, whose output is supervised with a balanced cross-entropy
-loss against the ground-truth permutation. Inference needs no tape: it runs
-the numpy solver through ``dpgm_assignment``.
+affinity-bearing match pair. The decoded assignment seeds the probabilistic
+solver, whose output is supervised with a balanced cross-entropy loss against
+the ground-truth permutation. Training runs the numpy solver as one tape node
+(``solve_tape``); inference runs it through ``dpgm_assignment``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .graphs import AA_EDGE_DIM, FEATURE_DIM, AAGraph, GraphPair, build_aa_graph
-from .linalg import SparseAffinity, perm_matrix
+from .linalg import SparseAffinity, perm_matrix, spmv
 from .solvers import PROB_FLOOR, SolverConfig, accuracy, discretize, probabilistic_solve
 
 ABLATIONS = ("full", "tia", "wps")
@@ -192,59 +192,71 @@ def dpgm_assignment(K: SparseAffinity, X_init: np.ndarray, scfg: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
-# Differentiable solver (tape version of solvers.probabilistic_solve)
+# Differentiable solver: solvers.probabilistic_solve as one tape node
 
-def sinkhorn_tape(X: Tensor, iters: int, floor: float = PROB_FLOOR) -> Tensor:
-    X = ad.clamp_min(X, floor)
-    for _ in range(iters):
-        X = ad.div(X, ad.tsum(X, axis=1, keepdims=True))
-        X = ad.div(X, ad.tsum(X, axis=0, keepdims=True))
-    return X
+def _sinkhorn_vjp(Y: np.ndarray, passes: int, G: np.ndarray) -> np.ndarray:
+    """Gradient at Y of <G, sinkhorn(Y, passes, tol=0.0)>."""
+    Z, steps = np.maximum(Y, PROB_FLOOR), []
+    for _ in range(passes):
+        r = Z.sum(axis=1, keepdims=True)
+        A = Z / r
+        c = A.sum(axis=0, keepdims=True)
+        Z = A / c
+        steps.append((r, A, c, Z))
+    for r, A, c, Z in reversed(steps):
+        G = (G - (G * Z).sum(axis=0, keepdims=True)) / c
+        G = (G - (G * A).sum(axis=1, keepdims=True)) / r
+    return G * (Y > PROB_FLOOR)
 
 
-def solve_tape(X0: Tensor, unary: Tensor, vals: Tensor, rows, cols,
-               shape: tuple, cfg: SolverConfig):
-    """Differentiable probabilistic solve; gradients flow through only the
-    iterations that actually executed before the early stop. As in
-    ``solvers.probabilistic_solve``, (unary, vals) stay fixed and refinement
-    is a row-scale vector multiplying each propagation K x."""
-    n1, n2 = shape
-    size = n1 * n2
-    X = ad.clamp_min(X0, PROB_FLOOR)
-    scale = None
-    iters = 0
-    stop_reason = "max_iters"
-    for _ in range(cfg.max_iters):
-        xv = ad.reshape(X, (size,))
-        y = ad.mul(unary, xv)
-        if len(rows):
-            y = ad.add(y, ad.scatter_add(ad.mul(vals, ad.gather(xv, cols)), rows, size))
-        if scale is not None:
-            y = ad.mul(scale, y)
-        X_new = sinkhorn_tape(ad.reshape(y, (n1, n2)), cfg.sinkhorn_iters)
-        iters += 1
-        delta_sq = float(((X_new.data.ravel() - xv.data) ** 2).sum())
-        if delta_sq < cfg.stop_eta:
-            stop_reason = "early_stop"
-            X = X_new
-            break
-        ratio = ad.div(ad.reshape(X_new, (size,)), ad.clamp_min(xv, PROB_FLOOR))
-        scale = ratio if scale is None else ad.mul(scale, ratio)
-        X = X_new
-    return X, iters, stop_reason
+def solve_tape(x: Tensor, vals: Tensor, rows, cols, shape: tuple,
+               cfg: SolverConfig) -> Tensor:
+    """``solvers.probabilistic_solve`` on the tape; returns the flat final X.
+
+    ``x`` (flat) is both the initial assignment and K's unary diagonal, and
+    ``vals`` are K's entries at (rows, cols). The backward is the exact
+    adjoint of the iterations the solve ran, replayed from its trace.
+    """
+    K = SparseAffinity(*shape, x.data, rows, cols, vals.data)
+    X, trace = probabilistic_solve(K, x.data.reshape(shape), cfg)
+    out = Tensor(X.ravel(), (x, vals))
+
+    def backward(g):
+        xs = [X_t.ravel() for X_t in trace.assignments]
+        if len(xs) == 1:
+            raise RuntimeError("a zero-operator solve has no iteration to differentiate")
+        scales = [np.ones(K.size)]
+        for x_t, x_next in zip(xs[:-2], xs[1:-1]):
+            scales.append(scales[-1] * (x_next / np.maximum(x_t, PROB_FLOOR)))
+        K_T = SparseAffinity(*shape, K.unary, K.cols, K.rows, K.vals)
+        g_s = np.zeros(K.size)
+        for t in reversed(range(len(xs) - 1)):
+            x_t, x_next, s = xs[t], xs[t + 1], scales[t]
+            den = np.maximum(x_t, PROB_FLOOR)   # s_{t+1} = s * (x_next / den)
+            g = g + g_s * s / den
+            g_prev = -g_s * s * x_next / (den * den) * (x_t > PROB_FLOOR)
+            Kx = spmv(K, x_t)                    # x_next = sinkhorn(s * Kx)
+            g_y = _sinkhorn_vjp((s * Kx).reshape(shape), cfg.sinkhorn_iters,
+                                g.reshape(shape)).ravel()
+            g_s = g_s * (x_next / den) + g_y * Kx
+            g_Kx = g_y * s
+            x.grad += g_Kx * x_t                 # x as K's unary diagonal
+            vals.grad += g_Kx[K.rows] * x_t[K.cols]
+            g = g_prev + spmv(K_T, g_Kx)
+        x.grad += g * (x.data > PROB_FLOOR)      # x as the initial assignment
+
+    out._backward = backward
+    return out
 
 
 def pipeline_forward(aa: AAGraph, store: ParamStore, pcfg: PredictorConfig,
                      scfg: SolverConfig) -> Tensor:
-    """Training forward: the predictor, then the tape solver from the decoded
+    """Training forward: the predictor, then the solver node from the decoded
     assignment; returns the flat final assignment vector on the tape.
     Inference runs ``learned_affinity`` and ``dpgm_assignment`` instead."""
     x_scores, e_scores, rows, cols = predictor_forward(aa, store, pcfg)
-    X0 = ad.reshape(x_scores, (aa.n1, aa.n2))
     vals = ad.concat([e_scores, e_scores]) if e_scores.data.size else e_scores
-    X_final, _, _ = solve_tape(X0, x_scores, vals, rows, cols,
-                               (aa.n1, aa.n2), scfg)
-    return ad.reshape(X_final, (aa.size,))
+    return solve_tape(x_scores, vals, rows, cols, (aa.n1, aa.n2), scfg)
 
 
 def balanced_ce_loss(x: Tensor, x_gt: np.ndarray, cfg: LossConfig) -> Tensor:

@@ -24,7 +24,7 @@ PROB_FLOOR = 1e-12   # clamp on the initial assignment and ratio denominators
 class SolverConfig:
     max_iters: int = 10            # S
     stop_eta: float = 1e-5         # eta
-    sinkhorn_iters: int = 20
+    sinkhorn_iters: int = 20       # Sinkhorn passes per iteration; all of them run
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -77,7 +77,7 @@ def probabilistic_solve(K: SparseAffinity, X_init: np.ndarray,
     if K.unary.max(initial=0.0) == 0.0 and (K.vals.size == 0 or K.vals.max() == 0.0):
         # Degenerate operator: propagation is identically zero. Return the
         # normalized input immediately.
-        X = sinkhorn(X, cfg.sinkhorn_iters)
+        X = sinkhorn(X, cfg.sinkhorn_iters, tol=0.0)
         trace.record(X, spmv(K, X.ravel()))
         trace.stop_reason = "early_stop"
         trace.last_delta_sq = 0.0
@@ -88,7 +88,7 @@ def probabilistic_solve(K: SparseAffinity, X_init: np.ndarray,
         x = X.ravel()
         Kx = spmv(K, x)
         trace.record(X, Kx)
-        X_new = sinkhorn((scale * Kx).reshape(K.n1, K.n2), cfg.sinkhorn_iters)
+        X_new = sinkhorn((scale * Kx).reshape(K.n1, K.n2), cfg.sinkhorn_iters, tol=0.0)
         delta_sq = float(((X_new.ravel() - x) ** 2).sum())
         if delta_sq < cfg.stop_eta:
             trace.stop_reason = "early_stop"

@@ -45,7 +45,7 @@ def qap_margin(K):
 
 
 def reference_probabilistic_solve(K, X_init, max_iters=10, stop_eta=1e-5,
-                                  sinkhorn_iters=20, sinkhorn_tol=1e-9,
+                                  sinkhorn_iters=20, sinkhorn_tol=0.0,
                                   floor=1e-12):
     """The probabilistic solver written with an explicitly refined operator.
 

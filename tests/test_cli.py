@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,31 @@ def test_bad_nested_config_value_exits_with_one_line(tmp_path, capsys, nested):
         main(["bench", "--config", str(cfg_path), "--out-dir", str(out_dir)])
     assert "\n" not in str(exc.value)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("values, key", [({"solver_cfg": 5}, "solver_cfg"),
+                                         ({"noise_levels": 0.03}, "noise_levels"),
+                                         ({"n": "8"}, "n"),
+                                         ({"solver_cfg": {"max_iters": "3"}},
+                                          r"solver_cfg\.max_iters")])
+def test_wrong_json_type_exits_with_one_line(tmp_path, capsys, values, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit, match=rf"^probmatch: {key}: expected ") as exc:
+        main(["bench", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+    assert "\n" not in str(exc.value)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"n": 8,', None])
+def test_unreadable_config_file_exits_with_one_line(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    with pytest.raises(SystemExit, match=rf"^probmatch: {re.escape(str(cfg_path))}: ") as exc:
+        main(["bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert "\n" not in str(exc.value)
 
 
 def test_invalid_config_exits_before_work(tmp_path, capsys):

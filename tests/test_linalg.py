@@ -73,9 +73,17 @@ def test_sinkhorn_long_run_fixed_point_oracle():
     assert np.allclose(sinkhorn(X), limit, atol=1e-8)
 
 
-def test_sinkhorn_rejects_nonpositive_tol():
+def test_sinkhorn_rejects_negative_tol_and_zero_tol_runs_every_pass():
     with pytest.raises(ValueError):
-        sinkhorn(np.ones((2, 2)), tol=0.0)
+        sinkhorn(np.ones((2, 2)), tol=-1e-9)
+    X = np.random.default_rng(3).uniform(0.0, 1.0, size=(4, 4))
+    expected = np.maximum(X, 1e-12)
+    for _ in range(50):
+        expected = expected / expected.sum(axis=1, keepdims=True)
+        expected = expected / expected.sum(axis=0, keepdims=True)
+    assert np.array_equal(sinkhorn(X, max_iters=50, tol=0.0), expected)
+    # the default tolerance stops this input earlier
+    assert not np.array_equal(sinkhorn(X, max_iters=50), expected)
 
 
 def test_sinkhorn_rejects_nonsquare():

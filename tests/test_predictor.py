@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import random_sparse_affinity
+
 import probmatch.autodiff as ad
 from probmatch.autodiff import ParamStore, Tensor
 from probmatch.graphs import AA_EDGE_DIM, FEATURE_DIM, build_aa_graph, synthesize_pair
-from probmatch.linalg import perm_matrix
+from probmatch.linalg import SparseAffinity, perm_matrix
 from probmatch.predictor import (
     ABLATIONS,
     LossConfig,
@@ -189,21 +191,77 @@ def test_predictor_forward_permutation_equivariant():
 
 
 # ---------------------------------------------------------------------------
-# differentiable solver vs. numpy solver
+# the solver node on the tape
 
 def test_solve_tape_forward_matches_numpy_solver():
     pair, aa, _ = _tiny_instance(n=4, seed=14)
     store = init_params(TINY, seed=14)
     K, X_init = learned_affinity(aa, store, TINY)
     scfg = SolverConfig(max_iters=4)
-    X_np, trace = probabilistic_solve(K, X_init, scfg)
+    X_np, _ = probabilistic_solve(K, X_init, scfg)
 
     x_scores, e_scores, rows, cols = predictor_forward(aa, store, TINY)
     vals = ad.concat([e_scores, e_scores])
-    X_tape, iters, stop = solve_tape(
-        ad.reshape(x_scores, (4, 4)), x_scores, vals, rows, cols, (4, 4), scfg)
-    assert np.allclose(X_tape.data, X_np, atol=1e-10)
-    assert stop == trace.stop_reason
+    X_tape = solve_tape(x_scores, vals, rows, cols, (4, 4), scfg)
+    assert np.array_equal(X_tape.data, X_np.ravel())
+
+
+@pytest.mark.parametrize("stop_eta", [1e-300, 1e-3])
+def test_solve_tape_gradient_matches_finite_differences(stop_eta):
+    # stop_eta=1e-300 runs every iteration; 1e-3 stops early on most inputs.
+    # Each undirected entry gets two different directed values, so K is not
+    # symmetric and the adjoint must use its transpose.
+    rng = np.random.default_rng(17)
+    cfg = SolverConfig(stop_eta=stop_eta)
+    stops, step = set(), 1e-6
+    for n in range(3, 8):
+        for _ in range(4):
+            K = random_sparse_affinity(rng, n, n)
+            x = rng.uniform(0.05, 1.0, size=K.size)
+            vals = K.vals * rng.uniform(0.5, 1.5, size=K.vals.size)
+            w = rng.normal(size=K.size)
+
+            def loss(x_in, vals_in):
+                X = solve_tape(x_in, vals_in, K.rows, K.cols, (n, n), cfg)
+                return ad.tsum(ad.mul(X, w))
+
+            tx, tv = Tensor(x.copy()), Tensor(vals.copy())
+            loss(tx, tv).backward()
+            dx, dv = rng.normal(size=x.size), rng.normal(size=vals.size)
+            plus = loss(Tensor(x + step * dx), Tensor(vals + step * dv)).data
+            minus = loss(Tensor(x - step * dx), Tensor(vals - step * dv)).data
+            fd = (plus - minus) / (2.0 * step)
+            g = tx.grad @ dx + tv.grad @ dv
+            assert abs(g - fd) <= 1e-6 * max(abs(g), abs(fd)), (n, g, fd)
+            _, trace = probabilistic_solve(
+                SparseAffinity(n, n, x, K.rows, K.cols, vals), x.reshape(n, n), cfg)
+            stops.add(trace.stop_reason)
+    assert stops == ({"max_iters"} if stop_eta == 1e-300 else {"early_stop", "max_iters"})
+
+
+def test_solve_tape_backward_rejects_zero_operator_solve():
+    x = Tensor(np.zeros(4))
+    empty = np.zeros(0, dtype=np.int64)
+    X = solve_tape(x, Tensor(np.zeros(0)), empty, empty, (2, 2), SolverConfig())
+    assert np.allclose(X.data, 0.5)
+    with pytest.raises(RuntimeError):
+        ad.tsum(X).backward()
+
+
+def test_training_pair_builds_at_most_300_tensors(monkeypatch):
+    pcfg = PredictorConfig(d_V=32, d_E=32, T=5)
+    store = init_params(pcfg, seed=0)
+    _, aa, gt_vec = _tiny_instance(n=8, seed=10000, noise=0.03)
+    count = [0]
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    instance_loss(aa, gt_vec, store, pcfg, SolverConfig(), LossConfig())
+    assert count[0] <= 300
 
 
 # ---------------------------------------------------------------------------

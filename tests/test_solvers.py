@@ -4,11 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_qap, random_sparse_affinity, reference_probabilistic_solve
-from probmatch.autodiff import Tensor
 from probmatch.affinity import assemble_affinity, objective
 from probmatch.graphs import synthesize_pair
 from probmatch.linalg import SparseAffinity, hungarian, perm_matrix, sinkhorn, spmv
-from probmatch.predictor import solve_tape
 from probmatch.solvers import (
     SolverConfig,
     accuracy,
@@ -90,7 +88,7 @@ def test_single_iteration_is_one_projected_power_step():
     X0 = np.full((5, 5), 0.2)
     X, trace = probabilistic_solve(K, X0, SolverConfig(max_iters=1))
     assert len(trace.assignments) == 2
-    assert np.array_equal(X, sinkhorn(spmv(K, X0.ravel()).reshape(5, 5)))
+    assert np.array_equal(X, sinkhorn(spmv(K, X0.ravel()).reshape(5, 5), tol=0.0))
 
 
 def test_trace_objectives_use_the_original_operator():
@@ -133,14 +131,6 @@ def test_fixed_operator_solvers_match_refined_operator_oracle(case):
     assert np.abs(X_np - X_ref).max() < 1e-10
     assert len(trace.assignments) - 1 == len(deltas)
     assert trace.stop_reason == stop_ref
-
-    # The tape Sinkhorn always runs every pass, so its oracle does too.
-    X_ref, deltas, stop_ref = reference_probabilistic_solve(
-        K, X0, cfg.max_iters, cfg.stop_eta, cfg.sinkhorn_iters, sinkhorn_tol=1e-300)
-    X_tape, iters, stop = solve_tape(Tensor(X0), Tensor(K.unary), Tensor(K.vals),
-                                     K.rows, K.cols, (K.n1, K.n2), cfg)
-    assert np.abs(X_tape.data - X_ref).max() < 1e-10
-    assert (iters, stop) == (len(deltas), stop_ref)
 
 
 def test_solver_deterministic():
