@@ -91,11 +91,6 @@ class ExperimentConfig:
         if (need_checkpoint and self.affinity_source == "learned"
                 and not self.checkpoint):
             raise ConfigError("learned affinity source requires a checkpoint path")
-        if self.affinity_source == "learned" and self.workers > 1:
-            raise ConfigError("the learned affinity source needs workers = 1")
-
-    def echo(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -156,49 +151,56 @@ def dataset_seeds(cfg: ExperimentConfig, split: str = "test") -> list:
     return [cfg.seed + _TRAIN_SEED_BASE + k for k in range(cfg.train_instances)]
 
 
-def _load_store(cfg: ExperimentConfig):
+def load_store(cfg: ExperimentConfig):
+    """The checkpointed predictor for the learned source; None otherwise."""
+    if cfg.affinity_source != "learned":
+        return None
     store = init_params(cfg.predictor_cfg, seed=cfg.seed)
     store.load(cfg.checkpoint)
     return store
 
 
+def instance_operator(cfg: ExperimentConfig, pair, store):
+    """K and X_init for ``pair``: handcrafted from uniform, or the predictor's."""
+    if cfg.affinity_source == "handcrafted":
+        return (assemble_affinity(pair.g1, pair.g2, cfg.affinity_cfg),
+                np.full((cfg.n, cfg.n), 1.0 / cfg.n))
+    return learned_affinity(build_aa_graph(pair.g1, pair.g2), store, cfg.predictor_cfg)
+
+
 def _run_instance(cfg: ExperimentConfig, noise: float, index: int, inst_seed: int,
-                  store=None) -> dict:
+                  store, solvers: tuple) -> list:
+    """One row per solver in ``solvers`` on the same pair, K and X_init; a row's
+    ``wall_ms`` covers building K plus that solver's solve and discretisation."""
     pair = synthesize_pair(cfg.n, noise, rotation_max=cfg.rotation_max,
                            seed=inst_seed, translation_max=cfg.translation_max)
-    n = cfg.n
-    uniform = np.full((n, n), 1.0 / n)
-
     t0 = time.perf_counter()
-    if cfg.affinity_source == "handcrafted":
-        K = assemble_affinity(pair.g1, pair.g2, cfg.affinity_cfg)
-        X_init = uniform
-    else:
-        aa = build_aa_graph(pair.g1, pair.g2)
-        K, X_init = learned_affinity(aa, store, cfg.predictor_cfg)
-
-    iterations = 0
-    if cfg.solver == "dpgm":
-        X, iterations = dpgm_assignment(K, X_init, cfg.solver_cfg, cfg.ablation)
-    elif cfg.solver == "spectral":
-        X = spectral_match(K).reshape(n, n)
-        iterations = 100
-    elif cfg.solver == "ipfp":
-        X = ipfp(K, uniform.ravel()).reshape(n, n)
-    else:
-        X = rrwm(K).reshape(n, n)
-    pred = discretize(X)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-
-    return {
-        "index": index,
-        "noise": noise,
-        "accuracy": accuracy(pred, pair.ground_truth),
-        "objective": objective(K, perm_matrix(pred).ravel()),
-        "binary_score": binary_score(np.asarray(X, dtype=np.float64)),
-        "iterations": iterations,
-        "wall_ms": wall_ms,
-    }
+    K, X_init = instance_operator(cfg, pair, store)
+    build_s = time.perf_counter() - t0
+    rows = []
+    for solver in solvers:
+        t0 = time.perf_counter()
+        if solver == "dpgm":
+            X, iterations = dpgm_assignment(K, X_init, cfg.solver_cfg, cfg.ablation)
+        elif solver == "spectral":
+            X, iterations = spectral_match(K)
+        elif solver == "ipfp":
+            X, iterations = ipfp(K, np.full(K.size, 1.0 / cfg.n))
+        else:
+            X, iterations = rrwm(K)
+        X = X.reshape(cfg.n, cfg.n)
+        pred = discretize(X)
+        wall_ms = (build_s + time.perf_counter() - t0) * 1e3
+        rows.append({
+            "index": index,
+            "noise": noise,
+            "accuracy": accuracy(pred, pair.ground_truth),
+            "objective": objective(K, perm_matrix(pred).ravel()),
+            "binary_score": binary_score(X),
+            "iterations": iterations,
+            "wall_ms": wall_ms,
+        })
+    return rows
 
 
 def _aggregate(rows: list, noise_levels) -> dict:
@@ -220,47 +222,48 @@ def _stats(rows: list) -> dict:
     }
 
 
+def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
+    """Validate, then generate and build each test instance once and solve it
+    with every solver in ``solvers``. Returns each solver's rows, ordered by
+    instance index regardless of worker completion order."""
+    cfg.validate()
+    store = load_store(cfg)
+    tasks = [(cfg, noise, li * cfg.instances + k, instance_seed(cfg.seed, k, li), store, solvers)
+             for li, noise in enumerate(cfg.noise_levels) for k in range(cfg.instances)]
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            per_instance = list(pool.map(_run_instance, *zip(*tasks)))
+    else:
+        per_instance = [_run_instance(*t) for t in tasks]
+    return {s: [rows[i] for rows in per_instance] for i, s in enumerate(solvers)}
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Evaluate the configured pipeline over the generated test split.
 
     Identical configuration and seed produce identical per-instance rows.
-    Rows are ordered by instance index regardless of worker completion order.
     """
-    cfg.validate()
-    store = _load_store(cfg) if cfg.affinity_source == "learned" else None
-    tasks = []
-    for li, noise in enumerate(cfg.noise_levels):
-        for k in range(cfg.instances):
-            tasks.append((cfg, noise, len(tasks), instance_seed(cfg.seed, k, li), store))
-    if cfg.workers > 1 and store is None:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_run_instance, *zip(*tasks)))
-    else:
-        rows = [_run_instance(*t) for t in tasks]
-    rows.sort(key=lambda r: r["index"])
-    return RunReport(rows, _aggregate(rows, cfg.noise_levels), cfg.echo())
+    rows = _run(cfg, (cfg.solver,))[cfg.solver]
+    return RunReport(rows, _aggregate(rows, cfg.noise_levels), asdict(cfg))
 
 
-def compare_solvers(cfg: ExperimentConfig, solvers=SOLVERS,
-                    sources=("learned",)) -> str:
-    """Accuracy table over (solver, affinity source) combinations.
+def compare_solvers(cfg: ExperimentConfig) -> str:
+    """Accuracy table of every solver on the configured affinity source.
 
-    Returns delimited text: one row per combination, one accuracy column per
-    noise level plus the overall mean.
+    One pass over the test split solves each instance's operator with all
+    solvers. Returns delimited text: one row per solver, one accuracy column
+    per noise level plus the overall mean.
     """
+    cfg = replace(cfg, ablation="full")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["solver", "source"] + [f"acc@noise={x:g}" for x in cfg.noise_levels] + ["acc_mean"]
     writer.writerow(header)
-    for source in sources:
-        for solver in solvers:
-            sub = replace(cfg, solver=solver, affinity_source=source, ablation="full")
-            report = run_experiment(sub)
-            row = [solver, source]
-            for noise in cfg.noise_levels:
-                row.append(_fmt(report.aggregates[f"noise={noise:g}"]["accuracy_mean"]))
-            row.append(_fmt(report.aggregates["overall"]["accuracy_mean"]))
-            writer.writerow(row)
+    for solver, rows in _run(cfg, SOLVERS).items():
+        agg = _aggregate(rows, cfg.noise_levels)
+        writer.writerow([solver, cfg.affinity_source]
+                        + [_fmt(agg[f"noise={x:g}"]["accuracy_mean"]) for x in cfg.noise_levels]
+                        + [_fmt(agg["overall"]["accuracy_mean"])])
     return buf.getvalue()
 
 

@@ -14,16 +14,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .affinity import AffinityConfig, assemble_affinity
+from .affinity import AffinityConfig
 from .bench import (
     AFFINITY_SOURCES,
     SOLVERS,
     ConfigError,
     ExperimentConfig,
     compare_solvers,
+    instance_operator,
     instance_seed,
+    load_store,
     run_experiment,
     train_and_eval,
 )
@@ -170,12 +170,14 @@ def _cmd_gen(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_solve(cfg: ExperimentConfig, args) -> int:
+    cfg.validate()
+    if (cfg.solver, cfg.ablation) != ("dpgm", "full"):
+        raise ConfigError("solve traces the dpgm solver with the full ablation only")
     pair = synthesize_pair(cfg.n, cfg.noise_levels[0],
                            rotation_max=cfg.rotation_max,
                            seed=instance_seed(cfg.seed, 0),
                            translation_max=cfg.translation_max)
-    K = assemble_affinity(pair.g1, pair.g2, cfg.affinity_cfg)
-    X0 = np.full((cfg.n, cfg.n), 1.0 / cfg.n)
+    K, X0 = instance_operator(cfg, pair, load_store(cfg))
     _, trace = probabilistic_solve(K, X0, cfg.solver_cfg)
     text = trace.to_json()
     if args.trace_out:
@@ -207,8 +209,7 @@ def _cmd_train(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_compare(cfg: ExperimentConfig, args) -> int:
-    table = compare_solvers(cfg, sources=(cfg.affinity_source,))
-    print(table, end="")
+    print(compare_solvers(cfg), end="")
     return 0
 
 

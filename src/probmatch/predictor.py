@@ -323,13 +323,13 @@ def evaluate(pairs, store: ParamStore, pcfg: PredictorConfig,
 
 def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
           lcfg: LossConfig, epochs: int = 50, lr: float = 1e-3,
-          batch_size: int = 8, seed: int = 0, monitor_pairs=None,
+          batch_size: int = 8, seed: int = 0,
           target_accuracy: float | None = None, verbose: bool = False):
     """Mini-batch Adam training of the predictor through the solver.
 
     Returns the trained ParamStore and a per-epoch metrics list. If
-    ``target_accuracy`` is given, training stops once the monitor set (a slice
-    of the training pairs by default) reaches it. Deterministic given ``seed``.
+    ``target_accuracy`` is given, training stops once the monitor set (the
+    first 32 training pairs) reaches it. Deterministic given ``seed``.
     """
     store = init_params(pcfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
@@ -338,8 +338,6 @@ def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
         aa = build_aa_graph(pair.g1, pair.g2)
         gt_vec = perm_matrix(pair.ground_truth).ravel()
         prepared.append((aa, gt_vec))
-    if monitor_pairs is None:
-        monitor_pairs = pairs[:min(32, len(pairs))]
 
     metrics = []
     for epoch in range(epochs):
@@ -355,16 +353,13 @@ def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
                 losses.append(float(loss.data))
             store.adam_step(lr=lr)
         entry = {"epoch": epoch, "mean_loss": float(np.mean(losses))}
+        line = f"epoch {epoch}: loss {entry['mean_loss']:.3f}"
         if target_accuracy is not None:
-            acc = evaluate(monitor_pairs, store, pcfg, scfg)
-            entry["monitor_accuracy"] = acc
-            metrics.append(entry)
-            if verbose:
-                print(f"epoch {epoch}: loss {entry['mean_loss']:.3f} acc {acc:.3f}")
-            if acc >= target_accuracy:
-                break
-        else:
-            metrics.append(entry)
-            if verbose:
-                print(f"epoch {epoch}: loss {entry['mean_loss']:.3f}")
+            entry["monitor_accuracy"] = evaluate(pairs[:32], store, pcfg, scfg)
+            line += f" acc {entry['monitor_accuracy']:.3f}"
+        metrics.append(entry)
+        if verbose:
+            print(line)
+        if target_accuracy is not None and entry["monitor_accuracy"] >= target_accuracy:
+            break
     return store, metrics

@@ -101,32 +101,34 @@ def probabilistic_solve(K: SparseAffinity, X_init: np.ndarray,
     return X, trace
 
 
-def spectral_match(K: SparseAffinity, iters: int = 100) -> np.ndarray:
+def spectral_match(K: SparseAffinity, iters: int = 100):
     """Power iteration approximating the principal eigenvector of K.
 
     Starts from the uniform vector; the iterate stays nonnegative with unit
-    Euclidean norm.
+    Euclidean norm. Returns the iterate and the number of updates applied to
+    it, fewer than ``iters`` only when K x vanishes.
     """
     x = np.full(K.size, 1.0 / np.sqrt(K.size))
-    for _ in range(iters):
+    for it in range(iters):
         y = spmv(K, x)
         norm = np.linalg.norm(y)
         if norm == 0.0:
-            return x
+            return x, it
         x = y / norm
-    return x
+    return x, iters
 
 
-def ipfp(K: SparseAffinity, x0: np.ndarray, max_iters: int = 50) -> np.ndarray:
+def ipfp(K: SparseAffinity, x0: np.ndarray, max_iters: int = 50):
     """Integer projected fixed point iteration.
 
     Each step discretizes the gradient K x with the Hungarian algorithm and
     line-searches the quadratic objective along the segment toward that
     permutation. The returned point never has a lower objective than x0.
+    Returns the point and the number of steps taken from x0.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     n1, n2 = K.n1, K.n2
-    for _ in range(max_iters):
+    for it in range(max_iters):
         g = spmv(K, x)
         b = perm_matrix(hungarian(g.reshape(n1, n2))).ravel()
         d = b - x
@@ -134,32 +136,31 @@ def ipfp(K: SparseAffinity, x0: np.ndarray, max_iters: int = 50) -> np.ndarray:
         c1 = 2.0 * float(np.dot(d, g))
         c2 = float(np.dot(d, spmv(K, d)))
         if c1 <= 1e-12:
-            break
+            return x, it
         t = 1.0 if c2 >= 0 else min(1.0, -c1 / (2.0 * c2))
-        x_new = x + t * d
-        gain = c1 * t + c2 * t * t
-        if gain <= 1e-12:
-            break
-        x = x_new
-    return x
+        if c1 * t + c2 * t * t <= 1e-12:
+            return x, it
+        x = x + t * d
+    return x, max_iters
 
 
 def rrwm(K: SparseAffinity, alpha: float = 0.2, inflation: float = 30.0,
-         max_iters: int = 100) -> np.ndarray:
+         max_iters: int = 100):
     """Reweighted random-walk matching.
 
     The l1-normalized walk step y = Kx / |Kx|_1 is mixed, with weight
     ``alpha``, with a jump vector obtained by exponentiating y (exponent
     ``inflation``) and reprojecting with Sinkhorn. alpha = 0 reduces to plain
-    l1-normalized power iteration.
+    l1-normalized power iteration. Returns the iterate and the number of
+    updates applied to it.
     """
     n1, n2 = K.n1, K.n2
     x = np.full(K.size, 1.0 / K.size)
-    for _ in range(max_iters):
+    for it in range(max_iters):
         y = spmv(K, x)
         s = y.sum()
         if s == 0.0:
-            return x
+            return x, it
         y = y / s
         if alpha > 0.0:
             q = np.exp(inflation * y / y.max())
@@ -169,10 +170,9 @@ def rrwm(K: SparseAffinity, alpha: float = 0.2, inflation: float = 30.0,
         else:
             x_new = y
         if np.linalg.norm(x_new - x) < 1e-8:
-            x = x_new
-            break
+            return x_new, it + 1
         x = x_new
-    return x
+    return x, max_iters
 
 
 def discretize(X: np.ndarray) -> np.ndarray:

@@ -81,11 +81,11 @@ def test_solvers_against_brute_force_oracle():
         X, _ = probabilistic_solve(K, uniform)
         hits["dpgm"] += np.array_equal(discretize(X), best)
         hits["spectral"] += np.array_equal(
-            discretize(spectral_match(K).reshape(n, n)), best)
+            discretize(spectral_match(K)[0].reshape(n, n)), best)
         hits["ipfp"] += np.array_equal(
-            discretize(ipfp(K, uniform.ravel()).reshape(n, n)), best)
+            discretize(ipfp(K, uniform.ravel())[0].reshape(n, n)), best)
         hits["rrwm"] += np.array_equal(
-            discretize(rrwm(K).reshape(n, n)), best)
+            discretize(rrwm(K)[0].reshape(n, n)), best)
     dt = time.perf_counter() - t0
     rates = {k: v / 200 for k, v in hits.items()}
     ok = (rates["dpgm"] >= 0.95
@@ -199,7 +199,7 @@ def test_learned_affinity_solver_combinations(trained_model):
     import dataclasses
     _, _, _, ckpt, _, _ = trained_model
     cfg = dataclasses.replace(_EVAL_CFG, checkpoint=ckpt)
-    table = compare_solvers(cfg, sources=("learned",))
+    table = compare_solvers(cfg)
     acc = {}
     for line in table.strip().splitlines()[1:]:
         parts = line.split(",")

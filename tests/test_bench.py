@@ -4,7 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from probmatch import bench
+from probmatch.autodiff import ParamStore
 from probmatch.bench import (
+    AFFINITY_SOURCES,
+    SOLVERS,
     ConfigError,
     ExperimentConfig,
     compare_solvers,
@@ -57,21 +61,6 @@ def test_config_validation():
 def test_bad_sizes_rejected(overrides):
     with pytest.raises(ConfigError):
         _tiny_cfg(**overrides).validate(need_checkpoint=False)
-
-
-def test_learned_source_with_workers_fails_before_work(tmp_path):
-    cfg = _tiny_cfg(affinity_source="learned", workers=2,
-                    checkpoint=_untrained_checkpoint(tmp_path))
-    with pytest.raises(ConfigError):
-        run_experiment(cfg)
-
-
-def test_train_and_eval_with_workers_fails_before_training(tmp_path):
-    cfg = _tiny_cfg(workers=2, train_instances=2, test_instances=2, epochs=1,
-                    out_dir=str(tmp_path))
-    with pytest.raises(ConfigError):
-        train_and_eval(cfg)
-    assert not (tmp_path / "predictor.ckpt").exists()
 
 
 def test_learned_source_without_checkpoint_fails_before_work():
@@ -132,11 +121,24 @@ def test_aggregates_recomputable_from_rows():
             np.mean([r["objective"] for r in rows]))
 
 
-def test_rows_ordered_by_index_with_workers():
-    cfg = _tiny_cfg(noise_levels=(0.02,), instances=8, workers=4)
-    parallel = run_experiment(cfg)
-    serial = run_experiment(dataclasses.replace(cfg, workers=1))
-    assert [r["index"] for r in parallel.rows] == list(range(8))
+def test_rows_ordered_by_index_with_workers(tmp_path):
+    ckpt = _untrained_checkpoint(tmp_path, seed=3)
+    for source in AFFINITY_SOURCES:
+        cfg = _tiny_cfg(noise_levels=(0.02,), instances=8, workers=4,
+                        affinity_source=source, checkpoint=ckpt)
+        parallel = run_experiment(cfg)
+        serial = run_experiment(dataclasses.replace(cfg, workers=1))
+        assert [r["index"] for r in parallel.rows] == list(range(8))
+        assert parallel.rows_csv() == serial.rows_csv()
+
+
+def test_train_and_eval_with_workers_matches_serial(tmp_path):
+    cfg = _tiny_cfg(workers=2, train_instances=2, test_instances=3, epochs=1,
+                    out_dir=str(tmp_path / "parallel"))
+    parallel, _, _ = train_and_eval(cfg)
+    serial, _, _ = train_and_eval(dataclasses.replace(cfg, workers=1,
+                                                      out_dir=str(tmp_path / "serial")))
+    assert len(parallel.rows) == 3
     assert parallel.rows_csv() == serial.rows_csv()
 
 
@@ -160,13 +162,39 @@ def test_all_solvers_run_on_every_source(tmp_path):
             assert len(report.rows) == 2
 
 
-def test_compare_solvers_table_shape():
-    cfg = _tiny_cfg(instances=3, noise_levels=(0.0, 0.03))
-    table = compare_solvers(cfg, sources=("handcrafted",))
-    lines = table.strip().splitlines()
-    assert lines[0] == "solver,source,acc@noise=0,acc@noise=0.03,acc_mean"
-    assert len(lines) == 5
-    assert lines[1].startswith("dpgm,handcrafted,")
+def test_compare_solvers_table_shape(tmp_path):
+    # one pass over the instances gives the table of four separate runs
+    ckpt = _untrained_checkpoint(tmp_path, seed=3)
+    for source in AFFINITY_SOURCES:
+        cfg = _tiny_cfg(instances=3, noise_levels=(0.0, 0.03), affinity_source=source,
+                        checkpoint=ckpt)
+        lines = ["solver,source,acc@noise=0,acc@noise=0.03,acc_mean"]
+        for solver in SOLVERS:
+            agg = run_experiment(dataclasses.replace(cfg, solver=solver)).aggregates
+            accs = [agg[key]["accuracy_mean"] for key in ("noise=0", "noise=0.03", "overall")]
+            lines.append(",".join([solver, source] + [f"{a:.12g}" for a in accs]))
+        assert compare_solvers(cfg) == "\n".join(lines) + "\n"
+
+
+def test_compare_solvers_builds_each_instance_once(tmp_path, monkeypatch):
+    calls = {"synthesize_pair": 0, "learned_affinity": 0, "load": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(bench, "synthesize_pair",
+                        counting("synthesize_pair", bench.synthesize_pair))
+    monkeypatch.setattr(bench, "learned_affinity",
+                        counting("learned_affinity", bench.learned_affinity))
+    monkeypatch.setattr(ParamStore, "load", counting("load", ParamStore.load))
+    cfg = _tiny_cfg(instances=3, noise_levels=(0.0, 0.03), affinity_source="learned",
+                    checkpoint=_untrained_checkpoint(tmp_path))
+    table = compare_solvers(cfg)
+    assert len(table.strip().splitlines()) == 1 + len(SOLVERS)
+    assert calls == {"synthesize_pair": 6, "learned_affinity": 6, "load": 1}
 
 
 def test_train_and_eval_splits_are_disjoint(tmp_path):

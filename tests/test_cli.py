@@ -4,9 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from probmatch import bench
+from probmatch import bench, cli
 from probmatch.cli import main
-from probmatch.graphs import load_pair, synthesize_pair
+from probmatch.graphs import build_aa_graph, load_pair, synthesize_pair
+from probmatch.predictor import PredictorConfig, init_params, learned_affinity
+from probmatch.solvers import SolverConfig, probabilistic_solve
 
 
 def _run(capsys, argv):
@@ -39,6 +41,43 @@ def test_solve_dumps_trace(tmp_path, capsys):
                             "--seed", "2", "--trace-out", str(trace_path)])
     assert code == 0
     assert json.loads(trace_path.read_text())["assignments"] == doc["assignments"]
+
+
+def test_solve_traces_the_configured_learned_operator(tmp_path, capsys):
+    pcfg = PredictorConfig(d_V=4, d_E=4, T=1)
+    store = init_params(pcfg, seed=5)
+    store.save(tmp_path / "tiny.ckpt")
+    cfg_path = tmp_path / "learned.json"
+    cfg_path.write_text(json.dumps({"affinity_source": "learned",
+                                    "checkpoint": str(tmp_path / "tiny.ckpt"),
+                                    "predictor_cfg": {"d_V": 4, "d_E": 4, "T": 1}}))
+    argv = ["solve", "--n", "5", "--noise", "0.03", "--seed", "2"]
+    _, plain = _run(capsys, argv)
+    code, out = _run(capsys, argv + ["--config", str(cfg_path)])
+    assert code == 0
+    pair = synthesize_pair(5, 0.03, seed=bench.instance_seed(2, 0))
+    K, X0 = learned_affinity(build_aa_graph(pair.g1, pair.g2), store, pcfg)
+    _, trace = probabilistic_solve(K, X0, SolverConfig())
+    assert out == trace.to_json() + "\n"
+    assert out != plain
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"affinity_source": "learned"}, "requires a checkpoint"),
+    ({"solver": "rrwm"}, "dpgm"),
+    ({"solver": "spectral", "affinity_source": "learned", "checkpoint": "x.ckpt"}, "dpgm"),
+    ({"ablation": "tia", "affinity_source": "learned", "checkpoint": "x.ckpt"}, "full"),
+])
+def test_solve_rejects_what_it_cannot_trace(tmp_path, capsys, monkeypatch, values, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("solve started work")
+
+    monkeypatch.setattr(cli, "synthesize_pair", no_work)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    with pytest.raises(SystemExit, match=rf"^probmatch: .*{message}") as exc:
+        main(["solve", "--config", str(cfg_path), "--n", "5"])
+    assert "\n" not in str(exc.value)
 
 
 def test_bench_emits_rows(tmp_path, capsys):

@@ -159,21 +159,21 @@ def test_trace_json_round_trips():
 
 def test_spectral_dominant_axis():
     K = SparseAffinity(1, 2, np.array([2.0, 1.0]))
-    x = spectral_match(K, iters=200)
+    x, _ = spectral_match(K, iters=200)
     assert np.allclose(x, [1.0, 0.0], atol=1e-8)
 
 
 def test_spectral_symmetric_2x2():
     K = SparseAffinity.from_pairs(1, 2, np.array([2.0, 2.0]),
                                   [(0, 1, 1.0), (1, 0, 1.0)])
-    x = spectral_match(K)
+    x, _ = spectral_match(K)
     assert np.allclose(x, [1 / np.sqrt(2)] * 2, atol=1e-9)
 
 
 def test_spectral_rayleigh_stationarity():
     rng = np.random.default_rng(21)
     K = random_sparse_affinity(rng, 3, 3, density=0.4)
-    x = spectral_match(K, iters=200)
+    x, _ = spectral_match(K, iters=200)
     y = spmv(K, x)
     x2 = y / np.linalg.norm(y)
     r1 = x @ spmv(K, x)
@@ -188,8 +188,9 @@ def test_ipfp_ground_truth_is_local_optimum():
     pair = synthesize_pair(5, 0.0, seed=17, translation_max=0.0)
     K = assemble_affinity(pair.g1, pair.g2)
     x0 = perm_matrix(pair.ground_truth).ravel()
-    x = ipfp(K, x0)
+    x, steps = ipfp(K, x0)
     assert np.allclose(x, x0)
+    assert steps == 0
     # no 2-swap of the ground truth improves the objective
     base = objective(K, x0)
     for i in range(5):
@@ -203,7 +204,7 @@ def test_ipfp_diagonal_reduces_to_hungarian():
     rng = np.random.default_rng(31)
     profit = rng.uniform(0, 1, size=(4, 4))
     K = SparseAffinity(4, 4, profit.ravel())
-    x = ipfp(K, np.full(16, 1 / 4))
+    x, _ = ipfp(K, np.full(16, 1 / 4))
     assert np.array_equal(discretize(x.reshape(4, 4)), hungarian(profit))
 
 
@@ -212,7 +213,7 @@ def test_ipfp_monotone_over_100_seeds():
         rng = np.random.default_rng(seed)
         K = random_sparse_affinity(rng, 4, 4, density=0.15)
         x0 = rng.uniform(0, 1, size=16)
-        assert objective(K, ipfp(K, x0)) >= objective(K, x0) - 1e-12
+        assert objective(K, ipfp(K, x0)[0]) >= objective(K, x0) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +222,8 @@ def test_ipfp_monotone_over_100_seeds():
 def test_rrwm_alpha_zero_matches_spectral_direction():
     rng = np.random.default_rng(41)
     K = random_sparse_affinity(rng, 3, 3, density=0.4)
-    x = rrwm(K, alpha=0.0, max_iters=300)
-    y = spectral_match(K, iters=300)
+    x, _ = rrwm(K, alpha=0.0, max_iters=300)
+    y, _ = spectral_match(K, iters=300)
     cos = x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
     assert np.arccos(np.clip(cos, -1, 1)) < 1e-6
 
@@ -232,16 +233,45 @@ def test_rrwm_uniform_operator_fixed_point():
     size = n * n
     pairs = [(p, q, 1.0) for p in range(size) for q in range(size) if p != q]
     K = SparseAffinity.from_pairs(n, n, np.ones(size), pairs)
-    x = rrwm(K)
+    x, _ = rrwm(K)
     assert np.allclose(x, np.full(size, 1 / size), atol=1e-9)
 
 
 def test_rrwm_zero_noise_recovers_ground_truth():
     pair = synthesize_pair(5, 0.0, seed=23, translation_max=0.0)
     K = assemble_affinity(pair.g1, pair.g2)
-    x = rrwm(K)
+    x, _ = rrwm(K)
     assert np.array_equal(discretize(x.reshape(5, 5)), pair.ground_truth)
     assert np.array_equal(brute_force_qap(K)[0], pair.ground_truth)
+
+
+def test_baselines_count_the_updates_they_apply():
+    # On ordinary instances each count lies in 1..cap, and stopping the
+    # solver at its own count reproduces its result while one update less
+    # does not, so the count is the number of updates, not the loop bound.
+    for seed in range(8):
+        pair = synthesize_pair(6, 0.03, seed=seed)
+        K = assemble_affinity(pair.g1, pair.g2)
+        x, steps = spectral_match(K, iters=40)
+        assert steps == 40
+        for solve, cap in ((lambda m: ipfp(K, np.full(36, 1 / 6), max_iters=m), 50),
+                           (lambda m: rrwm(K, max_iters=m), 100)):
+            x, steps = solve(cap)
+            assert 1 <= steps < cap
+            assert np.array_equal(solve(steps)[0], x)
+            assert not np.array_equal(solve(steps - 1)[0], x)
+
+
+def test_baselines_report_zero_when_they_stop_before_any_update():
+    zero = SparseAffinity(3, 3, np.zeros(9))
+    x, steps = spectral_match(zero)
+    assert steps == 0 and np.allclose(x, 1 / 3)
+    x, steps = rrwm(zero)
+    assert steps == 0 and np.allclose(x, 1 / 9)
+    # a directed chain whose K x vanishes after one power step
+    chain = SparseAffinity(1, 2, np.zeros(2), rows=[0], cols=[1], vals=[1.0])
+    x, steps = spectral_match(chain)
+    assert steps == 1 and np.array_equal(x, [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
