@@ -121,15 +121,22 @@ def test_aggregates_recomputable_from_rows():
             np.mean([r["objective"] for r in rows]))
 
 
-def test_rows_ordered_by_index_with_workers(tmp_path):
-    ckpt = _untrained_checkpoint(tmp_path, seed=3)
-    for source in AFFINITY_SOURCES:
-        cfg = _tiny_cfg(noise_levels=(0.02,), instances=8, workers=4,
-                        affinity_source=source, checkpoint=ckpt)
-        parallel = run_experiment(cfg)
-        serial = run_experiment(dataclasses.replace(cfg, workers=1))
-        assert [r["index"] for r in parallel.rows] == list(range(8))
-        assert parallel.rows_csv() == serial.rows_csv()
+def test_rows_ordered_by_index_with_workers():
+    cfg = _tiny_cfg(noise_levels=(0.02,), instances=8, workers=4)
+    parallel = run_experiment(cfg)
+    serial = run_experiment(dataclasses.replace(cfg, workers=1))
+    assert [r["index"] for r in parallel.rows] == list(range(8))
+    assert parallel.rows_csv() == serial.rows_csv()
+
+
+def test_learned_source_with_workers_matches_serial(tmp_path):
+    cfg = _tiny_cfg(noise_levels=(0.02,), instances=8, workers=4,
+                    affinity_source="learned",
+                    checkpoint=_untrained_checkpoint(tmp_path, seed=3))
+    parallel = run_experiment(cfg)
+    serial = run_experiment(dataclasses.replace(cfg, workers=1))
+    assert [r["index"] for r in parallel.rows] == list(range(8))
+    assert parallel.rows_csv() == serial.rows_csv()
 
 
 def test_train_and_eval_with_workers_matches_serial(tmp_path):
