@@ -56,11 +56,15 @@ def assemble_affinity(g1: AttributedGraph, g2: AttributedGraph,
     e2 = g2.edge_list()
     len1, ang1 = _edge_geometry(g1.points, e1)
     len2, ang2 = _edge_geometry(g2.points, e2)
-    k1, k2, i, j, a, b = edge_pairs(e1, e2)
-    dlen = np.abs(len1[k1] - len2[k2])
-    dang_raw = np.abs(ang1[k1] - ang2[k2])
+    # The kernel depends on the edges only, not on their orientation: take it
+    # once per (graph-1 edge, graph-2 edge) and repeat it for both
+    # orientations, in edge_pairs' order.
+    dlen = np.abs(len1[:, None] - len2[None, :])
+    dang_raw = np.abs(ang1[:, None] - ang2[None, :])
     dang = np.minimum(dang_raw, np.pi - dang_raw)
-    vals = np.exp(-(dlen / cfg.sigma_len) ** 2) * np.exp(-(dang / cfg.sigma_ang) ** 2)
+    grid = np.exp(-(dlen / cfg.sigma_len) ** 2) * np.exp(-(dang / cfg.sigma_ang) ** 2)
+    vals = np.concatenate([grid, grid], axis=1).ravel()
+    i, j, a, b = edge_pairs(e1, e2)
 
     p = i * n2 + a
     q = j * n2 + b

@@ -252,9 +252,11 @@ def compare_solvers(cfg: ExperimentConfig) -> str:
 
     One pass over the test split solves each instance's operator with all
     solvers. Returns delimited text: one row per solver, one accuracy column
-    per noise level plus the overall mean.
+    per noise level plus the overall mean. Only the ``full`` ablation is
+    accepted, since the baselines have no ablations.
     """
-    cfg = replace(cfg, ablation="full")
+    if cfg.ablation != "full":
+        raise ConfigError("compare runs every solver with the full ablation only")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["solver", "source"] + [f"acc@noise={x:g}" for x in cfg.noise_levels] + ["acc_mean"]

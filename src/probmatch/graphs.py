@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-FEATURE_DIM = 8
-AA_EDGE_DIM = 8     # AA-edge attribute [p_i; p_j; p_a; p_b] of planar points
 _N_DIST_BINS = 4
 _N_ANGLE_BINS = 4
+FEATURE_DIM = _N_DIST_BINS + _N_ANGLE_BINS
+AA_EDGE_DIM = 8     # AA-edge attribute [p_i; p_j; p_a; p_b] of planar points
 _LOG_DIST_RANGE = (np.log(5e-3), np.log(1.5))
 
 PAIR_SCHEMA_VERSION = 1
@@ -108,33 +108,57 @@ def delaunay_adjacency(points: np.ndarray) -> tuple[np.ndarray, bool]:
     return adj, fallback
 
 
+def _histogram_counts(values: np.ndarray, owner: np.ndarray, n: int,
+                      lo: float, hi: float, bins: int) -> np.ndarray:
+    """(n, bins) counts of ``values`` per owner in ``bins`` uniform bins on
+    [lo, hi], by ``np.histogram``'s index rule; values outside are dropped."""
+    keep = (values >= lo) & (values <= hi)
+    values, owner = values[keep], owner[keep]
+    edges = np.linspace(lo, hi, bins + 1)
+    idx = ((values - lo) / np.subtract(hi, lo) * bins).astype(np.intp)
+    idx[idx == bins] -= 1
+    idx[values < edges[idx]] -= 1
+    idx[(values >= edges[idx + 1]) & (idx != bins - 1)] += 1
+    return np.bincount(owner * bins + idx, minlength=n * bins).reshape(n, bins)
+
+
 def geometric_features(points: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
     """Shape-context style descriptor per node, dimension 8.
 
     Histograms of log-distances and of relative angles to the node's graph
     neighbors; angles are taken relative to the mean neighbor direction, which
     makes the descriptor invariant to global rotation.
+
+    One pass over all (node, neighbor) entries gives the values that
+    ``np.histogram`` and ``mean`` give node by node: the bins follow
+    ``np.histogram``'s index rule, and the mean directions are taken over
+    (nodes, degree) blocks of equal-degree nodes, so each node's sum is
+    numpy's pairwise sum over its neighbors in ascending order.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    feats = np.zeros((n, FEATURE_DIM))
+    src, dst = np.nonzero(adjacency)     # by node, neighbors ascending
+    deg = np.bincount(src, minlength=n)
+    start = np.cumsum(deg) - deg
     lo, hi = _LOG_DIST_RANGE
-    for i in range(n):
-        nbrs = np.nonzero(adjacency[i])[0]
-        if nbrs.size == 0:
-            continue
-        offsets = points[nbrs] - points[i]
-        dists = np.linalg.norm(offsets, axis=1)
-        dists = np.maximum(dists, 1e-9)
-        logd = np.clip(np.log(dists), lo, hi - 1e-12)
-        dhist, _ = np.histogram(logd, bins=_N_DIST_BINS, range=(lo, hi))
-        angles = np.arctan2(offsets[:, 1], offsets[:, 0])
-        mean_dir = np.arctan2(np.sin(angles).mean(), np.cos(angles).mean())
-        rel = np.mod(angles - mean_dir + np.pi, 2 * np.pi) - np.pi
-        ahist, _ = np.histogram(rel, bins=_N_ANGLE_BINS, range=(-np.pi, np.pi))
-        feats[i, :_N_DIST_BINS] = dhist / nbrs.size
-        feats[i, _N_DIST_BINS:] = ahist / nbrs.size
-    return feats
+
+    offsets = points[dst] - points[src]
+    dists = np.maximum(np.linalg.norm(offsets, axis=1), 1e-9)
+    logd = np.clip(np.log(dists), lo, hi - 1e-12)
+    angles = np.arctan2(offsets[:, 1], offsets[:, 0])
+    sines, cosines = np.sin(angles), np.cos(angles)
+    sin_mean, cos_mean = np.zeros(n), np.zeros(n)
+    for d in set(deg[deg > 0].tolist()):
+        nodes = np.nonzero(deg == d)[0]
+        block = start[nodes, None] + np.arange(d)
+        sin_mean[nodes] = sines[block].mean(axis=1)
+        cos_mean[nodes] = cosines[block].mean(axis=1)
+    rel = np.mod(angles - np.arctan2(sin_mean, cos_mean)[src] + np.pi, 2 * np.pi) - np.pi
+
+    counts = np.concatenate(
+        [_histogram_counts(logd, src, n, lo, hi, _N_DIST_BINS),
+         _histogram_counts(rel, src, n, -np.pi, np.pi, _N_ANGLE_BINS)], axis=1)
+    return counts / np.maximum(deg, 1)[:, None]
 
 
 def graph_from_points(points: np.ndarray) -> AttributedGraph:
@@ -145,8 +169,7 @@ def graph_from_points(points: np.ndarray) -> AttributedGraph:
 
 
 def synthesize_pair(n: int, noise_sigma: float, rotation_max: float = 0.0,
-                    seed: int = 0, translation_max: float = 0.05,
-                    outliers: int = 0) -> GraphPair:
+                    seed: int = 0, translation_max: float = 0.05) -> GraphPair:
     """Random matching instance: rigid motion of a point cloud plus noise.
 
     Graph 1 points are uniform in the unit square; graph 2 applies a random
@@ -157,8 +180,6 @@ def synthesize_pair(n: int, noise_sigma: float, rotation_max: float = 0.0,
     """
     if n < 3:
         raise ValueError("need at least 3 points")
-    if outliers != 0:
-        raise ValueError("outlier injection is not supported")
     rng = np.random.default_rng(seed)
     p1 = rng.uniform(0.0, 1.0, size=(n, 2))
     theta = rng.uniform(-rotation_max, rotation_max) if rotation_max > 0 else 0.0
@@ -176,22 +197,22 @@ def synthesize_pair(n: int, noise_sigma: float, rotation_max: float = 0.0,
     g1 = graph_from_points(p1)
     g2 = graph_from_points(p2_shuffled)
     meta = {"n": n, "noise_sigma": noise_sigma, "rotation_max": rotation_max,
-            "translation_max": translation_max, "seed": seed, "outliers": outliers}
+            "translation_max": translation_max, "seed": seed}
     return GraphPair(g1, g2, gt, meta)
 
 
 def edge_pairs(e1: np.ndarray, e2: np.ndarray):
     """Cross each graph-1 edge with every graph-2 edge, as listed then reversed.
 
-    Returns (k1, k2, i, j, a, b): pair t joins graph-1 edge k1[t] = (i[t], j[t])
-    with graph-2 edge k2[t], oriented as (a[t], b[t]).
+    Returns (i, j, a, b): pair t joins graph-1 edge (i[t], j[t]) with a
+    graph-2 edge oriented as (a[t], b[t]). The pairs of graph-1 edge k are
+    t = 2 m2 k ... 2 m2 (k + 1) - 1: first every graph-2 edge as listed, then
+    every one reversed.
     """
     m1, m2 = len(e1), len(e2)
-    k1 = np.repeat(np.arange(m1), 2 * m2)
-    k2 = np.tile(np.arange(m2), 2 * m1)
-    i, j = e1[k1].T
-    a, b = np.tile(np.concatenate([e2, e2[:, ::-1]]), (m1, 1)).T
-    return k1, k2, i, j, a, b
+    i, j = np.repeat(e1.T, 2 * m2, axis=1)
+    a, b = np.tile(np.concatenate([e2, e2[:, ::-1]]).T, m1)
+    return i, j, a, b
 
 
 def build_aa_graph(g1: AttributedGraph, g2: AttributedGraph) -> AAGraph:
@@ -208,7 +229,7 @@ def build_aa_graph(g1: AttributedGraph, g2: AttributedGraph) -> AAGraph:
     node_attrs = np.concatenate(
         [np.repeat(g1.features, n2, axis=0), np.tile(g2.features, (n1, 1))], axis=1)
 
-    _, _, i, j, a, b = edge_pairs(g1.edge_list(), g2.edge_list())
+    i, j, a, b = edge_pairs(g1.edge_list(), g2.edge_list())
     p = i * n2 + a
     q = j * n2 + b
     edges = np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)

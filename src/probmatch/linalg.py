@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import _sparsetools
 
 
 @dataclass
@@ -21,6 +22,10 @@ class SparseAffinity:
     ``rows``/``cols``/``vals`` store the off-diagonal entries in directed form:
     every undirected affinity appears twice, once as (p, q) and once as (q, p).
     ``unary`` holds the diagonal.
+
+    ``spmv`` reads the off-diagonal entries through a CSR view that it builds
+    on the first product and rebuilds when ``rows``, ``cols`` or ``vals`` is
+    reassigned. Editing those arrays in place after a product is unsupported.
     """
 
     n1: int
@@ -29,6 +34,7 @@ class SparseAffinity:
     rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     vals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    _csr: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.unary = np.asarray(self.unary, dtype=np.float64)
@@ -63,13 +69,40 @@ class SparseAffinity:
                               self.rows.copy(), self.cols.copy(), self.vals.copy())
 
     def to_dense(self) -> np.ndarray:
-        dense = np.diag(self.unary)
-        np.add.at(dense, (self.rows, self.cols), self.vals)
-        return dense
+        size = self.size
+        off = np.bincount(self.rows * size + self.cols, weights=self.vals,
+                          minlength=size * size)
+        return np.diag(self.unary) + off.reshape(size, size)
 
     def is_symmetric(self, tol: float = 0.0) -> bool:
         dense = self.to_dense()
         return bool(np.all(np.abs(dense - dense.T) <= tol))
+
+
+def _csr_view(K: SparseAffinity) -> tuple:
+    """(indptr, indices, data) of K's off-diagonal entries, cached on K.
+
+    A counting sort by row keeps the entries of each row in their stored
+    order, so a row's products are summed in the order ``np.bincount`` over
+    the triplets would sum them, and the product is bitwise the same.
+    """
+    key = (K.rows, K.cols, K.vals)
+    if K._csr is None or any(a is not b for a, b in zip(K._csr[0], key)):
+        nnz, size = K.rows.size, K.size
+        # the native kernels index without bounds checks
+        if not K.rows.shape == K.cols.shape == K.vals.shape == (nnz,):
+            raise ValueError("rows, cols and vals must be 1-D of one length")
+        if min(K.rows.min(), K.cols.min()) < 0 or max(K.rows.max(), K.cols.max()) >= size:
+            raise ValueError(f"rows and cols must lie in [0, {size})")
+        # 32-bit indices where they fit: a smaller view and a faster product
+        index = np.int32 if max(nnz, size) < 2**31 else np.int64
+        indptr = np.empty(size + 1, dtype=index)
+        indices = np.empty(nnz, dtype=index)
+        data = np.empty(nnz)
+        _sparsetools.coo_tocsr(size, size, nnz, K.rows.astype(index), K.cols.astype(index),
+                               K.vals, indptr, indices, data)
+        K._csr = (key, (indptr, indices, data))
+    return K._csr[1]
 
 
 def spmv(K: SparseAffinity, x: np.ndarray) -> np.ndarray:
@@ -80,10 +113,11 @@ def spmv(K: SparseAffinity, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (K.size,):
         raise ValueError(f"expected vector of length {K.size}, got {x.shape}")
-    y = K.unary * x
-    if K.rows.size:
-        y += np.bincount(K.rows, weights=K.vals * x[K.cols], minlength=K.size)
-    return y
+    if not K.rows.size:
+        return K.unary * x
+    off = np.zeros(K.size)
+    _sparsetools.csr_matvec(K.size, K.size, *_csr_view(K), x, off)
+    return K.unary * x + off
 
 
 def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9,

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 
 from probmatch.affinity import objective
+from probmatch.graphs import _LOG_DIST_RANGE, _N_ANGLE_BINS, _N_DIST_BINS, FEATURE_DIM
 from probmatch.linalg import SparseAffinity, perm_matrix, sinkhorn, spmv
 
 
@@ -68,3 +69,38 @@ def reference_probabilistic_solve(K, X_init, max_iters=10, stop_eta=1e-5,
         K_cur.unary = K_cur.unary * ratio
         X = X_new
     return X, deltas, "max_iters"
+
+
+def reference_spmv(K, x):
+    """y = K x with the off-diagonal entries summed by ``np.bincount`` over
+    the stored triplets, in their stored order."""
+    x = np.asarray(x, dtype=np.float64)
+    y = K.unary * x
+    if K.rows.size:
+        y += np.bincount(K.rows, weights=K.vals * x[K.cols], minlength=K.size)
+    return y
+
+
+def reference_geometric_features(points, adjacency):
+    """The descriptor of ``graphs.geometric_features`` computed node by node
+    with ``np.histogram`` and ``mean``."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    feats = np.zeros((n, FEATURE_DIM))
+    lo, hi = _LOG_DIST_RANGE
+    for i in range(n):
+        nbrs = np.nonzero(adjacency[i])[0]
+        if nbrs.size == 0:
+            continue
+        offsets = points[nbrs] - points[i]
+        dists = np.linalg.norm(offsets, axis=1)
+        dists = np.maximum(dists, 1e-9)
+        logd = np.clip(np.log(dists), lo, hi - 1e-12)
+        dhist, _ = np.histogram(logd, bins=_N_DIST_BINS, range=(lo, hi))
+        angles = np.arctan2(offsets[:, 1], offsets[:, 0])
+        mean_dir = np.arctan2(np.sin(angles).mean(), np.cos(angles).mean())
+        rel = np.mod(angles - mean_dir + np.pi, 2 * np.pi) - np.pi
+        ahist, _ = np.histogram(rel, bins=_N_ANGLE_BINS, range=(-np.pi, np.pi))
+        feats[i, :_N_DIST_BINS] = dhist / nbrs.size
+        feats[i, _N_DIST_BINS:] = ahist / nbrs.size
+    return feats

@@ -204,6 +204,19 @@ def test_compare_solvers_builds_each_instance_once(tmp_path, monkeypatch):
     assert calls == {"synthesize_pair": 6, "learned_affinity": 6, "load": 1}
 
 
+@pytest.mark.parametrize("ablation", [a for a in ABLATIONS if a != "full"])
+def test_compare_solvers_rejects_other_ablations_before_work(tmp_path, monkeypatch, ablation):
+    def no_work(*args, **kwargs):
+        raise AssertionError("compare started work")
+
+    monkeypatch.setattr(bench, "synthesize_pair", no_work)
+    monkeypatch.setattr(ParamStore, "load", no_work)
+    cfg = _tiny_cfg(ablation=ablation, affinity_source="learned",
+                    checkpoint=_untrained_checkpoint(tmp_path))
+    with pytest.raises(ConfigError, match="full ablation only"):
+        compare_solvers(cfg)
+
+
 def test_train_and_eval_splits_are_disjoint(tmp_path):
     cfg = _tiny_cfg(train_instances=6, test_instances=4, epochs=1,
                     noise_levels=(0.02,), out_dir=str(tmp_path))

@@ -80,6 +80,24 @@ def test_solve_rejects_what_it_cannot_trace(tmp_path, capsys, monkeypatch, value
     assert "\n" not in str(exc.value)
 
 
+def test_compare_rejects_an_ablation_with_one_line(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("compare started work")
+
+    monkeypatch.setattr(bench, "synthesize_pair", no_work)
+    store = init_params(PredictorConfig(d_V=4, d_E=4, T=1), seed=0)
+    store.save(tmp_path / "tiny.ckpt")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"ablation": "tia", "affinity_source": "learned",
+                                    "checkpoint": str(tmp_path / "tiny.ckpt"),
+                                    "predictor_cfg": {"d_V": 4, "d_E": 4, "T": 1}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config", str(cfg_path), "--n", "5", "--instances", "2"])
+    assert str(exc.value) == ("probmatch: compare runs every solver with the "
+                              "full ablation only")
+    assert capsys.readouterr().out == ""
+
+
 def test_bench_emits_rows(tmp_path, capsys):
     code, out = _run(capsys, ["bench", "--n", "5", "--noise", "0.0",
                               "--instances", "3", "--out-dir", str(tmp_path)])

@@ -1,0 +1,30 @@
+"""Golden digests of ``report_rows.csv`` for handcrafted ``bench`` runs.
+
+The rows are meant to stay byte-identical across changes that only make the
+program faster: a kernel that sums in another order changes the last bits of
+``objective`` or ``binary_score`` and so the digest. The digests were taken
+with numpy 2.4.6 and scipy 1.17.1 (Python 3.11, x86-64)
+before the CSR product, the vectorised geometric features and the per-edge
+kernel grid replaced their slower forms. Another numpy or scipy may round
+differently; re-take the digests there from the commit before a change,
+never from the change itself.
+"""
+
+import hashlib
+
+import pytest
+
+from probmatch.cli import main
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "8", "--noise", "0.01", "0.03", "--instances", "100"],
+     "ae825a2c94cba46a265c459b596b846ad1578e264c52d2364f5ab8762f3d9e11"),
+    (["--n", "50", "--noise", "0.01", "--instances", "10"],
+     "8a9baf925653d37dc5211b0c56b197021f7478bae7d8066004a02dbc941c203d"),
+], ids=["n8", "n50"])
+def test_handcrafted_report_rows_match_golden_digest(tmp_path, capsys, argv, digest):
+    assert main(["bench", *argv, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "report_rows.csv").read_bytes()
+    assert hashlib.sha256(rows).hexdigest() == digest

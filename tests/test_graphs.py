@@ -1,13 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_geometric_features
 from probmatch.graphs import (
+    _LOG_DIST_RANGE,
     FEATURE_DIM,
     AttributedGraph,
+    _histogram_counts,
     build_aa_graph,
     delaunay_adjacency,
+    geometric_features,
     graph_from_points,
     load_pair,
     save_pair,
@@ -27,6 +33,57 @@ def _edgeless_graph(points):
     n = len(points)
     return AttributedGraph(points, np.zeros((n, FEATURE_DIM)),
                            np.zeros((n, n), dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# geometric_features
+
+# (1.07, 2.29) has edges that need both of np.histogram's one-bin corrections
+@pytest.mark.parametrize("lo, hi", [_LOG_DIST_RANGE, (-np.pi, np.pi), (1.07, 2.29)])
+def test_histogram_counts_follow_numpy_histogram_at_bin_edges(lo, hi):
+    rng = np.random.default_rng(0)
+    edges = np.linspace(lo, hi, 5)
+    values = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                             rng.uniform(lo - 0.1, hi + 0.1, size=200)])
+    owner = rng.integers(0, 3, size=values.size)
+    counts = _histogram_counts(values, owner, 3, lo, hi, 4)
+    for k in range(3):
+        assert np.array_equal(counts[k], np.histogram(values[owner == k], bins=4,
+                                                      range=(lo, hi))[0])
+
+
+def test_geometric_features_are_bitwise_the_per_node_loop():
+    for n in range(3, 201):
+        points = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 2))
+        adj, _ = delaunay_adjacency(points)
+        assert np.array_equal(geometric_features(points, adj),
+                              reference_geometric_features(points, adj)), n
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 10, 17, 40, 129])
+def test_geometric_features_on_collinear_points_are_bitwise_the_per_node_loop(n):
+    # the complete-graph fallback: every node has degree n - 1, 8 and more
+    # from n = 9, where numpy's mean switches to its unrolled pairwise sum
+    t = np.sort(np.random.default_rng(n).uniform(0.0, 1.0, size=n))
+    points = np.stack([t, 0.3 * t + 0.2], axis=1)
+    adj, fallback = delaunay_adjacency(points)
+    assert fallback
+    assert np.array_equal(geometric_features(points, adj),
+                          reference_geometric_features(points, adj))
+
+
+def test_geometric_features_on_arbitrary_graphs_are_bitwise_the_per_node_loop():
+    # isolated nodes, coincident points and mixed degrees up to n - 1
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 6, 30, 80):
+        points = rng.uniform(0.0, 1.0, size=(n, 2))
+        points[n // 2] = points[0]
+        adj = np.triu(rng.uniform(size=(n, n)) < rng.uniform(0.0, 1.0), 1)
+        adj |= adj.T
+        adj[-1] = adj[:, -1] = False
+        feats = geometric_features(points, adj)
+        assert np.array_equal(feats, reference_geometric_features(points, adj))
+        assert not feats[-1].any()
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +166,6 @@ def test_synthesize_ground_truth_valid_permutation():
 def test_synthesize_rejects_tiny_and_outliers():
     with pytest.raises(ValueError):
         synthesize_pair(2, 0.0)
-    with pytest.raises(ValueError):
-        synthesize_pair(5, 0.0, outliers=1)
 
 
 def test_zero_noise_nearest_neighbor_recovers_ground_truth():
@@ -211,6 +266,19 @@ def test_pair_round_trip(tmp_path):
     assert np.array_equal(loaded.g1.adjacency, pair.g1.adjacency)
     assert np.array_equal(loaded.ground_truth, pair.ground_truth)
     assert loaded.meta == pair.meta
+
+
+def test_pair_load_reads_files_with_the_retired_outliers_key(tmp_path):
+    pair = synthesize_pair(5, 0.02, seed=4)
+    assert "outliers" not in pair.meta
+    path = tmp_path / "old.json"
+    save_pair(pair, path)
+    doc = json.loads(path.read_text())
+    doc["meta"]["outliers"] = 0
+    path.write_text(json.dumps(doc))
+    loaded = load_pair(path)
+    assert loaded.meta == dict(pair.meta, outliers=0)
+    assert np.array_equal(loaded.g2.features, pair.g2.features)
 
 
 def test_pair_load_rejects_unknown_version(tmp_path):

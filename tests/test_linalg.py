@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_sparse_affinity
+from conftest import random_sparse_affinity, reference_spmv
+from probmatch.affinity import assemble_affinity
+from probmatch.graphs import build_aa_graph, synthesize_pair
 from probmatch.linalg import (
     SparseAffinity,
     binary_score,
@@ -16,6 +18,7 @@ from probmatch.linalg import (
     sinkhorn,
     spmv,
 )
+from probmatch.predictor import PredictorConfig, init_params, learned_affinity
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +56,93 @@ def test_spmv_dense_agreement_property(seed):
     K = random_sparse_affinity(rng, n1, n2, density=0.2)
     x = rng.uniform(0, 1, size=K.size)
     assert np.allclose(spmv(K, x), K.to_dense() @ x, atol=1e-12)
+
+
+def _bitwise_cases(K, rng):
+    """Inputs whose products must match the triplet kernel bit for bit."""
+    return (np.full(K.size, 1.0 / K.n2), rng.uniform(0, 1, K.size),
+            rng.normal(size=K.size), np.zeros(K.size))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 21, 34, 55, 100])
+def test_spmv_is_bitwise_the_triplet_kernel_on_handcrafted_operators(n):
+    rng = np.random.default_rng(n)
+    pair = synthesize_pair(n, 0.02, seed=n)
+    K = assemble_affinity(pair.g1, pair.g2)
+    for x in _bitwise_cases(K, rng):
+        assert np.array_equal(spmv(K, x), reference_spmv(K, x))
+    # the same pattern with directed values that differ, so K is not symmetric
+    K = SparseAffinity(n, n, K.unary, K.rows, K.cols, rng.normal(size=K.vals.size))
+    for x in _bitwise_cases(K, rng):
+        assert np.array_equal(spmv(K, x), reference_spmv(K, x))
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+def test_spmv_is_bitwise_the_triplet_kernel_on_learned_operators(n):
+    rng = np.random.default_rng(n)
+    pcfg = PredictorConfig(d_V=4, d_E=4, T=1)
+    pair = synthesize_pair(n, 0.03, seed=n)
+    K, _ = learned_affinity(build_aa_graph(pair.g1, pair.g2), init_params(pcfg, seed=n), pcfg)
+    for x in _bitwise_cases(K, rng):
+        assert np.array_equal(spmv(K, x), reference_spmv(K, x))
+
+
+def test_spmv_is_bitwise_the_triplet_kernel_on_random_operators():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        n1, n2 = (int(v) for v in rng.integers(1, 7, size=2))
+        K = random_sparse_affinity(rng, n1, n2, density=0.4)
+        order = rng.permutation(K.vals.size)     # rows out of order
+        K = SparseAffinity(n1, n2, K.unary, K.rows[order], K.cols[order],
+                           rng.normal(size=K.vals.size))
+        for x in _bitwise_cases(K, rng):
+            assert np.array_equal(spmv(K, x), reference_spmv(K, x))
+
+
+def test_spmv_sees_reassigned_triplets():
+    rng = np.random.default_rng(1)
+    pair = synthesize_pair(6, 0.02, seed=1)
+    K = assemble_affinity(pair.g1, pair.g2)
+    x = rng.uniform(0, 1, K.size)
+    before = spmv(K, x)
+    K.vals = K.vals * rng.uniform(0.5, 1.5, K.vals.size)
+    after = spmv(K, x)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, reference_spmv(K, x))
+    K.rows, K.cols = K.cols, K.rows              # the transpose
+    assert np.array_equal(spmv(K, x), reference_spmv(K, x))
+    assert not np.array_equal(spmv(K, x), after)
+
+
+def test_spmv_of_a_copy_edited_before_its_first_product_sees_the_edit():
+    pair = synthesize_pair(6, 0.02, seed=2)
+    K = assemble_affinity(pair.g1, pair.g2)
+    x = np.full(K.size, 1.0 / 6)
+    before = spmv(K, x)
+    edited = K.copy()
+    edited.vals[0] = 0.0
+    assert np.array_equal(spmv(edited, x), reference_spmv(edited, x))
+    assert not np.array_equal(spmv(edited, x), before)
+    assert np.array_equal(spmv(K, x), before)
+
+
+def test_spmv_rejects_triplets_the_native_kernels_cannot_index():
+    K = SparseAffinity(2, 2, np.ones(4), rows=[0, 3], cols=[3, 4], vals=[1.0, 1.0])
+    with pytest.raises(ValueError, match="lie in"):
+        spmv(K, np.ones(4))
+    K.cols = np.array([3, -1])
+    with pytest.raises(ValueError, match="lie in"):
+        spmv(K, np.ones(4))
+    K.cols = np.array([3, 0])
+    K.vals = np.array([1.0])
+    with pytest.raises(ValueError, match="one length"):
+        spmv(K, np.ones(4))
+
+
+def test_to_dense_sums_repeated_entries():
+    K = SparseAffinity(1, 2, np.array([1.0, 2.0]), rows=[0, 0, 1], cols=[1, 1, 0],
+                       vals=[0.25, 0.5, 3.0])
+    assert np.array_equal(K.to_dense(), [[1.0, 0.75], [3.0, 2.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_sparse_affinity
+from conftest import random_sparse_affinity, reference_spmv
 
 import probmatch.autodiff as ad
+import probmatch.predictor as predictor_module
 from probmatch.autodiff import ParamStore, Tensor
 from probmatch.graphs import AA_EDGE_DIM, FEATURE_DIM, build_aa_graph, synthesize_pair
 from probmatch.linalg import SparseAffinity, perm_matrix
@@ -237,6 +238,29 @@ def test_solve_tape_gradient_matches_finite_differences(stop_eta):
                 SparseAffinity(n, n, x, K.rows, K.cols, vals), x.reshape(n, n), cfg)
             stops.add(trace.stop_reason)
     assert stops == ({"max_iters"} if stop_eta == 1e-300 else {"early_stop", "max_iters"})
+
+
+def test_solve_tape_backward_products_are_bitwise_the_triplet_kernel(monkeypatch):
+    # the backward multiplies by K and by its transpose, built as swapped
+    # triplets with a view of its own
+    spmv = predictor_module.spmv
+    operators = []
+
+    def checked(K, x):
+        y = spmv(K, x)
+        assert np.array_equal(y, reference_spmv(K, x))
+        operators.append((K.rows, K.cols))
+        return y
+
+    monkeypatch.setattr(predictor_module, "spmv", checked)
+    rng = np.random.default_rng(5)
+    for n in (3, 6, 10):
+        K = random_sparse_affinity(rng, n, n)
+        x = Tensor(rng.uniform(0.05, 1.0, size=K.size))
+        vals = Tensor(K.vals * rng.uniform(0.5, 1.5, size=K.vals.size))
+        ad.tsum(ad.mul(solve_tape(x, vals, K.rows, K.cols, (n, n), SolverConfig()),
+                       rng.normal(size=K.size))).backward()
+        assert any(r is K.cols and c is K.rows for r, c in operators)
 
 
 def test_solve_tape_backward_rejects_zero_operator_solve():
