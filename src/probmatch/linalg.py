@@ -79,29 +79,41 @@ class SparseAffinity:
         return bool(np.all(np.abs(dense - dense.T) <= tol))
 
 
-def _csr_view(K: SparseAffinity) -> tuple:
-    """(indptr, indices, data) of K's off-diagonal entries, cached on K.
+def stable_csr(n_row: int, n_col: int, rows, cols, vals) -> tuple:
+    """(indptr, indices, data) of the triplets as an n_row x n_col CSR matrix.
 
-    A counting sort by row keeps the entries of each row in their stored
-    order, so a row's products are summed in the order ``np.bincount`` over
-    the triplets would sum them, and the product is bitwise the same.
+    A stable counting sort by row (scipy's ``coo_tocsr`` kernel) keeps the
+    entries of each row in their stored order, so a CSR product sums them in
+    that order. Indices are 32-bit where they fit, for a smaller matrix and a
+    faster product. Raises ValueError unless the triplets are 1-D of one
+    length with rows in [0, n_row) and cols in [0, n_col).
+    """
+    rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=np.float64)
+    nnz = rows.size
+    # the native kernels index without bounds checks
+    if not rows.shape == cols.shape == vals.shape == (nnz,):
+        raise ValueError("rows, cols and vals must be 1-D of one length")
+    if nnz and (min(rows.min(), cols.min()) < 0
+                or rows.max() >= n_row or cols.max() >= n_col):
+        raise ValueError(f"rows must lie in [0, {n_row}) and cols in [0, {n_col})")
+    index = np.int32 if max(nnz, n_row, n_col) < 2**31 else np.int64
+    indptr = np.empty(n_row + 1, dtype=index)
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    _sparsetools.coo_tocsr(n_row, n_col, nnz, rows.astype(index), cols.astype(index),
+                           vals, indptr, indices, data)
+    return indptr, indices, data
+
+
+def _csr_view(K: SparseAffinity) -> tuple:
+    """``stable_csr`` of K's off-diagonal entries, cached on K.
+
+    Each row's products are summed in the order ``np.bincount`` over the
+    triplets would sum them, so the product is bitwise the same.
     """
     key = (K.rows, K.cols, K.vals)
     if K._csr is None or any(a is not b for a, b in zip(K._csr[0], key)):
-        nnz, size = K.rows.size, K.size
-        # the native kernels index without bounds checks
-        if not K.rows.shape == K.cols.shape == K.vals.shape == (nnz,):
-            raise ValueError("rows, cols and vals must be 1-D of one length")
-        if min(K.rows.min(), K.cols.min()) < 0 or max(K.rows.max(), K.cols.max()) >= size:
-            raise ValueError(f"rows and cols must lie in [0, {size})")
-        # 32-bit indices where they fit: a smaller view and a faster product
-        index = np.int32 if max(nnz, size) < 2**31 else np.int64
-        indptr = np.empty(size + 1, dtype=index)
-        indices = np.empty(nnz, dtype=index)
-        data = np.empty(nnz)
-        _sparsetools.coo_tocsr(size, size, nnz, K.rows.astype(index), K.cols.astype(index),
-                               K.vals, indptr, indices, data)
-        K._csr = (key, (indptr, indices, data))
+        K._csr = (key, stable_csr(K.size, K.size, *key))
     return K._csr[1]
 
 

@@ -6,7 +6,8 @@ times, and decodes sigmoid scores for every candidate match and every
 affinity-bearing match pair. The decoded assignment seeds the probabilistic
 solver, whose output is supervised with a balanced cross-entropy loss against
 the ground-truth permutation. Training runs the numpy solver as one tape node
-(``solve_tape``); inference runs it through ``dpgm_assignment``.
+(``solve_tape``); inference runs the same predictor forward without a tape
+(``learned_affinity``) and the solver through ``dpgm_assignment``.
 """
 
 from __future__ import annotations
@@ -138,12 +139,8 @@ def _rms_rescale(t: Tensor, eps: float = 1e-12) -> Tensor:
     """
     if t.data.size == 0:
         return t
-    ms = ad.tsum(ad.mul(t, t)) / _const_scalar(t.data.size)
+    ms = ad.div(ad.tsum(ad.mul(t, t)), t.data.size)
     return ad.div(t, ad.sqrt(ad.add(ms, eps)))
-
-
-def _const_scalar(v: float) -> Tensor:
-    return Tensor(np.float64(v))
 
 
 def predictor_forward(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
@@ -167,8 +164,11 @@ def predictor_forward(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
 
 
 def learned_affinity(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
-    """Numpy view of the predictor output for the learning-free solvers."""
-    x_scores, e_scores, rows, cols = predictor_forward(aa, store, cfg)
+    """Numpy view of the predictor output for the learning-free solvers.
+
+    The forward runs under ``autodiff.no_grad`` and records no tape."""
+    with ad.no_grad():
+        x_scores, e_scores, rows, cols = predictor_forward(aa, store, cfg)
     vals = np.concatenate([e_scores.data, e_scores.data])
     K = SparseAffinity(aa.n1, aa.n2, x_scores.data.copy(), rows, cols, vals)
     X_init = x_scores.data.reshape(aa.n1, aa.n2).copy()
@@ -219,7 +219,6 @@ def solve_tape(x: Tensor, vals: Tensor, rows, cols, shape: tuple,
     """
     K = SparseAffinity(*shape, x.data, rows, cols, vals.data)
     X, trace = probabilistic_solve(K, x.data.reshape(shape), cfg)
-    out = Tensor(X.ravel(), (x, vals))
 
     def backward(g):
         xs = [X_t.ravel() for X_t in trace.assignments]
@@ -245,8 +244,7 @@ def solve_tape(x: Tensor, vals: Tensor, rows, cols, shape: tuple,
             g = g_prev + spmv(K_T, g_Kx)
         x.grad += g * (x.data > PROB_FLOOR)      # x as the initial assignment
 
-    out._backward = backward
-    return out
+    return Tensor(X.ravel(), (x, vals), backward)
 
 
 def pipeline_forward(aa: AAGraph, store: ParamStore, pcfg: PredictorConfig,

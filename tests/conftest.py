@@ -104,3 +104,19 @@ def reference_geometric_features(points, adjacency):
         feats[i, :_N_DIST_BINS] = dhist / nbrs.size
         feats[i, _N_DIST_BINS:] = ahist / nbrs.size
     return feats
+
+
+def reference_scatter_add(values, index, size):
+    """``autodiff.scatter_add``'s forward by ``np.add.at``: the rows of
+    ``values`` summed into ``size`` bins, one at a time in index order."""
+    out = np.zeros((size,) + values.shape[1:])
+    np.add.at(out, index, values)
+    return out
+
+
+def reference_gather_backward(grad, index, g):
+    """``autodiff.gather``'s backward by ``np.add.at``: the rows of ``g``
+    added onto a copy of ``grad``, one at a time in index order."""
+    out = grad.copy()
+    np.add.at(out, index, g)
+    return out

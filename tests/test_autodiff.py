@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import reference_gather_backward, reference_scatter_add
+
 import probmatch.autodiff as ad
 from probmatch.autodiff import ParamStore, Tensor
 
@@ -82,17 +84,106 @@ def test_gather_scatter_grads():
     x = Tensor(np.array([1.0, 2.0, 3.0]))
     idx = np.array([0, 2, 2, 1])
     g = ad.gather(x, idx)
-    assert np.allclose(g.data, [1, 3, 3, 2])
+    assert np.array_equal(g.data, [1, 3, 3, 2])
     loss = ad.tsum(ad.mul(g, np.array([1.0, 10.0, 100.0, 1000.0])))
     loss.backward()
-    assert np.allclose(x.grad, [1.0, 1000.0, 110.0])
+    assert np.array_equal(x.grad, [1.0, 1000.0, 110.0])
 
     y = Tensor(np.array([1.0, 2.0, 3.0, 4.0]))
     s = ad.scatter_add(y, np.array([1, 0, 1, 2]), 3)
-    assert np.allclose(s.data, [2.0, 4.0, 4.0])
+    assert np.array_equal(s.data, [2.0, 4.0, 4.0])
     loss = ad.tsum(ad.mul(s, np.array([1.0, 10.0, 100.0])))
     loss.backward()
-    assert np.allclose(y.grad, [10.0, 1.0, 10.0, 100.0])
+    assert np.array_equal(y.grad, [10.0, 1.0, 10.0, 100.0])
+
+
+# Row sums whose order shows in the last bits: many repeats, unsorted
+# indices, mixed magnitudes, bins that receive nothing, an empty index.
+_INDEX_CASES = {
+    "repeated_unsorted": (np.array([4, 1, 4, 0, 1, 4, 4, 0, 1, 4] * 5), 6),
+    "empty_bins": (np.array([5, 5, 2, 5, 2]), 9),
+    "empty_index": (np.zeros(0, dtype=np.int64), 4),
+}
+
+
+def _rows(rng, m, tail):
+    return rng.normal(size=(m,) + tail) * 10.0 ** rng.integers(-6, 7, size=(m,) + tail)
+
+
+@pytest.mark.parametrize("tail", [(), (3,)], ids=["1d", "2d"])
+@pytest.mark.parametrize("case", sorted(_INDEX_CASES))
+def test_scatter_add_forward_is_bitwise_add_at(case, tail):
+    index, size = _INDEX_CASES[case]
+    values = _rows(np.random.default_rng(5), index.size, tail)
+    out = ad.scatter_add(Tensor(values), index, size).data
+    assert out.shape == (size,) + tail
+    assert np.array_equal(out, reference_scatter_add(values, index, size))
+
+
+@pytest.mark.parametrize("tail", [(), (3,)], ids=["1d", "2d"])
+@pytest.mark.parametrize("case", sorted(_INDEX_CASES))
+def test_gather_backward_accumulates_bitwise_as_add_at(case, tail):
+    index, size = _INDEX_CASES[case]
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.normal(size=(size,) + tail))
+    start = _rows(rng, size, tail)          # a non-zero grad to accumulate onto
+    a.grad = start.copy()
+    weights = _rows(rng, index.size, tail)
+    ad.tsum(ad.mul(ad.gather(a, index), weights)).backward()
+    assert np.array_equal(a.grad, reference_gather_backward(start, index, weights))
+
+
+def test_gather_and_scatter_reject_indices_out_of_range():
+    a = Tensor(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="lie in"):
+        ad.scatter_add(a, np.array([0, 3, 1]), 3)
+    with pytest.raises(ValueError, match="lie in"):
+        ad.scatter_add(a, np.array([0, -1, 1]), 3)
+    with pytest.raises(ValueError, match="rows of shape"):
+        ad.scatter_add(a, np.array([0, 1]), 3)
+    loss = ad.tsum(ad.gather(a, np.array([0, -1])))
+    with pytest.raises(ValueError, match="lie in"):
+        loss.backward()
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+def _every_op(t: Tensor, u: Tensor) -> list:
+    """One result of each operation, on positive 2x2 inputs."""
+    idx = np.array([1, 0, 1])
+    return [ad.add(t, u), ad.mul(t, u), ad.div(t, u), ad.matmul(t, u), ad.relu(t),
+            ad.sigmoid(t), ad.log(t), ad.sqrt(t), ad.concat([t, u], axis=1),
+            ad.reshape(t, (4,)), ad.tsum(t), ad.gather(t, idx),
+            ad.scatter_add(ad.gather(t, idx), idx, 2), ad.clip(t, 0.5, 1.5)]
+
+
+def test_no_grad_ops_record_no_tape_and_compute_the_same_values():
+    rng = np.random.default_rng(7)
+    t, u = Tensor(rng.uniform(0.2, 2.0, (2, 2))), Tensor(rng.uniform(0.2, 2.0, (2, 2)))
+    taped = _every_op(t, u)
+    with ad.no_grad():
+        plain = _every_op(t, u)
+    assert all(r._parents and r._backward is not None for r in taped)
+    assert all(r._parents == () and r._backward is None for r in plain)
+    for r, p in zip(taped, plain):
+        assert np.array_equal(r.data, p.data)
+
+
+def test_no_grad_restores_the_mode_on_exit_and_after_an_exception():
+    t = Tensor(np.ones(2))
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert ad.add(t, t)._parents == ()     # the inner exit keeps no-grad
+    assert ad.add(t, t)._parents
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("raised inside no_grad")
+    out = ad.add(t, t)
+    assert out._parents and out._backward is not None
+    ad.tsum(out).backward()
+    assert np.array_equal(t.grad, [2.0, 2.0])
 
 
 def test_clip_grad_mask():

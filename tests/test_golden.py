@@ -1,20 +1,28 @@
-"""Golden digests of ``report_rows.csv`` for handcrafted ``bench`` runs.
+"""Golden digests of ``report_rows.csv`` for handcrafted ``bench`` runs and
+of a short training run.
 
 The rows are meant to stay byte-identical across changes that only make the
 program faster: a kernel that sums in another order changes the last bits of
-``objective`` or ``binary_score`` and so the digest. The digests were taken
-with numpy 2.4.6 and scipy 1.17.1 (Python 3.11, x86-64)
-before the CSR product, the vectorised geometric features and the per-edge
-kernel grid replaced their slower forms. Another numpy or scipy may round
+``objective`` or ``binary_score`` and so the digest. The same holds for the
+training losses and parameters, which pass through every operation of the
+autodiff tape forward and backward. The digests were taken with numpy 2.4.6
+and scipy 1.17.1 (Python 3.11, x86-64): the ``bench`` ones before the CSR
+product, the vectorised geometric features and the per-edge kernel grid
+replaced their slower forms, the training one before the incidence-matrix
+scatter replaced ``np.add.at`` on the tape. Another numpy or scipy may round
 differently; re-take the digests there from the commit before a change,
 never from the change itself.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from probmatch.cli import main
+from probmatch.graphs import synthesize_pair
+from probmatch.predictor import LossConfig, PredictorConfig, train
+from probmatch.solvers import SolverConfig
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -28,3 +36,12 @@ def test_handcrafted_report_rows_match_golden_digest(tmp_path, capsys, argv, dig
     capsys.readouterr()
     rows = (tmp_path / "report_rows.csv").read_bytes()
     assert hashlib.sha256(rows).hexdigest() == digest
+
+
+def test_training_losses_and_parameters_match_golden_digest():
+    pairs = [synthesize_pair(6, 0.02, seed=s) for s in range(8)]
+    store, metrics = train(pairs, PredictorConfig(d_V=8, d_E=8, T=2), SolverConfig(),
+                           LossConfig(), epochs=2)
+    losses = np.array([m["mean_loss"] for m in metrics])
+    digest = hashlib.sha256(losses.tobytes() + store.get_vector().tobytes()).hexdigest()
+    assert digest == "77f1609b26ff88f6f7b82b47265d2fe5aa98a202247af7555f1caadcfb0b449c"

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,71 @@ def test_predictor_forward_permutation_equivariant():
     X = x.data.reshape(4, 4)
     Xp = xp.data.reshape(4, 4)
     assert np.abs(Xp[:, pi] - X).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# inference without a tape
+
+CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "predictor.ckpt"
+
+
+def _assert_learned_affinity_is_the_tape_forward(aa, store, pcfg):
+    K, X_init = learned_affinity(aa, store, pcfg)
+    x, e, rows, cols = predictor_forward(aa, store, pcfg)
+    assert x._parents                      # the reference forward is on the tape
+    assert np.array_equal(K.unary, x.data)
+    assert np.array_equal(K.vals, np.concatenate([e.data, e.data]))
+    assert np.array_equal(X_init, x.data.reshape(aa.n1, aa.n2))
+    assert np.array_equal(K.rows, rows) and np.array_equal(K.cols, cols)
+
+
+def test_learned_affinity_is_bitwise_the_tape_forward_for_the_checkpoint():
+    pcfg = PredictorConfig(d_V=32, d_E=32, T=5)
+    store = init_params(pcfg)
+    store.load(CHECKPOINT)
+    for seed in range(50):
+        _, aa, _ = _tiny_instance(n=8, seed=seed, noise=0.03)
+        _assert_learned_affinity_is_the_tape_forward(aa, store, pcfg)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_learned_affinity_is_bitwise_the_tape_forward_at_init(n):
+    pcfg = PredictorConfig()
+    _, aa, _ = _tiny_instance(n=n, seed=300 + n, noise=0.03)
+    _assert_learned_affinity_is_the_tape_forward(aa, init_params(pcfg, seed=n), pcfg)
+
+
+def test_learned_affinity_is_bitwise_the_tape_forward_without_edges():
+    from probmatch.graphs import AttributedGraph
+    rng = np.random.default_rng(22)
+
+    def edgeless(n):
+        return AttributedGraph(rng.uniform(size=(n, 2)), rng.uniform(size=(n, FEATURE_DIM)),
+                               np.zeros((n, n), dtype=bool))
+
+    aa = build_aa_graph(edgeless(4), edgeless(4))
+    assert aa.edges.shape == (0, 2)
+    _assert_learned_affinity_is_the_tape_forward(aa, init_params(TINY, seed=22), TINY)
+
+
+def test_learned_affinity_builds_no_tape(monkeypatch):
+    pcfg = PredictorConfig()
+    store = init_params(pcfg, seed=21)
+    _, aa, _ = _tiny_instance(n=6, seed=21, noise=0.03)
+    made = []
+    init = Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    learned_affinity(aa, store, pcfg)
+    assert len(made) > 100
+    assert all(t._parents == () and t._backward is None for t in made)
+    made.clear()
+    predictor_forward(aa, store, pcfg)      # the recorder does see a tape
+    assert sum(t._backward is not None for t in made) > 100
 
 
 # ---------------------------------------------------------------------------
