@@ -63,15 +63,9 @@ def assemble_affinity(g1: AttributedGraph, g2: AttributedGraph,
     dang_raw = np.abs(ang1[:, None] - ang2[None, :])
     dang = np.minimum(dang_raw, np.pi - dang_raw)
     grid = np.exp(-(dlen / cfg.sigma_len) ** 2) * np.exp(-(dang / cfg.sigma_ang) ** 2)
-    vals = np.concatenate([grid, grid], axis=1).ravel()
-    i, j, a, b = edge_pairs(e1, e2)
-
-    p = i * n2 + a
-    q = j * n2 + b
-    rows = np.concatenate([p, q])
-    cols = np.concatenate([q, p])
-    vals = np.concatenate([vals, vals])
-    return SparseAffinity(n1, n2, unary, rows, cols, vals)
+    p, q = edge_pairs(e1, e2, n2)
+    return SparseAffinity.symmetric(n1, n2, unary, p, q,
+                                    np.concatenate([grid, grid], axis=1).ravel())
 
 
 def objective(K: SparseAffinity, x: np.ndarray) -> float:

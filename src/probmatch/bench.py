@@ -75,9 +75,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self, need_checkpoint: bool = True):
-        for name, least in (("n", 3), ("instances", 1), ("workers", 1), ("batch_size", 1)):
+        for name, least in (("n", 3), ("instances", 1), ("workers", 1), ("batch_size", 1),
+                            ("train_instances", 1), ("test_instances", 1), ("epochs", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}")
+        if not self.lr > 0:
+            raise ConfigError("lr must be positive")
         if not self.noise_levels or len(set(self.noise_levels)) < len(self.noise_levels):
             raise ConfigError("noise_levels must be non-empty and distinct")
         if self.solver not in SOLVERS:

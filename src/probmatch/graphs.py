@@ -79,10 +79,6 @@ class AAGraph:
     edges: np.ndarray        # (m, 2) int
     edge_attrs: np.ndarray   # (m, AA_EDGE_DIM) coordinate concatenations
 
-    @property
-    def size(self) -> int:
-        return self.n1 * self.n2
-
 
 def delaunay_adjacency(points: np.ndarray) -> tuple[np.ndarray, bool]:
     """Adjacency of the Delaunay triangulation of 2-D points.
@@ -201,18 +197,23 @@ def synthesize_pair(n: int, noise_sigma: float, rotation_max: float = 0.0,
     return GraphPair(g1, g2, gt, meta)
 
 
-def edge_pairs(e1: np.ndarray, e2: np.ndarray):
-    """Cross each graph-1 edge with every graph-2 edge, as listed then reversed.
+def _oriented(e2: np.ndarray) -> np.ndarray:
+    """Graph-2 edges as listed, then every one reversed: (2 m2, 2)."""
+    return np.concatenate([e2, e2[:, ::-1]])
 
-    Returns (i, j, a, b): pair t joins graph-1 edge (i[t], j[t]) with a
-    graph-2 edge oriented as (a[t], b[t]). The pairs of graph-1 edge k are
-    t = 2 m2 k ... 2 m2 (k + 1) - 1: first every graph-2 edge as listed, then
-    every one reversed.
+
+def edge_pairs(e1: np.ndarray, e2: np.ndarray, n2: int):
+    """Flat match indices of every pair of a graph-1 and a graph-2 edge.
+
+    Returns (p, q), flattened from the m1 x 2 m2 grid of each graph-1 edge
+    (i, j) crossed with each graph-2 edge (a, b), first as listed, then
+    reversed: p = i * n2 + a and q = j * n2 + b. This is the only place the
+    package forms a flat match index from its node indices.
     """
-    m1, m2 = len(e1), len(e2)
-    i, j = np.repeat(e1.T, 2 * m2, axis=1)
-    a, b = np.tile(np.concatenate([e2, e2[:, ::-1]]).T, m1)
-    return i, j, a, b
+    o2 = _oriented(e2)
+    p = (e1[:, :1] * n2 + o2[:, 0]).ravel()
+    q = (e1[:, 1:] * n2 + o2[:, 1]).ravel()
+    return p, q
 
 
 def build_aa_graph(g1: AttributedGraph, g2: AttributedGraph) -> AAGraph:
@@ -221,7 +222,7 @@ def build_aa_graph(g1: AttributedGraph, g2: AttributedGraph) -> AAGraph:
     Node attribute for match (i, a) is [f_i; f_a]; edge attribute for the
     AA-edge between (i, a) and (j, b) is [p_i; p_j; p_a; p_b]. Each pair of an
     undirected edge (i, j) in graph 1 and (a, b) in graph 2 contributes the two
-    AA-edges ((i,a),(j,b)) and ((i,b),(j,a)).
+    AA-edges ((i,a),(j,b)) and ((i,b),(j,a)), in ``edge_pairs``' order.
     """
     if g1.features.shape[1] != g2.features.shape[1]:
         raise ValueError("feature dimensions differ between graphs")
@@ -229,13 +230,13 @@ def build_aa_graph(g1: AttributedGraph, g2: AttributedGraph) -> AAGraph:
     node_attrs = np.concatenate(
         [np.repeat(g1.features, n2, axis=0), np.tile(g2.features, (n1, 1))], axis=1)
 
-    i, j, a, b = edge_pairs(g1.edge_list(), g2.edge_list())
-    p = i * n2 + a
-    q = j * n2 + b
+    e1, e2 = g1.edge_list(), g2.edge_list()
+    p, q = edge_pairs(e1, e2, n2)
     edges = np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
-    edge_attrs = np.concatenate(
-        [g1.points[i], g1.points[j], g2.points[a], g2.points[b]], axis=1)
-    return AAGraph(n1, n2, node_attrs, edges, edge_attrs)
+    edge_attrs = np.empty((len(e1), 2 * len(e2), AA_EDGE_DIM))
+    edge_attrs[..., :4] = g1.points[e1].reshape(-1, 1, 4)
+    edge_attrs[..., 4:] = g2.points[_oriented(e2)].reshape(1, -1, 4)
+    return AAGraph(n1, n2, node_attrs, edges, edge_attrs.reshape(-1, AA_EDGE_DIM))
 
 
 def save_pair(pair: GraphPair, path) -> None:

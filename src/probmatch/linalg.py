@@ -3,7 +3,9 @@
 The affinity operator K is an N x N matrix (N = n1 * n2) with unary node
 similarities on its diagonal and pairwise edge agreements off-diagonal. Only
 entries gated by joint edge existence are stored. The match (i, a) is encoded
-at flat index p = i * n2 + a throughout the package.
+at flat index p = i * n2 + a throughout the package. ``graphs.edge_pairs``
+lists the match pairs (p, q) of joint edges; ``SparseAffinity.symmetric``
+stores one weight per pair at (p, q) and at (q, p).
 """
 
 from __future__ import annotations
@@ -53,16 +55,15 @@ class SparseAffinity:
         return self.n1 * self.n2
 
     @classmethod
-    def from_pairs(cls, n1, n2, unary, pairs):
-        """Build from a list of (p, q, value) triples given once per direction."""
-        if pairs:
-            rows, cols, vals = map(np.asarray, zip(*pairs))
-        else:
-            rows = cols = vals = ()
-        return cls(n1, n2, np.asarray(unary, dtype=np.float64),
-                   np.asarray(rows, dtype=np.int64),
-                   np.asarray(cols, dtype=np.int64),
-                   np.asarray(vals, dtype=np.float64))
+    def symmetric(cls, n1, n2, unary, p, q, weights) -> "SparseAffinity":
+        """K with ``weights[t]`` stored at (p[t], q[t]) and at (q[t], p[t]).
+
+        The triplets list every (p, q) entry in order, then every (q, p)
+        entry; ``symmetric(n1, n2, unary, q, p, weights)`` is therefore the
+        transpose's layout of the same entries.
+        """
+        return cls(n1, n2, unary, np.concatenate([p, q]), np.concatenate([q, p]),
+                   np.concatenate([weights, weights]))
 
     def copy(self) -> "SparseAffinity":
         return SparseAffinity(self.n1, self.n2, self.unary.copy(),

@@ -5,9 +5,11 @@ spaces, alternates edge (affinity) and node (assignment) update layers T
 times, and decodes sigmoid scores for every candidate match and every
 affinity-bearing match pair. The decoded assignment seeds the probabilistic
 solver, whose output is supervised with a balanced cross-entropy loss against
-the ground-truth permutation. Training runs the numpy solver as one tape node
-(``solve_tape``); inference runs the same predictor forward without a tape
-(``learned_affinity``) and the solver through ``dpgm_assignment``.
+the ground-truth permutation. The learned operator is ``SparseAffinity.symmetric``
+over the AA-edges, weighted by the edge scores, with the assignment scores as
+its diagonal. Training runs the numpy solver as one tape node (``solve_tape``);
+inference runs the same predictor forward without a tape (``learned_affinity``)
+and the solver through ``dpgm_assignment``.
 """
 
 from __future__ import annotations
@@ -146,10 +148,9 @@ def _rms_rescale(t: Tensor, eps: float = 1e-12) -> Tensor:
 def predictor_forward(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
     """Full prediction pass.
 
-    Returns (x_scores, edge_scores, rows, cols): the flat assignment scores,
-    the undirected per-edge affinity scores, and the directed sparse index
-    pattern (each undirected edge listed in both directions). The decoded
-    assignment scores double as the unary diagonal of the learned operator.
+    Returns (x_scores, e_scores): the flat assignment scores and one affinity
+    score per AA-edge of ``aa.edges``. They are the learned operator's
+    diagonal and its weights at the AA-edges' match pairs.
     """
     src = aa.edges[:, 0]
     dst = aa.edges[:, 1]
@@ -157,10 +158,7 @@ def predictor_forward(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
     for _ in range(cfg.T):
         E = _rms_rescale(affinity_update(V, E, src, dst, store))
         V = _rms_rescale(assignment_update(V, E, src, dst, store))
-    x_scores, e_scores = decode(V, E, store)
-    rows = np.concatenate([src, dst])
-    cols = np.concatenate([dst, src])
-    return x_scores, e_scores, rows, cols
+    return decode(V, E, store)
 
 
 def learned_affinity(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
@@ -168,9 +166,9 @@ def learned_affinity(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
 
     The forward runs under ``autodiff.no_grad`` and records no tape."""
     with ad.no_grad():
-        x_scores, e_scores, rows, cols = predictor_forward(aa, store, cfg)
-    vals = np.concatenate([e_scores.data, e_scores.data])
-    K = SparseAffinity(aa.n1, aa.n2, x_scores.data.copy(), rows, cols, vals)
+        x_scores, e_scores = predictor_forward(aa, store, cfg)
+    K = SparseAffinity.symmetric(aa.n1, aa.n2, x_scores.data.copy(), *aa.edges.T,
+                                 e_scores.data)
     X_init = x_scores.data.reshape(aa.n1, aa.n2).copy()
     return K, X_init
 
@@ -209,15 +207,17 @@ def _sinkhorn_vjp(Y: np.ndarray, passes: int, G: np.ndarray) -> np.ndarray:
     return G * (Y > PROB_FLOOR)
 
 
-def solve_tape(x: Tensor, vals: Tensor, rows, cols, shape: tuple,
+def solve_tape(x: Tensor, e: Tensor, pairs, shape: tuple,
                cfg: SolverConfig) -> Tensor:
     """``solvers.probabilistic_solve`` on the tape; returns the flat final X.
 
     ``x`` (flat) is both the initial assignment and K's unary diagonal, and
-    ``vals`` are K's entries at (rows, cols). The backward is the exact
-    adjoint of the iterations the solve ran, replayed from its trace.
+    ``e[t]`` is K's entry at (p[t], q[t]) and at (q[t], p[t]) for
+    ``pairs = (p, q)``. The backward is the exact adjoint of the iterations
+    the solve ran, replayed from its trace.
     """
-    K = SparseAffinity(*shape, x.data, rows, cols, vals.data)
+    p, q = pairs
+    K = SparseAffinity.symmetric(*shape, x.data, p, q, e.data)
     X, trace = probabilistic_solve(K, x.data.reshape(shape), cfg)
 
     def backward(g):
@@ -227,8 +227,9 @@ def solve_tape(x: Tensor, vals: Tensor, rows, cols, shape: tuple,
         scales = [np.ones(K.size)]
         for x_t, x_next in zip(xs[:-2], xs[1:-1]):
             scales.append(scales[-1] * (x_next / np.maximum(x_t, PROB_FLOOR)))
-        K_T = SparseAffinity(*shape, K.unary, K.cols, K.rows, K.vals)
+        K_T = SparseAffinity.symmetric(*shape, K.unary, q, p, e.data)
         g_s = np.zeros(K.size)
+        g_vals = np.zeros(K.vals.size)           # per directed entry of K
         for t in reversed(range(len(xs) - 1)):
             x_t, x_next, s = xs[t], xs[t + 1], scales[t]
             den = np.maximum(x_t, PROB_FLOOR)   # s_{t+1} = s * (x_next / den)
@@ -240,11 +241,13 @@ def solve_tape(x: Tensor, vals: Tensor, rows, cols, shape: tuple,
             g_s = g_s * (x_next / den) + g_y * Kx
             g_Kx = g_y * s
             x.grad += g_Kx * x_t                 # x as K's unary diagonal
-            vals.grad += g_Kx[K.rows] * x_t[K.cols]
+            g_vals += g_Kx[K.rows] * x_t[K.cols]
             g = g_prev + spmv(K_T, g_Kx)
         x.grad += g * (x.data > PROB_FLOOR)      # x as the initial assignment
+        for half in np.split(g_vals, 2):         # the (p, q), then the (q, p) entries
+            e.grad += half
 
-    return Tensor(X.ravel(), (x, vals), backward)
+    return Tensor(X.ravel(), (x, e), backward)
 
 
 def pipeline_forward(aa: AAGraph, store: ParamStore, pcfg: PredictorConfig,
@@ -252,9 +255,8 @@ def pipeline_forward(aa: AAGraph, store: ParamStore, pcfg: PredictorConfig,
     """Training forward: the predictor, then the solver node from the decoded
     assignment; returns the flat final assignment vector on the tape.
     Inference runs ``learned_affinity`` and ``dpgm_assignment`` instead."""
-    x_scores, e_scores, rows, cols = predictor_forward(aa, store, pcfg)
-    vals = ad.concat([e_scores, e_scores]) if e_scores.data.size else e_scores
-    return solve_tape(x_scores, vals, rows, cols, (aa.n1, aa.n2), scfg)
+    x_scores, e_scores = predictor_forward(aa, store, pcfg)
+    return solve_tape(x_scores, e_scores, aa.edges.T, (aa.n1, aa.n2), scfg)
 
 
 def balanced_ce_loss(x: Tensor, x_gt: np.ndarray, cfg: LossConfig) -> Tensor:
@@ -289,18 +291,15 @@ def grad_check(aa: AAGraph, gt_vec: np.ndarray, store: ParamStore,
     g_ad = store.grad_vector()
 
     theta = store.get_vector()
-    g_fd = np.zeros_like(theta)
-    for k in range(theta.size):
-        for sign, slot in ((1.0, 0), (-1.0, 1)):
-            pert = theta.copy()
-            pert[k] += sign * step
-            store.set_vector(pert)
-            val = instance_loss(aa, gt_vec, store, pcfg, scfg, lcfg).data
-            if slot == 0:
-                plus = float(val)
-            else:
-                minus = float(val)
-        g_fd[k] = (plus - minus) / (2.0 * step)
+
+    def loss_at(k, delta):
+        pert = theta.copy()
+        pert[k] += delta
+        store.set_vector(pert)
+        return float(instance_loss(aa, gt_vec, store, pcfg, scfg, lcfg).data)
+
+    g_fd = np.array([(loss_at(k, step) - loss_at(k, -step)) / (2.0 * step)
+                     for k in range(theta.size)])
     store.set_vector(theta)
     rel = np.abs(g_ad - g_fd) / np.maximum(1e-8, np.abs(g_ad) + np.abs(g_fd))
     return float(rel.max())

@@ -3,22 +3,74 @@ import itertools
 import numpy as np
 
 from probmatch.affinity import objective
-from probmatch.graphs import _LOG_DIST_RANGE, _N_ANGLE_BINS, _N_DIST_BINS, FEATURE_DIM
+from probmatch.graphs import (
+    _LOG_DIST_RANGE,
+    _N_ANGLE_BINS,
+    _N_DIST_BINS,
+    FEATURE_DIM,
+    AttributedGraph,
+    graph_from_points,
+    synthesize_pair,
+)
 from probmatch.linalg import SparseAffinity, perm_matrix, sinkhorn, spmv
+
+
+def random_pairs(rng, n1, n2, density=0.3):
+    """Random unary diagonal and match pairs p < q with one weight each:
+    (unary, p, q, weights), all in [0, 1)."""
+    size = n1 * n2
+    unary = rng.uniform(0.0, 1.0, size=size)
+    p, q, w = [], [], []
+    for r in range(size):
+        for c in range(r + 1, size):
+            if rng.uniform() < density:
+                p.append(r)
+                q.append(c)
+                w.append(rng.uniform(0.0, 1.0))
+    return (unary, np.array(p, dtype=np.int64), np.array(q, dtype=np.int64),
+            np.array(w, dtype=np.float64))
 
 
 def random_sparse_affinity(rng, n1, n2, density=0.3):
     """Random symmetric nonnegative operator with unary diagonal."""
-    size = n1 * n2
-    unary = rng.uniform(0.0, 1.0, size=size)
-    pairs = []
-    for p in range(size):
-        for q in range(p + 1, size):
-            if rng.uniform() < density:
-                v = rng.uniform(0.0, 1.0)
-                pairs.append((p, q, v))
-                pairs.append((q, p, v))
-    return SparseAffinity.from_pairs(n1, n2, unary, pairs)
+    return SparseAffinity.symmetric(n1, n2, *random_pairs(rng, n1, n2, density))
+
+
+def reference_edge_pairs(e1, e2):
+    """Every pair of a graph-1 and a graph-2 edge by ``np.repeat`` and
+    ``np.tile``: (i, j, a, b), one entry per graph-1 edge (i, j) crossed
+    with each graph-2 edge (a, b) as listed, then each one reversed."""
+    m1, m2 = len(e1), len(e2)
+    i, j = np.repeat(e1.T, 2 * m2, axis=1)
+    a, b = np.tile(np.concatenate([e2, e2[:, ::-1]]).T, m1)
+    return i, j, a, b
+
+
+def builder_graph_pairs():
+    """(name, g1, g2) for the operator-layout oracle tests: synthetic pairs at
+    n = 3 ... 60 and n = 100, a collinear graph whose Delaunay triangulation
+    falls back to the complete graph, and an edgeless graph on either side."""
+    for n in [*range(3, 61), 100]:
+        pair = synthesize_pair(n, 0.03, seed=500 + n)
+        yield f"n={n}", pair.g1, pair.g2
+    line = graph_from_points(np.stack([np.linspace(0.0, 1.0, 5), np.zeros(5)], axis=1))
+    assert line.delaunay_fallback
+    pair = synthesize_pair(6, 0.03, seed=7)
+    yield "fallback", line, pair.g2
+    yield "fallback-g2", pair.g1, line
+    edgeless = AttributedGraph(np.random.default_rng(3).uniform(size=(4, 2)),
+                               np.zeros((4, FEATURE_DIM)), np.zeros((4, 4), dtype=bool))
+    yield "edgeless", edgeless, pair.g2
+    yield "edgeless-g2", pair.g1, edgeless
+    yield "edgeless-both", edgeless, edgeless
+
+
+def reference_edge_attrs(g1, g2):
+    """AA-edge attributes [p_i; p_j; p_a; p_b] by fancy indexing, in
+    ``reference_edge_pairs``' order."""
+    i, j, a, b = reference_edge_pairs(g1.edge_list(), g2.edge_list())
+    return np.concatenate([g1.points[i], g1.points[j], g2.points[a], g2.points[b]],
+                          axis=1)
 
 
 def brute_force_qap(K):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sparse_affinity
+from conftest import builder_graph_pairs, random_sparse_affinity, reference_edge_pairs
 from probmatch.affinity import AffinityConfig, assemble_affinity, objective
 from probmatch.graphs import FEATURE_DIM, AttributedGraph, synthesize_pair
 from probmatch.linalg import SparseAffinity, perm_matrix
@@ -72,6 +72,30 @@ def test_assembly_matches_naive_loop_oracle():
     K = assemble_affinity(pair.g1, pair.g2, cfg)
     assert np.allclose(K.to_dense(), _naive_affinity(pair.g1, pair.g2, cfg),
                        atol=1e-12)
+
+
+def test_assembled_triplets_are_bitwise_the_per_pair_oracle():
+    # rows/cols from the repeat/tile pair enumeration; each value is the
+    # kernel of its graph-1 edge and its graph-2 edge as listed, evaluated
+    # pair by pair on the enumeration's index arrays
+    cfg = AffinityConfig()
+    for name, g1, g2 in builder_graph_pairs():
+        K = assemble_affinity(g1, g2, cfg)
+        e1, e2 = g1.edge_list(), g2.edge_list()
+        i, j, a, b = reference_edge_pairs(e1, e2)
+        p, q = i * g2.n + a, j * g2.n + b
+        k1 = np.repeat(np.arange(len(e1)), 2 * len(e2))
+        k2 = np.tile(np.arange(len(e2)), 2 * len(e1))
+        d1 = g1.points[e1[k1, 1]] - g1.points[e1[k1, 0]]
+        d2 = g2.points[e2[k2, 1]] - g2.points[e2[k2, 0]]
+        dlen = np.abs(np.linalg.norm(d1, axis=1) - np.linalg.norm(d2, axis=1))
+        dang = np.abs(np.mod(np.arctan2(d1[:, 1], d1[:, 0]), np.pi)
+                      - np.mod(np.arctan2(d2[:, 1], d2[:, 0]), np.pi))
+        dang = np.minimum(dang, np.pi - dang)
+        vals = np.exp(-(dlen / cfg.sigma_len) ** 2) * np.exp(-(dang / cfg.sigma_ang) ** 2)
+        for got, want in ((K.rows, np.concatenate([p, q])), (K.cols, np.concatenate([q, p])),
+                          (K.vals, np.concatenate([vals, vals]))):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_values_in_unit_interval_and_symmetric():

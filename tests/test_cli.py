@@ -198,6 +198,26 @@ def test_invalid_config_exits_before_work(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--train-instances", "0", "train_instances must be at least 1"),
+    ("--test-instances", "0", "test_instances must be at least 1"),
+    ("--epochs", "0", "epochs must be at least 1"),
+    ("--lr", "-1", "lr must be positive"),
+    ("--lr", "0", "lr must be positive"),
+    ("--lr", "nan", "lr must be positive"),
+])
+def test_bad_training_config_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch,
+                                                            flag, value, message):
+    calls = []
+    monkeypatch.setattr(cli, "train_and_eval", lambda *args: calls.append(args))
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--n", "4", flag, value, "--out-dir", str(out_dir)])
+    assert str(exc.value) == f"probmatch: {message}"
+    assert not calls and not out_dir.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_gen_writes_the_pairs_bench_evaluates(tmp_path, capsys, monkeypatch):
     argv = ["--n", "5", "--noise", "0.01", "0.04", "--instances", "3",
             "--seed", "7", "--out-dir", str(tmp_path)]

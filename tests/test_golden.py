@@ -1,5 +1,5 @@
-"""Golden digests of ``report_rows.csv`` for handcrafted ``bench`` runs and
-of a short training run.
+"""Golden digests of ``report_rows.csv`` for handcrafted and learned ``bench``
+runs and of a short training run.
 
 The rows are meant to stay byte-identical across changes that only make the
 program faster: a kernel that sums in another order changes the last bits of
@@ -9,12 +9,15 @@ autodiff tape forward and backward. The digests were taken with numpy 2.4.6
 and scipy 1.17.1 (Python 3.11, x86-64): the ``bench`` ones before the CSR
 product, the vectorised geometric features and the per-edge kernel grid
 replaced their slower forms, the training one before the incidence-matrix
-scatter replaced ``np.add.at`` on the tape. Another numpy or scipy may round
+scatter replaced ``np.add.at`` on the tape, the learned one before the
+operator layout moved into ``graphs.edge_pairs`` and
+``SparseAffinity.symmetric``. Another numpy or scipy may round
 differently; re-take the digests there from the commit before a change,
 never from the change itself.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,17 @@ def test_handcrafted_report_rows_match_golden_digest(tmp_path, capsys, argv, dig
     assert main(["bench", *argv, "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     rows = (tmp_path / "report_rows.csv").read_bytes()
+    assert hashlib.sha256(rows).hexdigest() == digest
+
+
+def test_learned_report_rows_match_golden_digest(tmp_path, capsys):
+    checkpoint = Path(__file__).resolve().parents[1] / "perfbench" / "predictor.ckpt"
+    assert main(["bench", "--n", "8", "--noise", "0.03", "--instances", "100",
+                 "--affinity-source", "learned", "--checkpoint", str(checkpoint),
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "report_rows.csv").read_bytes()
+    digest = "8768923d20bff35a906502ae8f10b5e55d629ead2cac0ed487da37d11e12255b"
     assert hashlib.sha256(rows).hexdigest() == digest
 
 

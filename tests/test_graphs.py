@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_geometric_features
+from conftest import (
+    builder_graph_pairs,
+    reference_edge_attrs,
+    reference_edge_pairs,
+    reference_geometric_features,
+)
 from probmatch.graphs import (
     _LOG_DIST_RANGE,
     FEATURE_DIM,
@@ -13,6 +18,7 @@ from probmatch.graphs import (
     _histogram_counts,
     build_aa_graph,
     delaunay_adjacency,
+    edge_pairs,
     geometric_features,
     graph_from_points,
     load_pair,
@@ -251,6 +257,30 @@ def test_aa_graph_edges_match_double_loop_oracle(seed, n):
     m1 = len(pair.g1.edge_list())
     m2 = len(pair.g2.edge_list())
     assert len(aa.edges) == 2 * m1 * m2
+
+
+def _assert_bitwise(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert np.array_equal(got, want), what
+
+
+def test_edge_pairs_are_bitwise_the_repeat_tile_oracle():
+    for name, g1, g2 in builder_graph_pairs():
+        i, j, a, b = reference_edge_pairs(g1.edge_list(), g2.edge_list())
+        p, q = edge_pairs(g1.edge_list(), g2.edge_list(), g2.n)
+        _assert_bitwise(p, i * g2.n + a, name)
+        _assert_bitwise(q, j * g2.n + b, name)
+
+
+def test_aa_graph_is_bitwise_the_fancy_index_oracle():
+    for name, g1, g2 in builder_graph_pairs():
+        aa = build_aa_graph(g1, g2)
+        i, j, a, b = reference_edge_pairs(g1.edge_list(), g2.edge_list())
+        p, q = i * g2.n + a, j * g2.n + b
+        _assert_bitwise(aa.edges, np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1),
+                        name)
+        _assert_bitwise(aa.edge_attrs, reference_edge_attrs(g1, g2), name)
+        assert aa.edge_attrs.flags.c_contiguous, name
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ def test_spmv_identity_diagonal():
 
 
 def test_spmv_swap_pair():
-    K = SparseAffinity.from_pairs(2, 2, np.zeros(4), [(0, 3, 1.0), (3, 0, 1.0)])
+    K = SparseAffinity.symmetric(2, 2, np.zeros(4), np.array([0]), np.array([3]),
+                                 np.array([1.0]))
     assert np.allclose(spmv(K, [1, 0, 0, 1]), [1, 0, 0, 1])
 
 
@@ -56,6 +57,24 @@ def test_spmv_dense_agreement_property(seed):
     K = random_sparse_affinity(rng, n1, n2, density=0.2)
     x = rng.uniform(0, 1, size=K.size)
     assert np.allclose(spmv(K, x), K.to_dense() @ x, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_pairs", [0, 1, 7])
+def test_symmetric_stores_each_weight_at_p_q_then_at_q_p(n_pairs):
+    rng = np.random.default_rng(n_pairs)
+    p = rng.integers(0, 12, size=n_pairs)
+    q = rng.integers(0, 12, size=n_pairs)
+    w = rng.uniform(size=n_pairs)
+    unary = rng.uniform(size=12)
+    K = SparseAffinity.symmetric(3, 4, unary, p, q, w)
+    assert K.rows.dtype == K.cols.dtype == np.int64 and K.vals.dtype == np.float64
+    assert np.array_equal(K.unary, unary)
+    assert np.array_equal(K.rows, np.concatenate([p, q]))
+    assert np.array_equal(K.cols, np.concatenate([q, p]))
+    assert np.array_equal(K.vals, np.concatenate([w, w]))
+    assert K.is_symmetric()
+    K_T = SparseAffinity.symmetric(3, 4, unary, q, p, w)
+    assert np.array_equal(K_T.rows, K.cols) and np.array_equal(K_T.cols, K.rows)
 
 
 def _bitwise_cases(K, rng):
@@ -91,7 +110,9 @@ def test_spmv_is_bitwise_the_triplet_kernel_on_random_operators():
     rng = np.random.default_rng(3)
     for _ in range(20):
         n1, n2 = (int(v) for v in rng.integers(1, 7, size=2))
-        K = random_sparse_affinity(rng, n1, n2, density=0.4)
+        K = random_sparse_affinity(rng, n1, n2, density=0.4)   # SparseAffinity.symmetric
+        for x in _bitwise_cases(K, rng):
+            assert np.array_equal(spmv(K, x), reference_spmv(K, x))
         order = rng.permutation(K.vals.size)     # rows out of order
         K = SparseAffinity(n1, n2, K.unary, K.rows[order], K.cols[order],
                            rng.normal(size=K.vals.size))

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_sparse_affinity, reference_spmv
+from conftest import random_pairs, reference_spmv
 
 import probmatch.autodiff as ad
 import probmatch.predictor as predictor_module
@@ -179,7 +179,7 @@ def test_predictor_forward_permutation_equivariant():
     from probmatch.graphs import AttributedGraph
     pair, aa, _ = _tiny_instance(n=4, seed=13)
     store = init_params(TINY, seed=13)
-    x, _, _, _ = predictor_forward(aa, store, TINY)
+    x, _ = predictor_forward(aa, store, TINY)
 
     pi = np.array([2, 0, 3, 1])   # relabel graph-2 node a as pi[a]
     g2 = pair.g2
@@ -187,7 +187,7 @@ def test_predictor_forward_permutation_equivariant():
     g2p = AttributedGraph(g2.points[inv], g2.features[inv],
                           g2.adjacency[np.ix_(inv, inv)])
     aap = build_aa_graph(pair.g1, g2p)
-    xp, _, _, _ = predictor_forward(aap, store, TINY)
+    xp, _ = predictor_forward(aap, store, TINY)
     X = x.data.reshape(4, 4)
     Xp = xp.data.reshape(4, 4)
     assert np.abs(Xp[:, pi] - X).max() < 1e-9
@@ -201,12 +201,14 @@ CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "predictor.ckpt
 
 def _assert_learned_affinity_is_the_tape_forward(aa, store, pcfg):
     K, X_init = learned_affinity(aa, store, pcfg)
-    x, e, rows, cols = predictor_forward(aa, store, pcfg)
+    x, e = predictor_forward(aa, store, pcfg)
     assert x._parents                      # the reference forward is on the tape
     assert np.array_equal(K.unary, x.data)
     assert np.array_equal(K.vals, np.concatenate([e.data, e.data]))
     assert np.array_equal(X_init, x.data.reshape(aa.n1, aa.n2))
-    assert np.array_equal(K.rows, rows) and np.array_equal(K.cols, cols)
+    src, dst = aa.edges[:, 0], aa.edges[:, 1]
+    assert np.array_equal(K.rows, np.concatenate([src, dst]))
+    assert np.array_equal(K.cols, np.concatenate([dst, src]))
 
 
 def test_learned_affinity_is_bitwise_the_tape_forward_for_the_checkpoint():
@@ -268,48 +270,46 @@ def test_solve_tape_forward_matches_numpy_solver():
     scfg = SolverConfig(max_iters=4)
     X_np, _ = probabilistic_solve(K, X_init, scfg)
 
-    x_scores, e_scores, rows, cols = predictor_forward(aa, store, TINY)
-    vals = ad.concat([e_scores, e_scores])
-    X_tape = solve_tape(x_scores, vals, rows, cols, (4, 4), scfg)
+    x_scores, e_scores = predictor_forward(aa, store, TINY)
+    X_tape = solve_tape(x_scores, e_scores, aa.edges.T, (4, 4), scfg)
     assert np.array_equal(X_tape.data, X_np.ravel())
 
 
 @pytest.mark.parametrize("stop_eta", [1e-300, 1e-3])
 def test_solve_tape_gradient_matches_finite_differences(stop_eta):
     # stop_eta=1e-300 runs every iteration; 1e-3 stops early on most inputs.
-    # Each undirected entry gets two different directed values, so K is not
-    # symmetric and the adjoint must use its transpose.
+    # Each match pair has one random weight, stored at (p, q) and at (q, p),
+    # so the gradient of a weight sums both directed entries.
     rng = np.random.default_rng(17)
     cfg = SolverConfig(stop_eta=stop_eta)
     stops, step = set(), 1e-6
     for n in range(3, 8):
         for _ in range(4):
-            K = random_sparse_affinity(rng, n, n)
-            x = rng.uniform(0.05, 1.0, size=K.size)
-            vals = K.vals * rng.uniform(0.5, 1.5, size=K.vals.size)
-            w = rng.normal(size=K.size)
+            _, p, q, e = random_pairs(rng, n, n)
+            x = rng.uniform(0.05, 1.0, size=n * n)
+            e = e * rng.uniform(0.5, 1.5, size=e.size)
+            w = rng.normal(size=n * n)
 
-            def loss(x_in, vals_in):
-                X = solve_tape(x_in, vals_in, K.rows, K.cols, (n, n), cfg)
-                return ad.tsum(ad.mul(X, w))
+            def loss(x_in, e_in):
+                return ad.tsum(ad.mul(solve_tape(x_in, e_in, (p, q), (n, n), cfg), w))
 
-            tx, tv = Tensor(x.copy()), Tensor(vals.copy())
-            loss(tx, tv).backward()
-            dx, dv = rng.normal(size=x.size), rng.normal(size=vals.size)
-            plus = loss(Tensor(x + step * dx), Tensor(vals + step * dv)).data
-            minus = loss(Tensor(x - step * dx), Tensor(vals - step * dv)).data
+            tx, te = Tensor(x.copy()), Tensor(e.copy())
+            loss(tx, te).backward()
+            dx, de = rng.normal(size=x.size), rng.normal(size=e.size)
+            plus = loss(Tensor(x + step * dx), Tensor(e + step * de)).data
+            minus = loss(Tensor(x - step * dx), Tensor(e - step * de)).data
             fd = (plus - minus) / (2.0 * step)
-            g = tx.grad @ dx + tv.grad @ dv
+            g = tx.grad @ dx + te.grad @ de
             assert abs(g - fd) <= 1e-6 * max(abs(g), abs(fd)), (n, g, fd)
-            _, trace = probabilistic_solve(
-                SparseAffinity(n, n, x, K.rows, K.cols, vals), x.reshape(n, n), cfg)
+            _, trace = probabilistic_solve(SparseAffinity.symmetric(n, n, x, p, q, e),
+                                           x.reshape(n, n), cfg)
             stops.add(trace.stop_reason)
     assert stops == ({"max_iters"} if stop_eta == 1e-300 else {"early_stop", "max_iters"})
 
 
 def test_solve_tape_backward_products_are_bitwise_the_triplet_kernel(monkeypatch):
-    # the backward multiplies by K and by its transpose, built as swapped
-    # triplets with a view of its own
+    # the backward multiplies by K and by its transpose, whose triplets are
+    # K's with rows and cols swapped, through a view of its own
     spmv = predictor_module.spmv
     operators = []
 
@@ -322,18 +322,21 @@ def test_solve_tape_backward_products_are_bitwise_the_triplet_kernel(monkeypatch
     monkeypatch.setattr(predictor_module, "spmv", checked)
     rng = np.random.default_rng(5)
     for n in (3, 6, 10):
-        K = random_sparse_affinity(rng, n, n)
-        x = Tensor(rng.uniform(0.05, 1.0, size=K.size))
-        vals = Tensor(K.vals * rng.uniform(0.5, 1.5, size=K.vals.size))
-        ad.tsum(ad.mul(solve_tape(x, vals, K.rows, K.cols, (n, n), SolverConfig()),
-                       rng.normal(size=K.size))).backward()
-        assert any(r is K.cols and c is K.rows for r, c in operators)
+        _, p, q, e = random_pairs(rng, n, n)
+        x = Tensor(rng.uniform(0.05, 1.0, size=n * n))
+        e = Tensor(e * rng.uniform(0.5, 1.5, size=e.size))
+        operators.clear()
+        ad.tsum(ad.mul(solve_tape(x, e, (p, q), (n, n), SolverConfig()),
+                       rng.normal(size=n * n))).backward()
+        rows, cols = np.concatenate([p, q]), np.concatenate([q, p])
+        assert any(np.array_equal(r, cols) and np.array_equal(c, rows)
+                   for r, c in operators)
 
 
 def test_solve_tape_backward_rejects_zero_operator_solve():
     x = Tensor(np.zeros(4))
     empty = np.zeros(0, dtype=np.int64)
-    X = solve_tape(x, Tensor(np.zeros(0)), empty, empty, (2, 2), SolverConfig())
+    X = solve_tape(x, Tensor(np.zeros(0)), (empty, empty), (2, 2), SolverConfig())
     assert np.allclose(X.data, 0.5)
     with pytest.raises(RuntimeError):
         ad.tsum(X).backward()
@@ -436,7 +439,7 @@ def test_wps_ablation_returns_decoded_scores():
     store = init_params(TINY, seed=18)
     K, X_init = learned_affinity(aa, store, TINY)
     X, iterations = dpgm_assignment(K, X_init, SolverConfig(), "wps")
-    scores, _, _, _ = predictor_forward(aa, store, TINY)
+    scores, _ = predictor_forward(aa, store, TINY)
     assert np.allclose(X.ravel(), scores.data)
     assert iterations == 0
 

@@ -52,12 +52,9 @@ def test_permutation_init_is_near_fixed_point():
     unary = np.zeros(9)
     for i in range(n):
         unary[i * n + i] = 1.0
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                pairs.append((i * n + i, j * n + j, 1.0))
-    K = SparseAffinity.from_pairs(n, n, unary, pairs)
+    diag = np.arange(n) * (n + 1)               # flat indices of the matches (i, i)
+    p, q = np.triu_indices(n, 1)
+    K = SparseAffinity.symmetric(n, n, unary, diag[p], diag[q], np.ones(p.size))
     X0 = np.maximum(np.eye(n), 1e-12)
     X, trace = probabilistic_solve(K, X0)
     assert trace.stop_reason == "early_stop"
@@ -164,8 +161,8 @@ def test_spectral_dominant_axis():
 
 
 def test_spectral_symmetric_2x2():
-    K = SparseAffinity.from_pairs(1, 2, np.array([2.0, 2.0]),
-                                  [(0, 1, 1.0), (1, 0, 1.0)])
+    K = SparseAffinity.symmetric(1, 2, np.array([2.0, 2.0]), np.array([0]),
+                                 np.array([1]), np.array([1.0]))
     x, _ = spectral_match(K)
     assert np.allclose(x, [1 / np.sqrt(2)] * 2, atol=1e-9)
 
@@ -231,8 +228,8 @@ def test_rrwm_alpha_zero_matches_spectral_direction():
 def test_rrwm_uniform_operator_fixed_point():
     n = 3
     size = n * n
-    pairs = [(p, q, 1.0) for p in range(size) for q in range(size) if p != q]
-    K = SparseAffinity.from_pairs(n, n, np.ones(size), pairs)
+    p, q = np.triu_indices(size, 1)
+    K = SparseAffinity.symmetric(n, n, np.ones(size), p, q, np.ones(p.size))
     x, _ = rrwm(K)
     assert np.allclose(x, np.full(size, 1 / size), atol=1e-9)
 
