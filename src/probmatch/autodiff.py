@@ -3,7 +3,7 @@
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar result sweeps the tape in reverse topological order
 and accumulates gradients into every reachable leaf. Only the operations the
-predictor needs are provided (the solver is one node, ``predictor.solve_tape``);
+predictor needs are provided (the solver is one node, ``solvers.solve_tape``);
 anything else does not exist on the tape, so an unsupported construction
 fails at graph-building time.
 

@@ -83,6 +83,11 @@ class ExperimentConfig:
             raise ConfigError("lr must be positive")
         if not self.noise_levels or len(set(self.noise_levels)) < len(self.noise_levels):
             raise ConfigError("noise_levels must be non-empty and distinct")
+        for name, values in (("noise_levels", self.noise_levels),
+                             ("rotation_max", [self.rotation_max]),
+                             ("translation_max", [self.translation_max])):
+            if not all(0 <= v < np.inf for v in values):
+                raise ConfigError(f"{name} must be finite and nonnegative")
         if self.solver not in SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.affinity_source not in AFFINITY_SOURCES:

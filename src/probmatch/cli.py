@@ -214,7 +214,10 @@ def _cmd_compare(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_gradcheck(cfg: ExperimentConfig, args) -> int:
-    pcfg = PredictorConfig(d_V=args.d, d_E=args.d, T=args.T)
+    try:
+        pcfg = PredictorConfig(d_V=args.d, d_E=args.d, T=args.T)
+    except ValueError as exc:
+        raise ConfigError(f"--d/--T: {exc}")
     scfg = dataclasses.replace(cfg.solver_cfg, max_iters=3)
     pair = synthesize_pair(cfg.n if cfg.n <= 4 else 3, cfg.noise_levels[0],
                            seed=cfg.seed)

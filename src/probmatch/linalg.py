@@ -1,11 +1,12 @@
-"""Numeric substrate: sparse affinity operator, Sinkhorn, Hungarian, binary score.
+"""Numeric substrate: affinity operator, Sinkhorn and its adjoint, Hungarian, binary score.
 
 The affinity operator K is an N x N matrix (N = n1 * n2) with unary node
 similarities on its diagonal and pairwise edge agreements off-diagonal. Only
 entries gated by joint edge existence are stored. The match (i, a) is encoded
 at flat index p = i * n2 + a throughout the package. ``graphs.edge_pairs``
 lists the match pairs (p, q) of joint edges; ``SparseAffinity.symmetric``
-stores one weight per pair at (p, q) and at (q, p).
+stores one weight per pair at (p, q) and at (q, p). ``FLOOR`` is the one
+probability floor of Sinkhorn, its adjoint and the probabilistic solver.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import _sparsetools
+
+FLOOR = 1e-12   # least probability: Sinkhorn's clamp and the solver's ratio denominators
 
 
 @dataclass
@@ -126,18 +129,15 @@ def spmv(K: SparseAffinity, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (K.size,):
         raise ValueError(f"expected vector of length {K.size}, got {x.shape}")
-    if not K.rows.size:
-        return K.unary * x
     off = np.zeros(K.size)
     _sparsetools.csr_matvec(K.size, K.size, *_csr_view(K), x, off)
     return K.unary * x + off
 
 
-def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9,
-             floor: float = 1e-12) -> np.ndarray:
+def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarray:
     """Alternating row/column normalization toward the doubly stochastic set.
 
-    Entries are clamped below by ``floor`` before the first pass, so the output
+    Entries are clamped below by ``FLOOR`` before the first pass, so the output
     is strictly positive and the iteration is well defined for inputs with
     zeros. Stops when the largest row/column-sum deviation from 1 drops below
     ``tol``, or after ``max_iters`` passes. ``tol=0`` skips the deviation
@@ -148,7 +148,7 @@ def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9,
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError("sinkhorn expects a square matrix")
-    X = np.maximum(X, floor)
+    X = np.maximum(X, FLOOR)
     for _ in range(max_iters):
         X = X / X.sum(axis=1, keepdims=True)
         X = X / X.sum(axis=0, keepdims=True)
@@ -156,6 +156,21 @@ def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9,
                        np.abs(X.sum(axis=0) - 1.0).max()) < tol:
             break
     return X
+
+
+def sinkhorn_vjp(Y: np.ndarray, passes: int, G: np.ndarray) -> np.ndarray:
+    """Gradient at Y of <G, sinkhorn(Y, passes, tol=0.0)>; 0 where Y <= FLOOR."""
+    Z, steps = np.maximum(Y, FLOOR), []
+    for _ in range(passes):
+        r = Z.sum(axis=1, keepdims=True)
+        A = Z / r
+        c = A.sum(axis=0, keepdims=True)
+        Z = A / c
+        steps.append((r, A, c, Z))
+    for r, A, c, Z in reversed(steps):
+        G = (G - (G * Z).sum(axis=0, keepdims=True)) / c
+        G = (G - (G * A).sum(axis=1, keepdims=True)) / r
+    return G * (Y > FLOOR)
 
 
 def hungarian(profit: np.ndarray) -> np.ndarray:

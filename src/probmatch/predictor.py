@@ -7,9 +7,9 @@ affinity-bearing match pair. The decoded assignment seeds the probabilistic
 solver, whose output is supervised with a balanced cross-entropy loss against
 the ground-truth permutation. The learned operator is ``SparseAffinity.symmetric``
 over the AA-edges, weighted by the edge scores, with the assignment scores as
-its diagonal. Training runs the numpy solver as one tape node (``solve_tape``);
-inference runs the same predictor forward without a tape (``learned_affinity``)
-and the solver through ``dpgm_assignment``.
+its diagonal. Training runs the numpy solver as one tape node
+(``solvers.solve_tape``); inference runs the same predictor forward without a
+tape (``learned_affinity``) and the solver through ``dpgm_assignment``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .graphs import AA_EDGE_DIM, FEATURE_DIM, AAGraph, GraphPair, build_aa_graph
-from .linalg import SparseAffinity, perm_matrix, spmv
-from .solvers import PROB_FLOOR, SolverConfig, accuracy, discretize, probabilistic_solve
+from .linalg import SparseAffinity, perm_matrix
+from .solvers import SolverConfig, accuracy, discretize, probabilistic_solve, solve_tape
 
 ABLATIONS = ("full", "tia", "wps")
 
@@ -32,6 +32,13 @@ class PredictorConfig:
     d_V: int = 32   # assignment (node) latent width
     d_E: int = 32   # affinity (edge) latent width
     T: int = 5      # affinity/assignment update rounds
+
+    def __post_init__(self):
+        for name in ("d_V", "d_E"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.T < 0:
+            raise ValueError("T must be >= 0")
 
 
 @dataclass
@@ -187,67 +194,6 @@ def dpgm_assignment(K: SparseAffinity, X_init: np.ndarray, scfg: SolverConfig,
         X_init = np.full(X_init.shape, 1.0 / X_init.shape[1])
     X, trace = probabilistic_solve(K, X_init, scfg)
     return X, len(trace.assignments) - 1
-
-
-# ---------------------------------------------------------------------------
-# Differentiable solver: solvers.probabilistic_solve as one tape node
-
-def _sinkhorn_vjp(Y: np.ndarray, passes: int, G: np.ndarray) -> np.ndarray:
-    """Gradient at Y of <G, sinkhorn(Y, passes, tol=0.0)>."""
-    Z, steps = np.maximum(Y, PROB_FLOOR), []
-    for _ in range(passes):
-        r = Z.sum(axis=1, keepdims=True)
-        A = Z / r
-        c = A.sum(axis=0, keepdims=True)
-        Z = A / c
-        steps.append((r, A, c, Z))
-    for r, A, c, Z in reversed(steps):
-        G = (G - (G * Z).sum(axis=0, keepdims=True)) / c
-        G = (G - (G * A).sum(axis=1, keepdims=True)) / r
-    return G * (Y > PROB_FLOOR)
-
-
-def solve_tape(x: Tensor, e: Tensor, pairs, shape: tuple,
-               cfg: SolverConfig) -> Tensor:
-    """``solvers.probabilistic_solve`` on the tape; returns the flat final X.
-
-    ``x`` (flat) is both the initial assignment and K's unary diagonal, and
-    ``e[t]`` is K's entry at (p[t], q[t]) and at (q[t], p[t]) for
-    ``pairs = (p, q)``. The backward is the exact adjoint of the iterations
-    the solve ran, replayed from its trace.
-    """
-    p, q = pairs
-    K = SparseAffinity.symmetric(*shape, x.data, p, q, e.data)
-    X, trace = probabilistic_solve(K, x.data.reshape(shape), cfg)
-
-    def backward(g):
-        xs = [X_t.ravel() for X_t in trace.assignments]
-        if len(xs) == 1:
-            raise RuntimeError("a zero-operator solve has no iteration to differentiate")
-        scales = [np.ones(K.size)]
-        for x_t, x_next in zip(xs[:-2], xs[1:-1]):
-            scales.append(scales[-1] * (x_next / np.maximum(x_t, PROB_FLOOR)))
-        K_T = SparseAffinity.symmetric(*shape, K.unary, q, p, e.data)
-        g_s = np.zeros(K.size)
-        g_vals = np.zeros(K.vals.size)           # per directed entry of K
-        for t in reversed(range(len(xs) - 1)):
-            x_t, x_next, s = xs[t], xs[t + 1], scales[t]
-            den = np.maximum(x_t, PROB_FLOOR)   # s_{t+1} = s * (x_next / den)
-            g = g + g_s * s / den
-            g_prev = -g_s * s * x_next / (den * den) * (x_t > PROB_FLOOR)
-            Kx = spmv(K, x_t)                    # x_next = sinkhorn(s * Kx)
-            g_y = _sinkhorn_vjp((s * Kx).reshape(shape), cfg.sinkhorn_iters,
-                                g.reshape(shape)).ravel()
-            g_s = g_s * (x_next / den) + g_y * Kx
-            g_Kx = g_y * s
-            x.grad += g_Kx * x_t                 # x as K's unary diagonal
-            g_vals += g_Kx[K.rows] * x_t[K.cols]
-            g = g_prev + spmv(K_T, g_Kx)
-        x.grad += g * (x.data > PROB_FLOOR)      # x as the initial assignment
-        for half in np.split(g_vals, 2):         # the (p, q), then the (q, p) entries
-            e.grad += half
-
-    return Tensor(X.ravel(), (x, e), backward)
 
 
 def pipeline_forward(aa: AAGraph, store: ParamStore, pcfg: PredictorConfig,

@@ -5,7 +5,8 @@ probabilities through the affinity operator (x <- K x), project back toward
 the doubly stochastic set with Sinkhorn, and refine the affinities by the
 elementwise probability ratio between consecutive iterates, kept as a
 row-scale vector over a fixed K. Early stop fires when the squared change of
-the assignment vector drops below a threshold.
+the assignment vector drops below a threshold. ``solve_tape`` is the same
+solve as one autodiff tape node, with the exact adjoint as its backward.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SparseAffinity, binary_score, hungarian, perm_matrix, sinkhorn, spmv
-
-PROB_FLOOR = 1e-12   # clamp on the initial assignment and ratio denominators
+from .autodiff import Tensor
+from .linalg import (FLOOR, SparseAffinity, binary_score, hungarian, perm_matrix, sinkhorn,
+                     sinkhorn_vjp, spmv)
 
 
 @dataclass
@@ -29,7 +30,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.stop_eta <= 0:
+        if self.sinkhorn_iters < 1:
+            raise ValueError("sinkhorn_iters must be >= 1")
+        if not self.stop_eta > 0:
             raise ValueError("stop_eta must be positive")
 
 
@@ -65,13 +68,13 @@ def probabilistic_solve(K: SparseAffinity, X_init: np.ndarray,
     """Iterative probabilistic QAP solver.
 
     Returns the final soft assignment and the full per-iteration trace. The
-    input assignment is clamped below by ``PROB_FLOOR`` so Sinkhorn and the
+    input assignment is clamped below by ``FLOOR`` so Sinkhorn and the
     refinement ratios are well defined. Refining row p of K by ratio_p is
     (diag(r) K) x = r * (K x), so K stays fixed and ``scale``, the running
     product of the ratios, multiplies each propagation K x.
     """
     cfg = cfg or SolverConfig()
-    X = np.maximum(np.asarray(X_init, dtype=np.float64), PROB_FLOOR)
+    X = np.maximum(np.asarray(X_init, dtype=np.float64), FLOOR)
     trace = SolveTrace()
 
     if K.unary.max(initial=0.0) == 0.0 and (K.vals.size == 0 or K.vals.max() == 0.0):
@@ -94,11 +97,54 @@ def probabilistic_solve(K: SparseAffinity, X_init: np.ndarray,
             trace.stop_reason = "early_stop"
             X = X_new
             break
-        scale = scale * (X_new.ravel() / np.maximum(x, PROB_FLOOR))
+        scale = scale * (X_new.ravel() / np.maximum(x, FLOOR))
         X = X_new
     trace.last_delta_sq = delta_sq
     trace.record(X, spmv(K, X.ravel()))
     return X, trace
+
+
+def solve_tape(x: Tensor, e: Tensor, pairs, shape: tuple,
+               cfg: SolverConfig) -> Tensor:
+    """``probabilistic_solve`` as one autodiff tape node; returns the flat final X.
+
+    ``x`` (flat) is both the initial assignment and K's unary diagonal, and
+    ``e[t]`` is K's entry at (p[t], q[t]) and at (q[t], p[t]) for
+    ``pairs = (p, q)``. The backward is the exact adjoint of the iterations
+    the solve ran, replayed from its trace.
+    """
+    p, q = pairs
+    K = SparseAffinity.symmetric(*shape, x.data, p, q, e.data)
+    X, trace = probabilistic_solve(K, x.data.reshape(shape), cfg)
+
+    def backward(g):
+        xs = [X_t.ravel() for X_t in trace.assignments]
+        if len(xs) == 1:
+            raise RuntimeError("a zero-operator solve has no iteration to differentiate")
+        scales = [np.ones(K.size)]
+        for x_t, x_next in zip(xs[:-2], xs[1:-1]):
+            scales.append(scales[-1] * (x_next / np.maximum(x_t, FLOOR)))
+        K_T = SparseAffinity(*shape, K.unary, K.cols, K.rows, K.vals)   # K's triplets, swapped
+        g_s = np.zeros(K.size)
+        g_vals = np.zeros(K.vals.size)           # per directed entry of K
+        for t in reversed(range(len(xs) - 1)):
+            x_t, x_next, s = xs[t], xs[t + 1], scales[t]
+            den = np.maximum(x_t, FLOOR)        # s_{t+1} = s * (x_next / den)
+            g = g + g_s * s / den
+            g_prev = -g_s * s * x_next / (den * den) * (x_t > FLOOR)
+            Kx = spmv(K, x_t)                    # x_next = sinkhorn(s * Kx)
+            g_y = sinkhorn_vjp((s * Kx).reshape(shape), cfg.sinkhorn_iters,
+                               g.reshape(shape)).ravel()
+            g_s = g_s * (x_next / den) + g_y * Kx
+            g_Kx = g_y * s
+            x.grad += g_Kx * x_t                 # x as K's unary diagonal
+            g_vals += g_Kx[K.rows] * x_t[K.cols]
+            g = g_prev + spmv(K_T, g_Kx)
+        x.grad += g * (x.data > FLOOR)           # x as the initial assignment
+        for half in np.split(g_vals, 2):         # the (p, q), then the (q, p) entries
+            e.grad += half
+
+    return Tensor(X.ravel(), (x, e), backward)
 
 
 def spectral_match(K: SparseAffinity, iters: int = 100):

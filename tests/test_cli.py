@@ -218,6 +218,51 @@ def test_bad_training_config_exits_with_one_line_before_work(tmp_path, capsys, m
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command, values, message", [
+    (command, {"solver_cfg": {"sinkhorn_iters": 0}}, "solver_cfg: sinkhorn_iters must be >= 1")
+    for command in ("bench", "train", "solve", "gradcheck")
+] + [
+    ("bench", {"solver_cfg": {"stop_eta": float("nan")}}, "solver_cfg: stop_eta must be positive"),
+    ("bench", {"solver_cfg": {"stop_eta": 0.0}}, "solver_cfg: stop_eta must be positive"),
+    ("train", {"predictor_cfg": {"d_V": 0}}, "predictor_cfg: d_V must be >= 1"),
+    ("train", {"predictor_cfg": {"d_E": 0}}, "predictor_cfg: d_E must be >= 1"),
+    ("train", {"predictor_cfg": {"T": -1}}, "predictor_cfg: T must be >= 0"),
+    ("bench", {"noise_levels": [0.01, -0.5]}, "noise_levels must be finite and nonnegative"),
+    ("gen", {"noise_levels": [float("inf")]}, "noise_levels must be finite and nonnegative"),
+    ("bench", {"noise_levels": [float("nan")]}, "noise_levels must be finite and nonnegative"),
+    ("bench", {"rotation_max": -0.1}, "rotation_max must be finite and nonnegative"),
+    ("compare", {"rotation_max": float("nan")}, "rotation_max must be finite and nonnegative"),
+    ("bench", {"translation_max": -0.05}, "translation_max must be finite and nonnegative"),
+    ("train", {"translation_max": float("inf")}, "translation_max must be finite and nonnegative"),
+])
+def test_bad_config_value_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch,
+                                                         command, values, message):
+    calls = []
+    for name in ("run_experiment", "train_and_eval", "compare_solvers", "grad_check",
+                 "probabilistic_solve", "synthesize_pair"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), "--n", "4", "--out-dir", str(out_dir)])
+    assert str(exc.value) == f"probmatch: {message}"
+    assert not calls and not out_dir.exists()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag, value, message", [("--d", "0", "d_V must be >= 1"),
+                                                  ("--T", "-1", "T must be >= 0")])
+def test_bad_gradcheck_size_exits_with_one_line_before_work(capsys, monkeypatch,
+                                                            flag, value, message):
+    calls = []
+    monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", flag, value])
+    assert str(exc.value) == f"probmatch: --d/--T: {message}"
+    assert not calls and capsys.readouterr().out == ""
+
+
 def test_gen_writes_the_pairs_bench_evaluates(tmp_path, capsys, monkeypatch):
     argv = ["--n", "5", "--noise", "0.01", "0.04", "--instances", "3",
             "--seed", "7", "--out-dir", str(tmp_path)]

@@ -8,14 +8,16 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_sparse_affinity, reference_spmv
 from probmatch.affinity import assemble_affinity
-from probmatch.graphs import build_aa_graph, synthesize_pair
+from probmatch.graphs import FEATURE_DIM, AttributedGraph, build_aa_graph, synthesize_pair
 from probmatch.linalg import (
+    FLOOR,
     SparseAffinity,
     binary_score,
     hungarian,
     l21_norm,
     perm_matrix,
     sinkhorn,
+    sinkhorn_vjp,
     spmv,
 )
 from probmatch.predictor import PredictorConfig, init_params, learned_affinity
@@ -120,6 +122,23 @@ def test_spmv_is_bitwise_the_triplet_kernel_on_random_operators():
             assert np.array_equal(spmv(K, x), reference_spmv(K, x))
 
 
+def test_spmv_is_bitwise_the_triplet_kernel_without_off_diagonal_entries():
+    rng = np.random.default_rng(4)
+    for n1, n2 in ((1, 1), (2, 3), (5, 5)):
+        K = SparseAffinity(n1, n2, rng.uniform(0.0, 1.0, size=n1 * n2))   # unary only
+        for x in _bitwise_cases(K, rng):
+            assert np.array_equal(spmv(K, x), reference_spmv(K, x))
+    # the learned operator of an AA graph with no edges: graph 1 has none
+    pcfg = PredictorConfig(d_V=4, d_E=4, T=1)
+    g2 = synthesize_pair(4, 0.03, seed=4).g2
+    g1 = AttributedGraph(rng.uniform(size=(4, 2)), np.zeros((4, FEATURE_DIM)),
+                         np.zeros((4, 4), dtype=bool))
+    K, _ = learned_affinity(build_aa_graph(g1, g2), init_params(pcfg, seed=4), pcfg)
+    assert K.rows.size == 0
+    for x in _bitwise_cases(K, rng):
+        assert np.array_equal(spmv(K, x), reference_spmv(K, x))
+
+
 def test_spmv_sees_reassigned_triplets():
     rng = np.random.default_rng(1)
     pair = synthesize_pair(6, 0.02, seed=1)
@@ -220,6 +239,49 @@ def test_sinkhorn_row_col_sums(seed):
     assert np.all(out > 0)
     assert np.abs(out.sum(axis=0) - 1).max() < 1e-6
     assert np.abs(out.sum(axis=1) - 1).max() < 1e-6
+
+
+def _sinkhorn_loss(Y, passes, G):
+    return float((sinkhorn(Y, passes, tol=0.0) * G).sum())
+
+
+@pytest.mark.parametrize("passes", [1, 2, 20])
+def test_sinkhorn_vjp_matches_central_differences(passes):
+    rng = np.random.default_rng(passes)
+    step = 1e-6
+    for n in (2, 3, 5):
+        for _ in range(3):
+            Y = rng.uniform(0.05, 2.0, size=(n, n))
+            G, D = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+            g = float((sinkhorn_vjp(Y, passes, G) * D).sum())
+            fd = (_sinkhorn_loss(Y + step * D, passes, G)
+                  - _sinkhorn_loss(Y - step * D, passes, G)) / (2.0 * step)
+            assert abs(g - fd) <= 1e-6 * max(abs(g), abs(fd)), (n, g, fd)
+
+
+@pytest.mark.parametrize("passes", [1, 20])
+def test_sinkhorn_vjp_is_zero_below_the_floor(passes):
+    # entries the clamp raises to FLOOR do not move the output, so their
+    # gradient is exactly 0; the others still match central differences
+    rng = np.random.default_rng(7 + passes)
+    step = 1e-6
+    for n in (2, 4, 6):
+        Y = rng.uniform(0.05, 2.0, size=(n, n))
+        below = rng.uniform(size=(n, n)) < 0.3
+        below[0, 0] = True
+        Y[below] = rng.choice([0.0, FLOOR / 100, FLOOR / 2], size=below.sum())
+        G = rng.normal(size=(n, n))
+        grad = sinkhorn_vjp(Y, passes, G)
+        assert np.all(grad[below] == 0.0)
+        D = rng.normal(size=(n, n)) * ~below
+        fd = (_sinkhorn_loss(Y + step * D, passes, G)
+              - _sinkhorn_loss(Y - step * D, passes, G)) / (2.0 * step)
+        g = float((grad * D).sum())
+        # a near-permutation output can have a gradient near the rounding
+        # error of the difference quotient, about n * 2.2e-16 / step
+        assert abs(g - fd) <= 1e-6 * max(abs(g), abs(fd)) + n * 1e-9, (n, g, fd)
+        nudge = np.where(below, FLOOR / 4, 0.0)     # stays below the floor
+        assert _sinkhorn_loss(Y + nudge, passes, G) == _sinkhorn_loss(Y, passes, G)
 
 
 # ---------------------------------------------------------------------------

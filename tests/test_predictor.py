@@ -6,7 +6,7 @@ import pytest
 from conftest import random_pairs, reference_spmv
 
 import probmatch.autodiff as ad
-import probmatch.predictor as predictor_module
+import probmatch.solvers as solvers_module
 from probmatch.autodiff import ParamStore, Tensor
 from probmatch.graphs import AA_EDGE_DIM, FEATURE_DIM, build_aa_graph, synthesize_pair
 from probmatch.linalg import SparseAffinity, perm_matrix
@@ -310,7 +310,7 @@ def test_solve_tape_gradient_matches_finite_differences(stop_eta):
 def test_solve_tape_backward_products_are_bitwise_the_triplet_kernel(monkeypatch):
     # the backward multiplies by K and by its transpose, whose triplets are
     # K's with rows and cols swapped, through a view of its own
-    spmv = predictor_module.spmv
+    spmv = solvers_module.spmv
     operators = []
 
     def checked(K, x):
@@ -319,7 +319,7 @@ def test_solve_tape_backward_products_are_bitwise_the_triplet_kernel(monkeypatch
         operators.append((K.rows, K.cols))
         return y
 
-    monkeypatch.setattr(predictor_module, "spmv", checked)
+    monkeypatch.setattr(solvers_module, "spmv", checked)
     rng = np.random.default_rng(5)
     for n in (3, 6, 10):
         _, p, q, e = random_pairs(rng, n, n)
