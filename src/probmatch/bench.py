@@ -1,5 +1,9 @@
 """Experiment runner: dataset generation, solver selection, metric emission.
 
+Every rule of an experiment lives here: ``ExperimentConfig`` is checked when
+built, ``load_store`` reads the checkpoint before any work, and every command
+takes its test instances from ``test_split`` and its pairs from ``make_pair``.
+
 Reports are written as comma-separated per-instance rows plus a JSON summary,
 with fixed float formatting so identical configurations produce byte-identical
 output. Train and test splits use disjoint seed ranges, so regenerating a
@@ -12,6 +16,7 @@ import csv
 import io
 import json
 import time
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -74,9 +79,11 @@ class ExperimentConfig:
     out_dir: str = "runs"
     workers: int = 1
 
-    def validate(self, need_checkpoint: bool = True):
+    def __post_init__(self):
+        self.noise_levels = tuple(self.noise_levels)
         for name, least in (("n", 3), ("instances", 1), ("workers", 1), ("batch_size", 1),
-                            ("train_instances", 1), ("test_instances", 1), ("epochs", 1)):
+                            ("train_instances", 1), ("test_instances", 1), ("epochs", 1),
+                            ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}")
         if not self.lr > 0:
@@ -96,9 +103,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
         if self.ablation != "full" and (self.affinity_source, self.solver) != ("learned", "dpgm"):
             raise ConfigError("ablations require the learned affinity source and the dpgm solver")
-        if (need_checkpoint and self.affinity_source == "learned"
-                and not self.checkpoint):
-            raise ConfigError("learned affinity source requires a checkpoint path")
 
 
 @dataclass
@@ -153,18 +157,36 @@ def instance_seed(seed: int, k: int, level: int = 0) -> int:
     return seed + _TEST_SEED_BASE + k + 1_000_000 * level
 
 
+def test_split(cfg: ExperimentConfig) -> list:
+    """``(index, noise, seed)`` of every test instance, in row order."""
+    return [(li * cfg.instances + k, noise, instance_seed(cfg.seed, k, li))
+            for li, noise in enumerate(cfg.noise_levels) for k in range(cfg.instances)]
+
+
 def dataset_seeds(cfg: ExperimentConfig, split: str = "test") -> list:
     if split == "test":
-        return [instance_seed(cfg.seed, k) for k in range(cfg.instances)]
+        return [seed for _, _, seed in test_split(cfg)[:cfg.instances]]
     return [cfg.seed + _TRAIN_SEED_BASE + k for k in range(cfg.train_instances)]
 
 
+def make_pair(cfg: ExperimentConfig, noise: float, seed: int):
+    """The pair of size ``cfg.n`` with the config's rotation and translation."""
+    return synthesize_pair(cfg.n, noise, rotation_max=cfg.rotation_max, seed=seed,
+                           translation_max=cfg.translation_max)
+
+
 def load_store(cfg: ExperimentConfig):
-    """The checkpointed predictor for the learned source; None otherwise."""
+    """The checkpointed predictor for the learned source; None otherwise.
+    A missing or unreadable checkpoint raises ``ConfigError``."""
     if cfg.affinity_source != "learned":
         return None
+    if not cfg.checkpoint:
+        raise ConfigError("learned affinity source requires a checkpoint path")
     store = init_params(cfg.predictor_cfg, seed=cfg.seed)
-    store.load(cfg.checkpoint)
+    try:
+        store.load(cfg.checkpoint)
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{cfg.checkpoint}: {exc}") from exc
     return store
 
 
@@ -180,8 +202,7 @@ def _run_instance(cfg: ExperimentConfig, noise: float, index: int, inst_seed: in
                   store, solvers: tuple) -> list:
     """One row per solver in ``solvers`` on the same pair, K and X_init; a row's
     ``wall_ms`` covers building K plus that solver's solve and discretisation."""
-    pair = synthesize_pair(cfg.n, noise, rotation_max=cfg.rotation_max,
-                           seed=inst_seed, translation_max=cfg.translation_max)
+    pair = make_pair(cfg, noise, inst_seed)
     t0 = time.perf_counter()
     K, X_init = instance_operator(cfg, pair, store)
     build_s = time.perf_counter() - t0
@@ -231,13 +252,11 @@ def _stats(rows: list) -> dict:
 
 
 def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
-    """Validate, then generate and build each test instance once and solve it
-    with every solver in ``solvers``. Returns each solver's rows, ordered by
-    instance index regardless of worker completion order."""
-    cfg.validate()
+    """Load the checkpoint, then generate and build each test instance once and
+    solve it with every solver in ``solvers``. Returns each solver's rows,
+    ordered by instance index regardless of worker completion order."""
     store = load_store(cfg)
-    tasks = [(cfg, noise, li * cfg.instances + k, instance_seed(cfg.seed, k, li), store, solvers)
-             for li, noise in enumerate(cfg.noise_levels) for k in range(cfg.instances)]
+    tasks = [(cfg, noise, index, seed, store, solvers) for index, noise, seed in test_split(cfg)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             per_instance = list(pool.map(_run_instance, *zip(*tasks)))
@@ -283,14 +302,9 @@ def train_and_eval(cfg: ExperimentConfig):
     Returns (report, checkpoint_path, metrics). The checkpoint and learning
     curve are written under ``cfg.out_dir``.
     """
-    cfg.validate(need_checkpoint=False)
     eval_cfg = replace(cfg, affinity_source="learned", solver="dpgm",
                        instances=cfg.test_instances)
-    eval_cfg.validate(need_checkpoint=False)
-    noise = cfg.noise_levels[0]
-    train_pairs = [synthesize_pair(cfg.n, noise, rotation_max=cfg.rotation_max,
-                                   seed=s, translation_max=cfg.translation_max)
-                   for s in dataset_seeds(cfg, "train")]
+    train_pairs = [make_pair(cfg, cfg.noise_levels[0], s) for s in dataset_seeds(cfg, "train")]
     store, metrics = train(train_pairs, cfg.predictor_cfg, cfg.solver_cfg,
                            cfg.loss_cfg, epochs=cfg.epochs, lr=cfg.lr,
                            batch_size=cfg.batch_size, seed=cfg.seed,

@@ -4,6 +4,10 @@ Subcommands: gen, solve, bench, train, compare, gradcheck. Every subcommand
 accepts --config pointing at a JSON file of option values; explicit flags
 override values from the file. All runs are deterministic given the seed, so
 repeating a command reproduces its output byte for byte.
+
+This module only parses arguments, loads the config and prints; the rules of
+an experiment live in ``probmatch.bench``. A bad value exits with one
+``probmatch:`` line before any work.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-from .affinity import AffinityConfig
 from .bench import (
     AFFINITY_SOURCES,
     SOLVERS,
@@ -22,22 +25,20 @@ from .bench import (
     ExperimentConfig,
     compare_solvers,
     instance_operator,
-    instance_seed,
     load_store,
+    make_pair,
     run_experiment,
+    test_split,
     train_and_eval,
 )
-from .graphs import build_aa_graph, save_pair, synthesize_pair
+from .graphs import build_aa_graph, save_pair
 from .linalg import perm_matrix
-from .predictor import ABLATIONS, LossConfig, PredictorConfig, grad_check, init_params
-from .solvers import SolverConfig, probabilistic_solve
+from .predictor import ABLATIONS, PredictorConfig, grad_check, init_params
+from .solvers import probabilistic_solve
 
-_SUB_FIELDS = {
-    "solver_cfg": SolverConfig,
-    "affinity_cfg": AffinityConfig,
-    "predictor_cfg": PredictorConfig,
-    "loss_cfg": LossConfig,
-}
+# the nested configs: each field of ExperimentConfig built by a default factory
+_SUB_FIELDS = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)
+               if f.default_factory is not dataclasses.MISSING}
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
@@ -148,36 +149,25 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             sub[name] = cls(**values.pop(name, {}))
         except (TypeError, ValueError) as exc:
             raise SystemExit(f"probmatch: {name}: {exc}")
-    cfg = ExperimentConfig(**values, **sub)
-    if "noise_levels" in values:
-        cfg.noise_levels = tuple(cfg.noise_levels)
-    return cfg
+    return ExperimentConfig(**values, **sub)
 
 
 def _cmd_gen(cfg: ExperimentConfig, args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    index = 0
-    for li, noise in enumerate(cfg.noise_levels):
-        for k in range(cfg.instances):
-            pair = synthesize_pair(cfg.n, noise, rotation_max=cfg.rotation_max,
-                                   seed=instance_seed(cfg.seed, k, li),
-                                   translation_max=cfg.translation_max)
-            save_pair(pair, out / f"pair_{index:04d}.json")
-            index += 1
-    print(f"wrote {index} pairs to {out}")
+    split = test_split(cfg)
+    for index, noise, seed in split:
+        save_pair(make_pair(cfg, noise, seed), out / f"pair_{index:04d}.json")
+    print(f"wrote {len(split)} pairs to {out}")
     return 0
 
 
 def _cmd_solve(cfg: ExperimentConfig, args) -> int:
-    cfg.validate()
     if (cfg.solver, cfg.ablation) != ("dpgm", "full"):
         raise ConfigError("solve traces the dpgm solver with the full ablation only")
-    pair = synthesize_pair(cfg.n, cfg.noise_levels[0],
-                           rotation_max=cfg.rotation_max,
-                           seed=instance_seed(cfg.seed, 0),
-                           translation_max=cfg.translation_max)
-    K, X0 = instance_operator(cfg, pair, load_store(cfg))
+    store = load_store(cfg)
+    _, noise, seed = test_split(cfg)[0]
+    K, X0 = instance_operator(cfg, make_pair(cfg, noise, seed), store)
     _, trace = probabilistic_solve(K, X0, cfg.solver_cfg)
     text = trace.to_json()
     if args.trace_out:
@@ -219,8 +209,8 @@ def _cmd_gradcheck(cfg: ExperimentConfig, args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--d/--T: {exc}")
     scfg = dataclasses.replace(cfg.solver_cfg, max_iters=3)
-    pair = synthesize_pair(cfg.n if cfg.n <= 4 else 3, cfg.noise_levels[0],
-                           seed=cfg.seed)
+    pair = make_pair(dataclasses.replace(cfg, n=cfg.n if cfg.n <= 4 else 3),
+                     cfg.noise_levels[0], cfg.seed)
     aa = build_aa_graph(pair.g1, pair.g2)
     gt_vec = perm_matrix(pair.ground_truth).ravel()
     store = init_params(pcfg, seed=cfg.seed)
@@ -241,10 +231,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _load_config(args)
     try:
-        cfg.validate(need_checkpoint=False)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](_load_config(args), args)
     except ConfigError as exc:
         raise SystemExit(f"probmatch: {exc}")
 

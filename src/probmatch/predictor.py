@@ -131,10 +131,7 @@ def assignment_update(V: Tensor, E: Tensor, src, dst, store: ParamStore) -> Tens
 def decode(V: Tensor, E: Tensor, store: ParamStore):
     """Sigmoid score per candidate match and per AA-edge; both in (0, 1)."""
     x = ad.sigmoid(ad.reshape(mlp_forward(store, "phi_n", V), (-1,)))
-    if E.data.shape[0] > 0:
-        e = ad.sigmoid(ad.reshape(mlp_forward(store, "phi_e", E), (-1,)))
-    else:
-        e = Tensor(np.zeros(0))
+    e = ad.sigmoid(ad.reshape(mlp_forward(store, "phi_e", E), (-1,)))
     return x, e
 
 

@@ -38,16 +38,16 @@ def _untrained_checkpoint(tmp_path, seed=0):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        _tiny_cfg(solver="gradient_descent").validate()
+        _tiny_cfg(solver="gradient_descent")
     with pytest.raises(ConfigError):
-        _tiny_cfg(affinity_source="psd").validate()
+        _tiny_cfg(affinity_source="psd")
     with pytest.raises(ConfigError):
-        _tiny_cfg(ablation="none").validate()
+        _tiny_cfg(ablation="none")
     with pytest.raises(ConfigError):
-        _tiny_cfg(ablation="wps").validate()   # ablations need learned source
+        _tiny_cfg(ablation="wps")   # ablations need learned source
     with pytest.raises(ConfigError, match="dpgm"):
         _tiny_cfg(affinity_source="learned", solver="spectral",
-                  ablation="tia").validate(need_checkpoint=False)
+                  ablation="tia")
 
 
 @pytest.mark.parametrize("overrides", [
@@ -60,7 +60,58 @@ def test_config_validation():
 ])
 def test_bad_sizes_rejected(overrides):
     with pytest.raises(ConfigError):
-        _tiny_cfg(**overrides).validate(need_checkpoint=False)
+        _tiny_cfg(**overrides)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(n=2), "n must be at least 3"),
+    (dict(instances=0), "instances must be at least 1"),
+    (dict(workers=0), "workers must be at least 1"),
+    (dict(batch_size=0), "batch_size must be at least 1"),
+    (dict(train_instances=0), "train_instances must be at least 1"),
+    (dict(test_instances=0), "test_instances must be at least 1"),
+    (dict(epochs=0), "epochs must be at least 1"),
+    (dict(seed=-1), "seed must be at least 0"),
+    (dict(lr=0.0), "lr must be positive"),
+    (dict(lr=float("nan")), "lr must be positive"),
+    (dict(noise_levels=()), "noise_levels must be non-empty and distinct"),
+    (dict(noise_levels=(0.01, 0.01)), "noise_levels must be non-empty and distinct"),
+    (dict(noise_levels=(0.01, -0.5)), "noise_levels must be finite and nonnegative"),
+    (dict(rotation_max=float("nan")), "rotation_max must be finite and nonnegative"),
+    (dict(translation_max=float("inf")), "translation_max must be finite and nonnegative"),
+    (dict(solver="gradient_descent"), "unknown solver"),
+    (dict(affinity_source="psd"), "unknown affinity source"),
+    (dict(ablation="none"), "unknown ablation"),
+    (dict(ablation="wps"), "ablations require the learned affinity source"),
+    (dict(affinity_source="learned", solver="spectral", ablation="tia"),
+     "ablations require the learned affinity source"),
+])
+def test_config_rules_run_at_construction_and_on_replace(overrides, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        _tiny_cfg(**overrides)
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        dataclasses.replace(_tiny_cfg(), **overrides)
+
+
+def test_config_stores_noise_levels_as_a_tuple():
+    assert _tiny_cfg(noise_levels=[0.01, 0.02]).noise_levels == (0.01, 0.02)
+    assert dataclasses.replace(_tiny_cfg(), noise_levels=[0.0]).noise_levels == (0.0,)
+
+
+def test_learned_config_without_checkpoint_constructs():
+    cfg = _tiny_cfg(affinity_source="learned", ablation="tia")
+    assert cfg.checkpoint is None
+
+
+def test_test_split_is_the_row_order(tmp_path):
+    cfg = _tiny_cfg(noise_levels=(0.02, 0.0), instances=3)
+    split = bench.test_split(cfg)
+    rows = run_experiment(cfg).rows
+    assert [i for i, _, _ in split] == [r["index"] for r in rows] == list(range(6))
+    assert [noise for _, noise, _ in split] == [r["noise"] for r in rows]
+    assert [seed for _, _, seed in split] == [bench.instance_seed(0, k, li)
+                                               for li in range(2) for k in range(3)]
+    assert dataset_seeds(cfg) == [seed for _, _, seed in split[:3]]
 
 
 def test_learned_source_without_checkpoint_fails_before_work():

@@ -1,5 +1,6 @@
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def test_solve_rejects_what_it_cannot_trace(tmp_path, capsys, monkeypatch, value
     def no_work(*args, **kwargs):
         raise AssertionError("solve started work")
 
-    monkeypatch.setattr(cli, "synthesize_pair", no_work)
+    monkeypatch.setattr(bench, "synthesize_pair", no_work)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(values))
     with pytest.raises(SystemExit, match=rf"^probmatch: .*{message}") as exc:
@@ -239,8 +240,9 @@ def test_bad_config_value_exits_with_one_line_before_work(tmp_path, capsys, monk
                                                          command, values, message):
     calls = []
     for name in ("run_experiment", "train_and_eval", "compare_solvers", "grad_check",
-                 "probabilistic_solve", "synthesize_pair"):
+                 "probabilistic_solve"):
         monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(bench, "synthesize_pair", lambda *args, **kwargs: calls.append(args))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(values))
     out_dir = tmp_path / "out"
@@ -299,3 +301,103 @@ def test_train_subcommand_tiny(tmp_path, capsys):
     assert (tmp_path / "predictor.ckpt").exists()
     assert (tmp_path / "eval_rows.csv").exists()
     assert out.startswith("index,noise,accuracy")
+
+
+def _no_pairs(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a pair was generated")
+
+    monkeypatch.setattr(bench, "synthesize_pair", no_work)
+
+
+def _write(tmp_path, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    return path
+
+
+@pytest.mark.parametrize("command", ["bench", "compare"])
+def test_learned_source_without_checkpoint_exits_before_work(tmp_path, capsys, monkeypatch,
+                                                             command):
+    _no_pairs(monkeypatch)
+    cfg_path = _write(tmp_path, {"affinity_source": "learned"})
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), "--n", "5", "--out-dir", str(out_dir)])
+    assert str(exc.value) == "probmatch: learned affinity source requires a checkpoint path"
+    assert not out_dir.exists() and capsys.readouterr().out == ""
+
+
+def _bad_checkpoint(tmp_path, kind):
+    path = tmp_path / "bad.ckpt"
+    if kind == "not a zip":
+        path.write_text("not a checkpoint\n")
+    elif kind == "other predictor_cfg":
+        init_params(PredictorConfig(d_V=4, d_E=4, T=1), seed=0).save(path)
+    elif kind == "zip without manifest":
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("notes.txt", "")
+    return path
+
+
+@pytest.mark.parametrize("command, kind, reason", [
+    ("bench", "missing", "No such file or directory"),
+    ("compare", "not a zip", "File is not a zip file"),
+    ("bench", "other predictor_cfg", "shape mismatch for parameter 'M1'"),
+    ("solve", "missing", "No such file or directory"),
+    ("compare", "zip without manifest", "manifest.json"),
+])
+def test_unreadable_checkpoint_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch,
+                                                               command, kind, reason):
+    _no_pairs(monkeypatch)
+    ckpt = _bad_checkpoint(tmp_path, kind)
+    cfg_path = _write(tmp_path, {"affinity_source": "learned", "checkpoint": str(ckpt)})
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), "--n", "5", "--out-dir", str(out_dir)])
+    message = str(exc.value)
+    assert message.startswith(f"probmatch: {ckpt}: ") and reason in message
+    assert "\n" not in message
+    assert not out_dir.exists() and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--seed", "-30000"],
+    ["gradcheck", "--seed", "-1"],
+    ["train", "--seed", "-1"],
+    ["bench", "--seed", "-1"],
+    ["bench", "--seed", "-1", "--affinity-source", "learned", "--checkpoint", "x.ckpt"],
+    ["compare", "--seed", "-20000"],
+    ["solve", "--seed", "-1"],
+])
+def test_negative_seed_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch, argv):
+    _no_pairs(monkeypatch)
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n", "4", "--out-dir", str(out_dir)])
+    assert str(exc.value) == "probmatch: seed must be at least 0"
+    assert not out_dir.exists() and capsys.readouterr().out == ""
+
+
+def test_gradcheck_builds_its_pair_from_the_config(tmp_path, capsys, monkeypatch):
+    made = []
+
+    def recording_synthesize_pair(*args, **kwargs):
+        made.append((args, kwargs))
+        return synthesize_pair(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "synthesize_pair", recording_synthesize_pair)
+    monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: 0.0)
+    cfg_path = _write(tmp_path, {"translation_max": 0.2})
+    for argv in (["--n", "8"], ["--n", "4", "--rotation-max", "1.0", "--config", str(cfg_path)]):
+        assert main(["gradcheck", "--noise", "0.02", "--seed", "5"] + argv) == 0
+    assert made == [((3, 0.02), dict(rotation_max=0.0, seed=5, translation_max=0.05)),
+                    ((4, 0.02), dict(rotation_max=1.0, seed=5, translation_max=0.2))]
+
+
+def test_gen_files_follow_the_test_split(tmp_path, capsys):
+    assert main(["gen", "--n", "5", "--noise", "0.01", "0.04", "--instances", "2",
+                 "--out-dir", str(tmp_path)]) == 0
+    cfg = bench.ExperimentConfig(n=5, noise_levels=(0.01, 0.04), instances=2)
+    assert sorted(f.name for f in tmp_path.glob("pair_*.json")) == [
+        f"pair_{index:04d}.json" for index, _, _ in bench.test_split(cfg)]
