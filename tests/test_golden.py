@@ -1,5 +1,7 @@
 """Golden digests of ``report_rows.csv`` for handcrafted and learned ``bench``
-runs and of a short training run.
+runs, of a short training run, and of what the other commands print or
+write: ``compare`` tables, ``solve`` trace JSON, ``gen`` files and the
+``gradcheck`` line.
 
 The rows are meant to stay byte-identical across changes that only make the
 program faster: a kernel that sums in another order changes the last bits of
@@ -11,12 +13,14 @@ product, the vectorised geometric features and the per-edge kernel grid
 replaced their slower forms, the training one before the incidence-matrix
 scatter replaced ``np.add.at`` on the tape, the learned one before the
 operator layout moved into ``graphs.edge_pairs`` and
-``SparseAffinity.symmetric``. Another numpy or scipy may round
+``SparseAffinity.symmetric``, the command outputs before the solve record
+kept its products and scales. Another numpy or scipy may round
 differently; re-take the digests there from the commit before a change,
 never from the change itself.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,14 @@ from probmatch.cli import main
 from probmatch.graphs import synthesize_pair
 from probmatch.predictor import LossConfig, PredictorConfig, train
 from probmatch.solvers import SolverConfig
+
+_CHECKPOINT = str(Path(__file__).resolve().parents[1] / "perfbench" / "predictor.ckpt")
+_LEARNED = ["--affinity-source", "learned", "--checkpoint", _CHECKPOINT]
+
+
+def _stdout_digest(capsys, argv, code=0):
+    assert main(argv) == code
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -42,9 +54,7 @@ def test_handcrafted_report_rows_match_golden_digest(tmp_path, capsys, argv, dig
 
 
 def test_learned_report_rows_match_golden_digest(tmp_path, capsys):
-    checkpoint = Path(__file__).resolve().parents[1] / "perfbench" / "predictor.ckpt"
-    assert main(["bench", "--n", "8", "--noise", "0.03", "--instances", "100",
-                 "--affinity-source", "learned", "--checkpoint", str(checkpoint),
+    assert main(["bench", "--n", "8", "--noise", "0.03", "--instances", "100", *_LEARNED,
                  "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     rows = (tmp_path / "report_rows.csv").read_bytes()
@@ -59,3 +69,44 @@ def test_training_losses_and_parameters_match_golden_digest():
     losses = np.array([m["mean_loss"] for m in metrics])
     digest = hashlib.sha256(losses.tobytes() + store.get_vector().tobytes()).hexdigest()
     assert digest == "77f1609b26ff88f6f7b82b47265d2fe5aa98a202247af7555f1caadcfb0b449c"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--n", "8", "--noise", "0.0", "0.03", "--instances", "50"],
+     "3e0470e06a0ee2171cddd25019e1b5449c6b80a2feb65eb7981a7fbdf6228c44"),
+    (["--n", "8", "--noise", "0.03", "--instances", "100", *_LEARNED],
+     "2ddad950eec9717da529e8fb6c3c30c1158df12c5324bd981fc2083b80b47ba1"),
+], ids=["handcrafted", "learned"])
+def test_compare_table_matches_golden_digest(capsys, argv, digest):
+    assert _stdout_digest(capsys, ["compare", *argv]) == digest
+
+
+@pytest.mark.parametrize("source, digest", [
+    ("handcrafted", "55b1cbda5c74afe1dbb501bb7f9fb1c933326e1ae1ff29f3ace2c670a7a85537"),
+    ("learned", "0a5474fdecd24d0957ceb9d39572bae5430ce0b6526c2732e1886bcae30971b4"),
+])
+def test_solve_trace_matches_golden_digest(tmp_path, capsys, source, digest):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"affinity_source": source, "checkpoint": _CHECKPOINT}))
+    argv = ["solve", "--n", "8", "--noise", "0.03", "--seed", "0", "--config", str(config)]
+    assert _stdout_digest(capsys, argv) == digest
+
+
+def test_gen_files_match_golden_digest(tmp_path, capsys):
+    assert main(["gen", "--n", "6", "--noise", "0.01", "0.04", "--instances", "3",
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    files = sorted(tmp_path.glob("pair_*.json"))
+    assert len(files) == 6
+    digest = hashlib.sha256(b"".join(f.name.encode() + f.read_bytes() for f in files))
+    assert digest.hexdigest() == "6820be4721089774aea81a366441361aaa46a6dae0a3ded92edcc6bf188ccb49"
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (["--n", "3", "--noise", "0.02", "--d", "4", "--T", "2"], 0,
+     "c477b37715aff5f68c41d3a9e6b2eccc4b904d76d2135e8b79f3550f8ce7808c"),
+    ([], 1,
+     "853a5472e0e2c2ca5dfa332ed9e94c2cee857a2c6bc7e22e972b236129f4afec"),
+], ids=["readme-example", "old-defaults"])
+def test_gradcheck_line_at_step_1e5_matches_golden_digest(capsys, argv, code, digest):
+    assert _stdout_digest(capsys, ["gradcheck", *argv, "--step", "1e-5"], code) == digest
