@@ -23,8 +23,10 @@ class AffinityConfig:
     unary_weight: float = 0.5
 
     def __post_init__(self):
-        if self.sigma_len <= 0 or self.sigma_ang <= 0:
+        if not (self.sigma_len > 0 and self.sigma_ang > 0):
             raise ValueError("kernel bandwidths must be positive")
+        if not np.isfinite(self.unary_weight):
+            raise ValueError("unary_weight must be finite")
 
 
 def _edge_geometry(points: np.ndarray, edges: np.ndarray):

@@ -88,6 +88,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be at least {least}")
         if not self.lr > 0:
             raise ConfigError("lr must be positive")
+        if not self.lr < np.inf:
+            raise ConfigError("lr must be finite")
         if not self.noise_levels or len(set(self.noise_levels)) < len(self.noise_levels):
             raise ConfigError("noise_levels must be non-empty and distinct")
         for name, values in (("noise_levels", self.noise_levels),
@@ -163,9 +165,8 @@ def test_split(cfg: ExperimentConfig) -> list:
             for li, noise in enumerate(cfg.noise_levels) for k in range(cfg.instances)]
 
 
-def dataset_seeds(cfg: ExperimentConfig, split: str = "test") -> list:
-    if split == "test":
-        return [seed for _, _, seed in test_split(cfg)[:cfg.instances]]
+def train_seeds(cfg: ExperimentConfig) -> list:
+    """Seeds of the ``train_instances`` training pairs."""
     return [cfg.seed + _TRAIN_SEED_BASE + k for k in range(cfg.train_instances)]
 
 
@@ -304,7 +305,7 @@ def train_and_eval(cfg: ExperimentConfig):
     """
     eval_cfg = replace(cfg, affinity_source="learned", solver="dpgm",
                        instances=cfg.test_instances)
-    train_pairs = [make_pair(cfg, cfg.noise_levels[0], s) for s in dataset_seeds(cfg, "train")]
+    train_pairs = [make_pair(cfg, cfg.noise_levels[0], s) for s in train_seeds(cfg)]
     store, metrics = train(train_pairs, cfg.predictor_cfg, cfg.solver_cfg,
                            cfg.loss_cfg, epochs=cfg.epochs, lr=cfg.lr,
                            batch_size=cfg.batch_size, seed=cfg.seed,

@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="verify solver gradients against "
                                          "finite differences")
     _add_common(p)
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--step", type=float, default=1e-4)
     p.add_argument("--d", type=int, default=4, help="latent width")
     p.add_argument("--T", type=int, default=2, help="predictor iterations")
 

@@ -6,7 +6,9 @@ entries gated by joint edge existence are stored. The match (i, a) is encoded
 at flat index p = i * n2 + a throughout the package. ``graphs.edge_pairs``
 lists the match pairs (p, q) of joint edges; ``SparseAffinity.symmetric``
 stores one weight per pair at (p, q) and at (q, p). ``FLOOR`` is the one
-probability floor of Sinkhorn, its adjoint and the probabilistic solver.
+probability floor of Sinkhorn, its adjoint and the probabilistic solver, and
+``_sinkhorn_passes`` the one Sinkhorn pass: ``sinkhorn`` iterates it, and
+``sinkhorn_vjp`` recomputes and reverses its passes rather than keep them.
 """
 
 from __future__ import annotations
@@ -134,6 +136,17 @@ def spmv(K: SparseAffinity, x: np.ndarray) -> np.ndarray:
     return K.unary * x + off
 
 
+def _sinkhorn_passes(X: np.ndarray, passes: int):
+    """Yield each pass's ``(r, A, c, Z)`` from ``max(X, FLOOR)``: A = Z / r, Z = A / c."""
+    Z = np.maximum(X, FLOOR)
+    for _ in range(passes):
+        r = Z.sum(axis=1, keepdims=True)
+        A = Z / r
+        c = A.sum(axis=0, keepdims=True)
+        Z = A / c
+        yield r, A, c, Z
+
+
 def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarray:
     """Alternating row/column normalization toward the doubly stochastic set.
 
@@ -149,9 +162,7 @@ def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarra
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError("sinkhorn expects a square matrix")
     X = np.maximum(X, FLOOR)
-    for _ in range(max_iters):
-        X = X / X.sum(axis=1, keepdims=True)
-        X = X / X.sum(axis=0, keepdims=True)
+    for *_, X in _sinkhorn_passes(X, max_iters):
         if tol and max(np.abs(X.sum(axis=1) - 1.0).max(),
                        np.abs(X.sum(axis=0) - 1.0).max()) < tol:
             break
@@ -160,14 +171,7 @@ def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarra
 
 def sinkhorn_vjp(Y: np.ndarray, passes: int, G: np.ndarray) -> np.ndarray:
     """Gradient at Y of <G, sinkhorn(Y, passes, tol=0.0)>; 0 where Y <= FLOOR."""
-    Z, steps = np.maximum(Y, FLOOR), []
-    for _ in range(passes):
-        r = Z.sum(axis=1, keepdims=True)
-        A = Z / r
-        c = A.sum(axis=0, keepdims=True)
-        Z = A / c
-        steps.append((r, A, c, Z))
-    for r, A, c, Z in reversed(steps):
+    for r, A, c, Z in reversed(list(_sinkhorn_passes(Y, passes))):
         G = (G - (G * Z).sum(axis=0, keepdims=True)) / c
         G = (G - (G * A).sum(axis=1, keepdims=True)) / r
     return G * (Y > FLOOR)

@@ -45,6 +45,10 @@ class PredictorConfig:
 class LossConfig:
     w: float = 5.0   # positive-label weight
 
+    def __post_init__(self):
+        if not np.isfinite(self.w):
+            raise ValueError("w must be finite")
+
 
 # ---------------------------------------------------------------------------
 # Parameters and MLPs
@@ -190,7 +194,7 @@ def dpgm_assignment(K: SparseAffinity, X_init: np.ndarray, scfg: SolverConfig,
     if ablation == "tia":
         X_init = np.full(X_init.shape, 1.0 / X_init.shape[1])
     X, trace = probabilistic_solve(K, X_init, scfg)
-    return X, len(trace.assignments) - 1
+    return X, trace.iterations
 
 
 def pipeline_forward(aa: AAGraph, store: ParamStore, pcfg: PredictorConfig,

@@ -6,7 +6,7 @@ the doubly stochastic set with Sinkhorn, and refine the affinities by the
 elementwise probability ratio between consecutive iterates, kept as a
 row-scale vector over a fixed K. Early stop fires when the squared change of
 the assignment vector drops below a threshold. ``solve_tape`` is the same
-solve as one autodiff tape node, with the exact adjoint as its backward.
+solve as one autodiff tape node whose backward, the exact adjoint, reads its record.
 """
 
 from __future__ import annotations
@@ -38,23 +38,33 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration record of a probabilistic solve; objectives use the original K."""
+    """Per-iteration record of a probabilistic solve; objectives use the original K.
+
+    ``products[t]`` is K x_t and ``scales[t]`` the scale s_t that multiplied it;
+    the last iterate is not propagated, so ``iterations`` counts the scales."""
 
     assignments: list = field(default_factory=list)
+    products: list = field(default_factory=list)
+    scales: list = field(default_factory=list)
     binary_scores: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
     stop_reason: str = "max_iters"
     last_delta_sq: float = float("nan")
 
+    @property
+    def iterations(self) -> int:
+        return len(self.scales)
+
     def record(self, X: np.ndarray, Kx: np.ndarray):
         self.assignments.append(X.copy())
+        self.products.append(Kx)
         self.binary_scores.append(binary_score(X))
         self.objectives.append(float(np.dot(X.ravel(), Kx)))
 
     def to_json(self) -> str:
         doc = {
             "stop_reason": self.stop_reason,
-            "iterations": len(self.assignments) - 1,
+            "iterations": self.iterations,
             "last_delta_sq": self.last_delta_sq,
             "binary_scores": self.binary_scores,
             "objectives": self.objectives,
@@ -91,6 +101,7 @@ def probabilistic_solve(K: SparseAffinity, X_init: np.ndarray,
         x = X.ravel()
         Kx = spmv(K, x)
         trace.record(X, Kx)
+        trace.scales.append(scale)
         X_new = sinkhorn((scale * Kx).reshape(K.n1, K.n2), cfg.sinkhorn_iters, tol=0.0)
         delta_sq = float(((X_new.ravel() - x) ** 2).sum())
         if delta_sq < cfg.stop_eta:
@@ -111,30 +122,25 @@ def solve_tape(x: Tensor, e: Tensor, pairs, shape: tuple,
     ``x`` (flat) is both the initial assignment and K's unary diagonal, and
     ``e[t]`` is K's entry at (p[t], q[t]) and at (q[t], p[t]) for
     ``pairs = (p, q)``. The backward is the exact adjoint of the iterations
-    the solve ran, replayed from its trace.
+    the solve ran; it reads x_t, K x_t and s_t from the solve's record.
     """
     p, q = pairs
     K = SparseAffinity.symmetric(*shape, x.data, p, q, e.data)
     X, trace = probabilistic_solve(K, x.data.reshape(shape), cfg)
 
     def backward(g):
-        xs = [X_t.ravel() for X_t in trace.assignments]
-        if len(xs) == 1:
+        if not trace.iterations:
             raise RuntimeError("a zero-operator solve has no iteration to differentiate")
-        scales = [np.ones(K.size)]
-        for x_t, x_next in zip(xs[:-2], xs[1:-1]):
-            scales.append(scales[-1] * (x_next / np.maximum(x_t, FLOOR)))
+        xs = [X_t.ravel() for X_t in trace.assignments]
         K_T = SparseAffinity(*shape, K.unary, K.cols, K.rows, K.vals)   # K's triplets, swapped
         g_s = np.zeros(K.size)
         g_vals = np.zeros(K.vals.size)           # per directed entry of K
-        for t in reversed(range(len(xs) - 1)):
-            x_t, x_next, s = xs[t], xs[t + 1], scales[t]
+        for x_t, x_next, s, Kx in reversed(list(zip(xs, xs[1:], trace.scales, trace.products))):
             den = np.maximum(x_t, FLOOR)        # s_{t+1} = s * (x_next / den)
             g = g + g_s * s / den
             g_prev = -g_s * s * x_next / (den * den) * (x_t > FLOOR)
-            Kx = spmv(K, x_t)                    # x_next = sinkhorn(s * Kx)
             g_y = sinkhorn_vjp((s * Kx).reshape(shape), cfg.sinkhorn_iters,
-                               g.reshape(shape)).ravel()
+                               g.reshape(shape)).ravel()   # x_next = sinkhorn(s * Kx)
             g_s = g_s * (x_next / den) + g_y * Kx
             g_Kx = g_y * s
             x.grad += g_Kx * x_t                 # x as K's unary diagonal

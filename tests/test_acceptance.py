@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_qap, qap_margin
+from probmatch import bench
 from probmatch.affinity import assemble_affinity
-from probmatch.bench import ExperimentConfig, compare_solvers, dataset_seeds
+from probmatch.bench import ExperimentConfig, compare_solvers, train_seeds
 from probmatch.cli import main
 from probmatch.graphs import build_aa_graph, graph_from_points, synthesize_pair
 from probmatch.linalg import perm_matrix, sinkhorn
@@ -158,9 +159,9 @@ _EVAL_CFG = ExperimentConfig(
 @pytest.fixture(scope="module")
 def trained_model(tmp_path_factory):
     train_pairs = [synthesize_pair(8, 0.03, seed=s)
-                   for s in dataset_seeds(_EVAL_CFG, "train")[:500]]
+                   for s in train_seeds(_EVAL_CFG)[:500]]
     test_pairs = [synthesize_pair(8, 0.03, seed=s)
-                  for s in dataset_seeds(_EVAL_CFG, "test")]
+                  for _, _, s in bench.test_split(_EVAL_CFG)]
     scfg = SolverConfig()
     t0 = time.perf_counter()
     store, metrics = train(train_pairs, _EVAL_CFG.predictor_cfg, scfg,

@@ -12,9 +12,9 @@ from probmatch.bench import (
     ConfigError,
     ExperimentConfig,
     compare_solvers,
-    dataset_seeds,
     run_experiment,
     train_and_eval,
+    train_seeds,
 )
 from probmatch.graphs import synthesize_pair
 from probmatch.predictor import ABLATIONS, PredictorConfig, evaluate, init_params
@@ -85,6 +85,7 @@ def test_bad_sizes_rejected(overrides):
     (dict(ablation="wps"), "ablations require the learned affinity source"),
     (dict(affinity_source="learned", solver="spectral", ablation="tia"),
      "ablations require the learned affinity source"),
+    (dict(lr=float("inf")), "lr must be finite"),
 ])
 def test_config_rules_run_at_construction_and_on_replace(overrides, message):
     with pytest.raises(ConfigError, match=f"^{message}"):
@@ -111,7 +112,6 @@ def test_test_split_is_the_row_order(tmp_path):
     assert [noise for _, noise, _ in split] == [r["noise"] for r in rows]
     assert [seed for _, _, seed in split] == [bench.instance_seed(0, k, li)
                                                for li in range(2) for k in range(3)]
-    assert dataset_seeds(cfg) == [seed for _, _, seed in split[:3]]
 
 
 def test_learned_source_without_checkpoint_fails_before_work():
@@ -143,7 +143,7 @@ def test_learned_runner_matches_evaluate(tmp_path, ablation):
     rows = run_experiment(cfg).rows
     store = init_params(TINY_PRED)
     store.load(cfg.checkpoint)
-    for row, seed in zip(rows, dataset_seeds(cfg)):
+    for row, (_, _, seed) in zip(rows, bench.test_split(cfg)):
         pair = synthesize_pair(cfg.n, 0.03, rotation_max=cfg.rotation_max, seed=seed,
                                translation_max=cfg.translation_max)
         assert evaluate([pair], store, TINY_PRED, cfg.solver_cfg, ablation) == row["accuracy"]
@@ -271,7 +271,7 @@ def test_compare_solvers_rejects_other_ablations_before_work(tmp_path, monkeypat
 def test_train_and_eval_splits_are_disjoint(tmp_path):
     cfg = _tiny_cfg(train_instances=6, test_instances=4, epochs=1,
                     noise_levels=(0.02,), out_dir=str(tmp_path))
-    assert not set(dataset_seeds(cfg, "train")) & set(dataset_seeds(cfg, "test"))
+    assert not set(train_seeds(cfg)) & {seed for _, _, seed in bench.test_split(cfg)}
     report, ckpt, metrics = train_and_eval(cfg)
     assert len(report.rows) == 4
     assert (tmp_path / "learning_curve.csv").exists()

@@ -125,6 +125,12 @@ def test_gradcheck_passes(capsys):
     assert "max relative gradient error" in out
 
 
+def test_gradcheck_passes_with_its_defaults(capsys):
+    # at step 1e-5 the difference quotient's rounding on a near-zero
+    # component alone exceeds the 1e-4 bound
+    assert _run(capsys, ["gradcheck"]) == (0, "max relative gradient error: 1.650e-05\n")
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -206,6 +212,7 @@ def test_invalid_config_exits_before_work(tmp_path, capsys):
     ("--lr", "-1", "lr must be positive"),
     ("--lr", "0", "lr must be positive"),
     ("--lr", "nan", "lr must be positive"),
+    ("--lr", "inf", "lr must be finite"),
 ])
 def test_bad_training_config_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch,
                                                             flag, value, message):
@@ -235,6 +242,17 @@ def test_bad_training_config_exits_with_one_line_before_work(tmp_path, capsys, m
     ("compare", {"rotation_max": float("nan")}, "rotation_max must be finite and nonnegative"),
     ("bench", {"translation_max": -0.05}, "translation_max must be finite and nonnegative"),
     ("train", {"translation_max": float("inf")}, "translation_max must be finite and nonnegative"),
+    ("train", {"lr": float("inf")}, "lr must be finite"),
+    ("bench", {"affinity_cfg": {"sigma_len": float("nan")}},
+     "affinity_cfg: kernel bandwidths must be positive"),
+    ("bench", {"affinity_cfg": {"sigma_ang": float("nan")}},
+     "affinity_cfg: kernel bandwidths must be positive"),
+    ("bench", {"affinity_cfg": {"unary_weight": float("nan")}},
+     "affinity_cfg: unary_weight must be finite"),
+    ("compare", {"affinity_cfg": {"unary_weight": float("inf")}},
+     "affinity_cfg: unary_weight must be finite"),
+    ("train", {"loss_cfg": {"w": float("nan")}}, "loss_cfg: w must be finite"),
+    ("gradcheck", {"loss_cfg": {"w": float("-inf")}}, "loss_cfg: w must be finite"),
 ])
 def test_bad_config_value_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch,
                                                          command, values, message):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_qap, random_sparse_affinity, reference_probabilistic_solve
 from probmatch.affinity import assemble_affinity, objective
 from probmatch.graphs import synthesize_pair
-from probmatch.linalg import SparseAffinity, hungarian, perm_matrix, sinkhorn, spmv
+from probmatch.linalg import FLOOR, SparseAffinity, hungarian, perm_matrix, sinkhorn, spmv
 from probmatch.solvers import (
     SolverConfig,
     accuracy,
@@ -96,6 +96,40 @@ def test_trace_objectives_use_the_original_operator():
     assert len(trace.objectives) == len(trace.assignments) == 11
     for f, X in zip(trace.objectives, trace.assignments):
         assert f == pytest.approx(objective(K, X.ravel()), rel=1e-12, abs=0.0)
+
+
+def _recorded_solves():
+    """Solves that run every iteration and solves that stop early, on
+    handcrafted operators and on random ones from starts with entries below
+    the floor."""
+    rng = np.random.default_rng(8)
+    for n, seed in ((5, 0), (8, 4), (12, 7)):
+        pair = synthesize_pair(n, 0.03, seed=seed)
+        yield assemble_affinity(pair.g1, pair.g2), np.full((n, n), 1 / n)
+        X0 = rng.uniform(0.0, 1.0, size=(n, n))
+        X0[rng.uniform(size=(n, n)) < 0.3] = 1e-13
+        yield random_sparse_affinity(rng, n, n, density=min(0.3, 12.0 / (n * n))), X0
+
+
+def test_trace_keeps_the_products_and_scales_the_solve_computed():
+    stops = []
+    for K, X0 in _recorded_solves():
+        _, full = probabilistic_solve(K, X0, SolverConfig(stop_eta=1e-300))
+        xs = [X.ravel() for X in full.assignments]
+        delta_sq = [float(((b - a) ** 2).sum()) for a, b in zip(xs, xs[1:])]
+        for cfg in (SolverConfig(stop_eta=1e-300), SolverConfig(stop_eta=delta_sq[2] * 1.5)):
+            _, trace = probabilistic_solve(K, X0, cfg)
+            stops.append(trace.stop_reason)
+            xs = [X.ravel() for X in trace.assignments]
+            assert trace.iterations == len(trace.scales) == len(xs) - 1 >= 1
+            assert len(trace.products) == len(xs)
+            for x_t, Kx in zip(xs, trace.products):
+                assert np.array_equal(Kx, spmv(K, x_t))
+            scale = np.ones(K.size)
+            for x_t, x_next, s in zip(xs, xs[1:], trace.scales):
+                assert np.array_equal(s, scale)
+                scale = scale * (x_next / np.maximum(x_t, FLOOR))
+    assert stops == ["max_iters", "early_stop"] * 6
 
 
 @st.composite
