@@ -6,8 +6,9 @@ takes its test instances from ``test_split`` and its pairs from ``make_pair``.
 
 Reports are written as comma-separated per-instance rows plus a JSON summary,
 with fixed float formatting so identical configurations produce byte-identical
-output. Train and test splits use disjoint seed ranges, so regenerating a
-dataset can never leak test instances into training.
+output. Train and test splits use disjoint seed ranges, and the config
+rejects sizes that would make them overlap, so regenerating a dataset can
+never leak test instances into training.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ AFFINITY_SOURCES = ("handcrafted", "learned")
 
 _TRAIN_SEED_BASE = 10_000
 _TEST_SEED_BASE = 20_000
+_NOISE_SEED_STRIDE = 1_000_000
+# Largest chunk, in assignment entries B * n^2, that the batched solvers get.
+# Spectral matching gains nothing from larger chunks and gets slower when
+# batched at n >= 45 (measured at n = 8 to 64); from n = 46 every chunk
+# holds one instance.
+_CHUNK_ENTRIES = 2048
 
 
 class ConfigError(ValueError):
@@ -86,6 +93,12 @@ class ExperimentConfig:
                             ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}")
+        # seed ranges: training pairs, then each noise level's test instances
+        for name, most in (("train_instances", _TEST_SEED_BASE - _TRAIN_SEED_BASE),
+                           ("instances", _NOISE_SEED_STRIDE),
+                           ("test_instances", _NOISE_SEED_STRIDE)):
+            if getattr(self, name) > most:
+                raise ConfigError(f"{name} must be at most {most}, so seed ranges stay disjoint")
         if not self.lr > 0:
             raise ConfigError("lr must be positive")
         if not self.lr < np.inf:
@@ -156,7 +169,7 @@ def _jsonable(v):
 
 def instance_seed(seed: int, k: int, level: int = 0) -> int:
     """Seed of test instance k at noise level index ``level``."""
-    return seed + _TEST_SEED_BASE + k + 1_000_000 * level
+    return seed + _TEST_SEED_BASE + k + _NOISE_SEED_STRIDE * level
 
 
 def test_split(cfg: ExperimentConfig) -> list:
@@ -199,38 +212,47 @@ def instance_operator(cfg: ExperimentConfig, pair, store):
     return learned_affinity(build_aa_graph(pair.g1, pair.g2), store, cfg.predictor_cfg)
 
 
-def _run_instance(cfg: ExperimentConfig, noise: float, index: int, inst_seed: int,
-                  store, solvers: tuple) -> list:
-    """One row per solver in ``solvers`` on the same pair, K and X_init; a row's
-    ``wall_ms`` covers building K plus that solver's solve and discretisation."""
+def _run_instance(cfg: ExperimentConfig, noise: float, index: int, inst_seed: int, store):
+    """Generate test instance ``index`` and build its operator: ``(pair, K,
+    X_init, seconds spent building K and X_init)``."""
     pair = make_pair(cfg, noise, inst_seed)
     t0 = time.perf_counter()
     K, X_init = instance_operator(cfg, pair, store)
-    build_s = time.perf_counter() - t0
-    rows = []
+    return pair, K, X_init, time.perf_counter() - t0
+
+
+def _run_chunk(cfg: ExperimentConfig, chunk: list, store, solvers: tuple) -> dict:
+    """Each solver's rows on the instances of ``chunk`` (``test_split``
+    entries), every solver seeing the same pair, K and X_init. Spectral and
+    RRWM solve the chunk in one batched call; dpgm and IPFP one instance at
+    a time."""
+    built = [_run_instance(cfg, noise, index, seed, store) for index, noise, seed in chunk]
+    Ks = [K for _, K, _, _ in built]
+    out = {}
     for solver in solvers:
         t0 = time.perf_counter()
         if solver == "dpgm":
-            X, iterations = dpgm_assignment(K, X_init, cfg.solver_cfg, cfg.ablation)
-        elif solver == "spectral":
-            X, iterations = spectral_match(K)
+            solved = [dpgm_assignment(K, X_init, cfg.solver_cfg, cfg.ablation)
+                      for _, K, X_init, _ in built]
         elif solver == "ipfp":
-            X, iterations = ipfp(K, np.full(K.size, 1.0 / cfg.n))
+            solved = [ipfp(K, np.full(K.size, 1.0 / cfg.n)) for K in Ks]
         else:
-            X, iterations = rrwm(K)
-        X = X.reshape(cfg.n, cfg.n)
-        pred = discretize(X)
-        wall_ms = (build_s + time.perf_counter() - t0) * 1e3
-        rows.append({
+            X, iterations = (spectral_match if solver == "spectral" else rrwm)(Ks)
+            solved = zip(X, iterations)
+        solved = [(X.reshape(cfg.n, cfg.n), int(iterations)) for X, iterations in solved]
+        preds = [discretize(X) for X, _ in solved]
+        share_s = (time.perf_counter() - t0) / len(chunk)
+        out[solver] = [{
             "index": index,
             "noise": noise,
             "accuracy": accuracy(pred, pair.ground_truth),
             "objective": objective(K, perm_matrix(pred).ravel()),
             "binary_score": binary_score(X),
             "iterations": iterations,
-            "wall_ms": wall_ms,
-        })
-    return rows
+            "wall_ms": (build_s + share_s) * 1e3,
+        } for (index, noise, _), (pair, K, _, build_s), (X, iterations), pred
+            in zip(chunk, built, solved, preds)]
+    return out
 
 
 def _aggregate(rows: list, noise_levels) -> dict:
@@ -252,18 +274,34 @@ def _stats(rows: list) -> dict:
     }
 
 
+def _chunk_size(n: int, instances: int, workers: int) -> int:
+    """Instances per chunk: the fewest chunks that keep each within
+    ``_CHUNK_ENTRIES`` assignment entries (B * n^2, but at least one instance)
+    and give every worker one, cut as evenly as they can be."""
+    most = max(1, min(_CHUNK_ENTRIES // n ** 2, -(-instances // workers)))
+    chunks = -(-instances // most)
+    return -(-instances // chunks)
+
+
 def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     """Load the checkpoint, then generate and build each test instance once and
     solve it with every solver in ``solvers``. Returns each solver's rows,
-    ordered by instance index regardless of worker completion order."""
+    ordered by instance index regardless of worker completion order.
+
+    The split is cut into chunks of ``_chunk_size`` consecutive instances, and
+    each chunk is one task. A row's ``wall_ms`` is the time spent building its
+    own K and X_init, plus an equal share of the time its solver took to solve
+    and discretise the whole chunk."""
     store = load_store(cfg)
-    tasks = [(cfg, noise, index, seed, store, solvers) for index, noise, seed in test_split(cfg)]
+    split = test_split(cfg)
+    size = _chunk_size(cfg.n, len(split), cfg.workers)
+    tasks = [(cfg, split[i:i + size], store, solvers) for i in range(0, len(split), size)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            per_instance = list(pool.map(_run_instance, *zip(*tasks)))
+            per_chunk = list(pool.map(_run_chunk, *zip(*tasks)))
     else:
-        per_instance = [_run_instance(*t) for t in tasks]
-    return {s: [rows[i] for rows in per_instance] for i, s in enumerate(solvers)}
+        per_chunk = [_run_chunk(*t) for t in tasks]
+    return {s: [row for rows in per_chunk for row in rows[s]] for s in solvers}
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:

@@ -7,8 +7,13 @@ at flat index p = i * n2 + a throughout the package. ``graphs.edge_pairs``
 lists the match pairs (p, q) of joint edges; ``SparseAffinity.symmetric``
 stores one weight per pair at (p, q) and at (q, p). ``FLOOR`` is the one
 probability floor of Sinkhorn, its adjoint and the probabilistic solver, and
-``_sinkhorn_passes`` the one Sinkhorn pass: ``sinkhorn`` iterates it, and
+``_sinkhorn_pass`` the one Sinkhorn pass: ``sinkhorn`` runs it, and
 ``sinkhorn_vjp`` recomputes and reverses its passes rather than keep them.
+
+Batched solvers work on a chunk of B same-size instances at once.
+``block_diagonal`` stacks their operators into one operator of size B * N,
+and ``sinkhorn`` normalizes a stack (B, n, n) with every sum taken within
+one instance, so each instance's result is bitwise what it would be alone.
 """
 
 from __future__ import annotations
@@ -136,42 +141,91 @@ def spmv(K: SparseAffinity, x: np.ndarray) -> np.ndarray:
     return K.unary * x + off
 
 
-def _sinkhorn_passes(X: np.ndarray, passes: int):
-    """Yield each pass's ``(r, A, c, Z)`` from ``max(X, FLOOR)``: A = Z / r, Z = A / c."""
-    Z = np.maximum(X, FLOOR)
+def block_diagonal(Ks) -> SparseAffinity:
+    """The operators of a chunk of same-size instances as one block-diagonal K.
+
+    Instance b's match (i, a) sits at flat index b * N + i * n2 + a, so the
+    stacked K has ``n1`` equal to B times each instance's n1. The triplets are
+    concatenated in block order; each row keeps its instance's entries in
+    their stored order, so ``spmv`` on the stack is bitwise the product of
+    each block alone. A chunk of one is that operator itself. Raises
+    ValueError on an empty chunk or on operators of different sizes.
+    """
+    Ks = list(Ks)
+    if not Ks:
+        raise ValueError("a chunk needs at least one operator")
+    n1, n2 = Ks[0].n1, Ks[0].n2
+    if any((K.n1, K.n2) != (n1, n2) for K in Ks):
+        raise ValueError("a chunk's operators must all have the same size")
+    if len(Ks) == 1:
+        return Ks[0]
+    offsets = [b * n1 * n2 for b in range(len(Ks))]
+    return SparseAffinity(len(Ks) * n1, n2, np.concatenate([K.unary for K in Ks]),
+                          np.concatenate([K.rows + o for K, o in zip(Ks, offsets)]),
+                          np.concatenate([K.cols + o for K, o in zip(Ks, offsets)]),
+                          np.concatenate([K.vals for K in Ks]))
+
+
+def _sinkhorn_pass(Z: np.ndarray, r: np.ndarray):
+    """One pass on Z with row sums r: ``(A, c, Z')``, A = Z / r and Z' = A / c.
+
+    Rows reduce over axis -1 and columns over axis -2, so Z is one matrix or
+    a stack (B, n, n)."""
+    A = Z / r
+    c = A.sum(axis=-2, keepdims=True)
+    return A, c, A / c
+
+
+def _sinkhorn_passes(Z: np.ndarray, passes: int):
+    """Yield each pass's ``(r, A, c, Z)`` from the clamped start Z."""
     for _ in range(passes):
-        r = Z.sum(axis=1, keepdims=True)
-        A = Z / r
-        c = A.sum(axis=0, keepdims=True)
-        Z = A / c
+        r = Z.sum(axis=-1, keepdims=True)
+        A, c, Z = _sinkhorn_pass(Z, r)
         yield r, A, c, Z
 
 
 def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarray:
     """Alternating row/column normalization toward the doubly stochastic set.
 
-    Entries are clamped below by ``FLOOR`` before the first pass, so the output
-    is strictly positive and the iteration is well defined for inputs with
-    zeros. Stops when the largest row/column-sum deviation from 1 drops below
-    ``tol``, or after ``max_iters`` passes. ``tol=0`` skips the deviation
+    X is one square matrix or a stack (B, n, n) of them, each normalized on
+    its own. Entries are clamped below by ``FLOOR`` before the first pass, so
+    the output is strictly positive and the iteration is well defined for
+    inputs with zeros. A matrix stops when its largest row/column-sum
+    deviation from 1 drops below ``tol``, or after ``max_iters`` passes; the
+    rest of the stack goes on without it. ``tol=0`` skips the deviation
     check and runs exactly ``max_iters`` passes.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ValueError("sinkhorn expects a square matrix")
-    X = np.maximum(X, FLOOR)
-    for *_, X in _sinkhorn_passes(X, max_iters):
-        if tol and max(np.abs(X.sum(axis=1) - 1.0).max(),
-                       np.abs(X.sum(axis=0) - 1.0).max()) < tol:
-            break
-    return X
+    if X.ndim not in (2, 3) or X.shape[-1] != X.shape[-2]:
+        raise ValueError("sinkhorn expects a square matrix or a stack (B, n, n) of them")
+    Y = np.maximum(X, FLOOR)
+    if not tol:
+        for *_, Y in _sinkhorn_passes(Y, max_iters):
+            pass
+        return Y
+    out = Y.reshape(-1, *Y.shape[-2:])      # a view: rows written to out land in Y
+    live = np.arange(len(out))
+    Z, r = out, out.sum(axis=-1, keepdims=True)
+    for _ in range(max_iters):
+        _, _, Z = _sinkhorn_pass(Z, r)
+        r = Z.sum(axis=-1, keepdims=True)   # the check's row sums divide the next pass
+        done = np.maximum(np.abs(r - 1.0).max(axis=(1, 2)),
+                          np.abs(Z.sum(axis=1) - 1.0).max(axis=1)) < tol
+        if done.any():
+            out[live[done]] = Z[done]
+            going = ~done
+            live, Z, r = live[going], Z[going], r[going]
+            if not live.size:
+                break
+    out[live] = Z
+    return Y
 
 
 def sinkhorn_vjp(Y: np.ndarray, passes: int, G: np.ndarray) -> np.ndarray:
     """Gradient at Y of <G, sinkhorn(Y, passes, tol=0.0)>; 0 where Y <= FLOOR."""
-    for r, A, c, Z in reversed(list(_sinkhorn_passes(Y, passes))):
+    for r, A, c, Z in reversed(list(_sinkhorn_passes(np.maximum(Y, FLOOR), passes))):
         G = (G - (G * Z).sum(axis=0, keepdims=True)) / c
         G = (G - (G * A).sum(axis=1, keepdims=True)) / r
     return G * (Y > FLOOR)

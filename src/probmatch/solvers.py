@@ -7,6 +7,14 @@ elementwise probability ratio between consecutive iterates, kept as a
 row-scale vector over a fixed K. Early stop fires when the squared change of
 the assignment vector drops below a threshold. ``solve_tape`` is the same
 solve as one autodiff tape node whose backward, the exact adjoint, reads its record.
+
+Spectral matching and RRWM take one operator or a chunk of same-size ones.
+A chunk is solved in one pass over its block-diagonal stack, so numpy's
+per-call overhead is paid once per chunk instead of once per instance. Each
+instance keeps its own stopping rules and leaves the chunk when it stops,
+and its result is bitwise what it would be alone: norms are taken one
+instance at a time with ``np.dot``, and sums and maxima within each
+instance's row.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .linalg import (FLOOR, SparseAffinity, binary_score, hungarian, perm_matrix, sinkhorn,
-                     sinkhorn_vjp, spmv)
+from .linalg import (FLOOR, SparseAffinity, binary_score, block_diagonal, hungarian,
+                     perm_matrix, sinkhorn, sinkhorn_vjp, spmv)
 
 
 @dataclass
@@ -153,21 +161,45 @@ def solve_tape(x: Tensor, e: Tensor, pairs, shape: tuple,
     return Tensor(X.ravel(), (x, e), backward)
 
 
-def spectral_match(K: SparseAffinity, iters: int = 100):
+def _chunk(K):
+    """``(stacked K, B, n1, n2)`` for one operator or a chunk of same-size ones."""
+    Ks = [K] if isinstance(K, SparseAffinity) else list(K)
+    stacked = block_diagonal(Ks)
+    return stacked, len(Ks), Ks[0].n1, Ks[0].n2
+
+
+def _unchunk(K, X, iterations):
+    """One operator's ``(x, iterations)``, or a chunk's ``(X (B, N), iterations)``."""
+    if isinstance(K, SparseAffinity):
+        return X[0], int(iterations[0])
+    return X, iterations
+
+
+def spectral_match(K, iters: int = 100):
     """Power iteration approximating the principal eigenvector of K.
 
-    Starts from the uniform vector; the iterate stays nonnegative with unit
-    Euclidean norm. Returns the iterate and the number of updates applied to
-    it, fewer than ``iters`` only when K x vanishes.
+    K is one operator or a chunk of same-size operators, each iterated on its
+    own. Starts from the uniform vector; the iterate stays nonnegative with
+    unit Euclidean norm. Returns the iterate and the number of updates applied
+    to it, fewer than ``iters`` only when K x vanishes: for a chunk, the
+    iterates as rows of a (B, N) array and the counts as a length-B array.
     """
-    x = np.full(K.size, 1.0 / np.sqrt(K.size))
+    stacked, B, n1, n2 = _chunk(K)
+    N = n1 * n2
+    X = np.full((B, N), 1.0 / np.sqrt(N))
+    done = np.full(B, iters)
+    live = np.arange(B)
     for it in range(iters):
-        y = spmv(K, x)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return x, it
-        x = y / norm
-    return x, iters
+        Y = spmv(stacked, X.ravel()).reshape(B, N)[live]
+        norm = np.sqrt([np.dot(y, y) for y in Y])     # bitwise np.linalg.norm(y)
+        if not norm.all():
+            going = norm != 0.0
+            done[live[~going]] = it
+            live, Y, norm = live[going], Y[going], norm[going]
+            if not live.size:
+                break
+        X[live] = Y / norm[:, None]
+    return _unchunk(K, X, done)
 
 
 def ipfp(K: SparseAffinity, x0: np.ndarray, max_iters: int = 50):
@@ -196,35 +228,50 @@ def ipfp(K: SparseAffinity, x0: np.ndarray, max_iters: int = 50):
     return x, max_iters
 
 
-def rrwm(K: SparseAffinity, alpha: float = 0.2, inflation: float = 30.0,
-         max_iters: int = 100):
+def rrwm(K, alpha: float = 0.2, inflation: float = 30.0, max_iters: int = 100):
     """Reweighted random-walk matching.
 
     The l1-normalized walk step y = Kx / |Kx|_1 is mixed, with weight
     ``alpha``, with a jump vector obtained by exponentiating y (exponent
     ``inflation``) and reprojecting with Sinkhorn. alpha = 0 reduces to plain
-    l1-normalized power iteration. Returns the iterate and the number of
-    updates applied to it.
+    l1-normalized power iteration. K is one operator or a chunk of same-size
+    operators; each instance walks until its own step is below 1e-8 or its
+    K x sums to 0, and the rest of the chunk goes on without it. Returns the
+    iterate and the number of updates applied to it: for a chunk, the
+    iterates as rows of a (B, N) array and the counts as a length-B array.
     """
-    n1, n2 = K.n1, K.n2
-    x = np.full(K.size, 1.0 / K.size)
+    stacked, B, n1, n2 = _chunk(K)
+    N = n1 * n2
+    X = np.full((B, N), 1.0 / N)
+    done = np.full(B, max_iters)
+    live = np.arange(B)
     for it in range(max_iters):
-        y = spmv(K, x)
-        s = y.sum()
-        if s == 0.0:
-            return x, it
-        y = y / s
+        Y = spmv(stacked, X.ravel()).reshape(B, N)[live]
+        s = Y.sum(axis=1)
+        if not s.all():
+            going = s != 0.0
+            done[live[~going]] = it
+            live, Y, s = live[going], Y[going], s[going]
+            if not live.size:
+                break
+        Y = Y / s[:, None]
         if alpha > 0.0:
-            q = np.exp(inflation * y / y.max())
-            q = sinkhorn(q.reshape(n1, n2)).ravel()
-            q = q / q.sum()
-            x_new = (1.0 - alpha) * y + alpha * q
+            Q = np.exp(inflation * Y / Y.max(axis=1)[:, None])
+            Q = sinkhorn(Q.reshape(-1, n1, n2)).reshape(-1, N)
+            Q = Q / Q.sum(axis=1)[:, None]
+            X_new = (1.0 - alpha) * Y + alpha * Q
         else:
-            x_new = y
-        if np.linalg.norm(x_new - x) < 1e-8:
-            return x_new, it + 1
-        x = x_new
-    return x, max_iters
+            X_new = Y
+        D = X_new - X[live]
+        X[live] = X_new
+        step = np.sqrt([np.dot(d, d) for d in D])    # bitwise np.linalg.norm(d)
+        stop = step < 1e-8
+        if stop.any():
+            done[live[stop]] = it + 1
+            live = live[~stop]
+            if not live.size:
+                break
+    return _unchunk(K, X, done)
 
 
 def discretize(X: np.ndarray) -> np.ndarray:

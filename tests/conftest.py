@@ -123,6 +123,53 @@ def reference_probabilistic_solve(K, X_init, max_iters=10, stop_eta=1e-5,
     return X, deltas, "max_iters"
 
 
+def reference_sinkhorn(X, max_iters=20, tol=1e-9, floor=1e-12):
+    """Sinkhorn on one matrix, each pass and each tolerance check taking
+    its own sums. Returns (X, passes run)."""
+    X = np.maximum(np.asarray(X, dtype=np.float64), floor)
+    for k in range(max_iters):
+        X = X / X.sum(axis=1, keepdims=True)
+        X = X / X.sum(axis=0, keepdims=True)
+        if tol and max(np.abs(X.sum(axis=1) - 1.0).max(),
+                       np.abs(X.sum(axis=0) - 1.0).max()) < tol:
+            return X, k + 1
+    return X, max_iters
+
+
+def reference_spectral_match(K, iters=100):
+    """Power iteration on one operator: (x, updates applied)."""
+    x = np.full(K.size, 1.0 / np.sqrt(K.size))
+    for it in range(iters):
+        y = spmv(K, x)
+        norm = np.linalg.norm(y)
+        if norm == 0.0:
+            return x, it
+        x = y / norm
+    return x, iters
+
+
+def reference_rrwm(K, alpha=0.2, inflation=30.0, max_iters=100):
+    """Reweighted random-walk matching on one operator: (x, updates applied)."""
+    x = np.full(K.size, 1.0 / K.size)
+    for it in range(max_iters):
+        y = spmv(K, x)
+        s = y.sum()
+        if s == 0.0:
+            return x, it
+        y = y / s
+        if alpha > 0.0:
+            q = np.exp(inflation * y / y.max())
+            q = reference_sinkhorn(q.reshape(K.n1, K.n2))[0].ravel()
+            q = q / q.sum()
+            x_new = (1.0 - alpha) * y + alpha * q
+        else:
+            x_new = y
+        if np.linalg.norm(x_new - x) < 1e-8:
+            return x_new, it + 1
+        x = x_new
+    return x, max_iters
+
+
 def reference_spmv(K, x):
     """y = K x with the off-diagonal entries summed by ``np.bincount`` over
     the stored triplets, in their stored order."""

@@ -16,9 +16,13 @@ from probmatch.bench import (
     train_and_eval,
     train_seeds,
 )
+from probmatch.affinity import objective
 from probmatch.graphs import synthesize_pair
-from probmatch.predictor import ABLATIONS, PredictorConfig, evaluate, init_params
-from probmatch.solvers import SolverConfig
+from probmatch.linalg import binary_score, perm_matrix
+from probmatch.predictor import (ABLATIONS, PredictorConfig, dpgm_assignment, evaluate,
+                                 init_params)
+from probmatch.solvers import (SolverConfig, accuracy, discretize, ipfp, rrwm,
+                               spectral_match)
 
 TINY_PRED = PredictorConfig(d_V=4, d_E=4, T=1)
 
@@ -86,6 +90,9 @@ def test_bad_sizes_rejected(overrides):
     (dict(affinity_source="learned", solver="spectral", ablation="tia"),
      "ablations require the learned affinity source"),
     (dict(lr=float("inf")), "lr must be finite"),
+    (dict(train_instances=10_001), "train_instances must be at most 10000, so seed ranges"),
+    (dict(instances=1_000_001), "instances must be at most 1000000, so seed ranges"),
+    (dict(test_instances=1_000_001), "test_instances must be at most 1000000, so seed ranges"),
 ])
 def test_config_rules_run_at_construction_and_on_replace(overrides, message):
     with pytest.raises(ConfigError, match=f"^{message}"):
@@ -178,6 +185,59 @@ def test_rows_ordered_by_index_with_workers():
     serial = run_experiment(dataclasses.replace(cfg, workers=1))
     assert [r["index"] for r in parallel.rows] == list(range(8))
     assert parallel.rows_csv() == serial.rows_csv()
+
+
+def _rows_without_wall_time(rows_by_solver):
+    return {s: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+            for s, rows in rows_by_solver.items()}
+
+
+def test_chunked_rows_equal_per_instance_solves(tmp_path, monkeypatch):
+    # 75 entries: chunks of 3 instances at n = 5, so the split of 8 is cut
+    # into chunks of 3, 3 and 2 that straddle the two noise levels
+    monkeypatch.setattr(bench, "_CHUNK_ENTRIES", 75)
+    for source in AFFINITY_SOURCES:
+        cfg = _tiny_cfg(noise_levels=(0.02, 0.1), instances=4, affinity_source=source,
+                        checkpoint=_untrained_checkpoint(tmp_path))
+        assert bench._chunk_size(cfg.n, 8, cfg.workers) == 3
+        store = bench.load_store(cfg)
+        expected = {s: [] for s in SOLVERS}
+        for index, noise, seed in bench.test_split(cfg):
+            pair = bench.make_pair(cfg, noise, seed)
+            K, X_init = bench.instance_operator(cfg, pair, store)
+            for s, (X, iterations) in (
+                    ("dpgm", dpgm_assignment(K, X_init, cfg.solver_cfg, cfg.ablation)),
+                    ("spectral", spectral_match(K)),
+                    ("ipfp", ipfp(K, np.full(K.size, 1.0 / cfg.n))),
+                    ("rrwm", rrwm(K))):
+                pred = discretize(X.reshape(cfg.n, cfg.n))
+                expected[s].append({
+                    "index": index, "noise": noise,
+                    "accuracy": accuracy(pred, pair.ground_truth),
+                    "objective": objective(K, perm_matrix(pred).ravel()),
+                    "binary_score": binary_score(X.reshape(cfg.n, cfg.n)),
+                    "iterations": iterations})
+        assert _rows_without_wall_time(bench._run(cfg, SOLVERS)) == expected
+
+
+def test_workers_equal_serial_across_a_chunk_boundary():
+    # two workers get chunks of 4 and 3 instances; one worker gets all 7
+    cfg = _tiny_cfg(noise_levels=(0.02,), instances=7, workers=2)
+    assert [bench._chunk_size(cfg.n, 7, w) for w in (1, 2)] == [7, 4]
+    parallel = bench._run(cfg, SOLVERS)
+    serial = bench._run(dataclasses.replace(cfg, workers=1), SOLVERS)
+    assert _rows_without_wall_time(parallel) == _rows_without_wall_time(serial)
+    for rows in parallel.values():
+        assert [r["index"] for r in rows] == list(range(7))
+        assert all(r["wall_ms"] > 0 for r in rows)
+
+
+@pytest.mark.parametrize("n, instances, workers, size", [
+    (8, 100, 1, 25), (8, 100, 2, 25), (8, 32, 1, 32), (8, 33, 1, 17), (16, 100, 1, 8),
+    (45, 100, 1, 1), (46, 100, 1, 1), (100, 20, 1, 1), (5, 6, 4, 2), (8, 1, 4, 1),
+])
+def test_chunk_size_follows_n_and_workers(n, instances, workers, size):
+    assert bench._chunk_size(n, instances, workers) == size
 
 
 def test_learned_source_with_workers_matches_serial(tmp_path):

@@ -213,6 +213,10 @@ def test_invalid_config_exits_before_work(tmp_path, capsys):
     ("--lr", "0", "lr must be positive"),
     ("--lr", "nan", "lr must be positive"),
     ("--lr", "inf", "lr must be finite"),
+    ("--train-instances", "10001",
+     "train_instances must be at most 10000, so seed ranges stay disjoint"),
+    ("--test-instances", "1000001",
+     "test_instances must be at most 1000000, so seed ranges stay disjoint"),
 ])
 def test_bad_training_config_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch,
                                                             flag, value, message):
@@ -253,6 +257,12 @@ def test_bad_training_config_exits_with_one_line_before_work(tmp_path, capsys, m
      "affinity_cfg: unary_weight must be finite"),
     ("train", {"loss_cfg": {"w": float("nan")}}, "loss_cfg: w must be finite"),
     ("gradcheck", {"loss_cfg": {"w": float("-inf")}}, "loss_cfg: w must be finite"),
+    ("bench", {"instances": 1_000_001},
+     "instances must be at most 1000000, so seed ranges stay disjoint"),
+    ("gen", {"instances": 1_000_001},
+     "instances must be at most 1000000, so seed ranges stay disjoint"),
+    ("train", {"train_instances": 10_001},
+     "train_instances must be at most 10000, so seed ranges stay disjoint"),
 ])
 def test_bad_config_value_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch,
                                                          command, values, message):

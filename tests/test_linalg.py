@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_sparse_affinity, reference_spmv
+from conftest import random_sparse_affinity, reference_sinkhorn, reference_spmv
 from probmatch.affinity import assemble_affinity
 from probmatch.graphs import FEATURE_DIM, AttributedGraph, build_aa_graph, synthesize_pair
 from probmatch.linalg import (
     FLOOR,
     SparseAffinity,
     binary_score,
+    block_diagonal,
     hungarian,
     l21_norm,
     perm_matrix,
@@ -122,6 +123,28 @@ def test_spmv_is_bitwise_the_triplet_kernel_on_random_operators():
             assert np.array_equal(spmv(K, x), reference_spmv(K, x))
 
 
+def test_block_diagonal_products_are_each_block_alone():
+    rng = np.random.default_rng(5)
+    for B in (2, 7):
+        Ks = [random_sparse_affinity(rng, 3, 4, density=0.4) for _ in range(B - 1)]
+        Ks.append(SparseAffinity(3, 4, rng.uniform(size=12)))     # no off-diagonal entries
+        stacked = block_diagonal(Ks)
+        assert (stacked.n1, stacked.n2) == (3 * B, 4)
+        assert stacked.is_symmetric()
+        for _ in range(3):
+            x = rng.normal(size=(B, 12))
+            assert np.array_equal(spmv(stacked, x.ravel()),
+                                  np.concatenate([spmv(K, x_b) for K, x_b in zip(Ks, x)]))
+    K = random_sparse_affinity(rng, 3, 3)
+    assert block_diagonal([K]) is K
+    with pytest.raises(ValueError, match="same size"):
+        block_diagonal([K, random_sparse_affinity(rng, 3, 4)])
+    with pytest.raises(ValueError, match="same size"):
+        block_diagonal([K, random_sparse_affinity(rng, 1, 9)])
+    with pytest.raises(ValueError, match="at least one"):
+        block_diagonal([])
+
+
 def test_spmv_is_bitwise_the_triplet_kernel_without_off_diagonal_entries():
     rng = np.random.default_rng(4)
     for n1, n2 in ((1, 1), (2, 3), (5, 5)):
@@ -219,6 +242,32 @@ def test_sinkhorn_rejects_negative_tol_and_zero_tol_runs_every_pass():
 def test_sinkhorn_rejects_nonsquare():
     with pytest.raises(ValueError):
         sinkhorn(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        sinkhorn(np.ones((4, 2, 3)))
+    with pytest.raises(ValueError):
+        sinkhorn(np.ones((2, 2, 2, 2)))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+@pytest.mark.parametrize("B", [1, 8, 33])
+def test_sinkhorn_on_a_stack_is_each_matrix_alone(B, tol):
+    # inputs from near doubly stochastic to far from it, with entries below
+    # the floor: under a tolerance the matrices stop at different passes
+    rng = np.random.default_rng(B)
+    X = 1.0 + 10.0 ** rng.uniform(-9, 1, size=(B, 1, 1)) * rng.uniform(size=(B, 6, 6))
+    X[::4] = rng.uniform(size=X[::4].shape) ** 30
+    X[rng.uniform(size=X.shape) < 0.02] = 0.0
+    out = sinkhorn(X, tol=tol)
+    assert out.shape == X.shape
+    passes = set()
+    for X_b, out_b in zip(X, out):
+        expected, ran = reference_sinkhorn(X_b, tol=tol)
+        assert np.array_equal(out_b, expected)
+        assert np.array_equal(sinkhorn(X_b, tol=tol), expected)
+        passes.add(ran)
+    if tol and B > 1:
+        assert len(passes) > 2 and max(passes) == 20
+    assert np.array_equal(sinkhorn(X, max_iters=0, tol=tol), np.maximum(X, FLOOR))
 
 
 @settings(max_examples=50, deadline=None)

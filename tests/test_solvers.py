@@ -3,7 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_qap, random_sparse_affinity, reference_probabilistic_solve
+from conftest import (
+    brute_force_qap,
+    random_sparse_affinity,
+    reference_probabilistic_solve,
+    reference_rrwm,
+    reference_spectral_match,
+)
 from probmatch.affinity import assemble_affinity, objective
 from probmatch.graphs import synthesize_pair
 from probmatch.linalg import FLOOR, SparseAffinity, hungarian, perm_matrix, sinkhorn, spmv
@@ -303,6 +309,51 @@ def test_baselines_report_zero_when_they_stop_before_any_update():
     chain = SparseAffinity(1, 2, np.zeros(2), rows=[0], cols=[1], vals=[1.0])
     x, steps = spectral_match(chain)
     assert steps == 1 and np.array_equal(x, [1.0, 0.0])
+
+
+def _mixed_chunk():
+    """Same-size operators whose baselines stop after different counts:
+    handcrafted and random operators, a zero one and a directed chain."""
+    pairs = [synthesize_pair(4, noise, seed=seed)
+             for seed, noise in enumerate((0.0, 0.03, 0.1, 0.3))]
+    Ks = [assemble_affinity(pair.g1, pair.g2) for pair in pairs]
+    rng = np.random.default_rng(8)
+    Ks += [random_sparse_affinity(rng, 4, 4, density=d) for d in (0.05, 0.3, 0.8)]
+    Ks.append(SparseAffinity(4, 4, np.zeros(16)))
+    Ks.append(SparseAffinity(4, 4, np.zeros(16), rows=[0], cols=[1], vals=[1.0]))
+    return Ks
+
+
+@pytest.mark.parametrize("solve, reference, kwargs", [
+    (spectral_match, reference_spectral_match, {}),
+    (spectral_match, reference_spectral_match, {"iters": 7}),
+    (rrwm, reference_rrwm, {}),
+    (rrwm, reference_rrwm, {"alpha": 0.0, "max_iters": 300}),
+    (rrwm, reference_rrwm, {"max_iters": 12}),
+])
+def test_batched_baselines_equal_each_instance_alone(solve, reference, kwargs):
+    Ks = _mixed_chunk()
+    expected = [reference(K, **kwargs) for K in Ks]
+    counts = {steps for _, steps in expected}
+    assert 0 in counts and len(counts) > 2
+    for order in (range(len(Ks)), [8, 3, 7, 0, 6, 1, 5, 2, 4]):
+        chunk = [Ks[i] for i in order]
+        X, steps = solve(chunk, **kwargs)
+        assert X.shape == (len(chunk), 16) and steps.shape == (len(chunk),)
+        for b, i in enumerate(order):
+            assert np.array_equal(X[b], expected[i][0])
+            assert steps[b] == expected[i][1]
+    for K, (x_ref, steps_ref) in zip(Ks, expected):
+        x, steps = solve(K, **kwargs)          # one operator is a chunk of one
+        assert np.array_equal(x, x_ref) and steps == steps_ref
+        assert x.shape == (16,) and type(steps) is int
+
+
+@pytest.mark.parametrize("solve", [spectral_match, rrwm])
+def test_batched_baselines_reject_a_chunk_of_different_sizes(solve):
+    rng = np.random.default_rng(9)
+    with pytest.raises(ValueError, match="same size"):
+        solve([random_sparse_affinity(rng, 3, 3), random_sparse_affinity(rng, 4, 4)])
 
 
 # ---------------------------------------------------------------------------
