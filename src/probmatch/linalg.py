@@ -7,8 +7,8 @@ at flat index p = i * n2 + a throughout the package. ``graphs.edge_pairs``
 lists the match pairs (p, q) of joint edges; ``SparseAffinity.symmetric``
 stores one weight per pair at (p, q) and at (q, p). ``FLOOR`` is the one
 probability floor of Sinkhorn, its adjoint and the probabilistic solver, and
-``_sinkhorn_pass`` the one Sinkhorn pass: ``sinkhorn`` runs it, and
-``sinkhorn_vjp`` recomputes and reverses its passes rather than keep them.
+``_sinkhorn_pass`` the one Sinkhorn pass: ``sinkhorn`` runs it in one loop,
+and ``sinkhorn_vjp`` replays and reverses its passes rather than keep them.
 
 Batched solvers work on a chunk of B same-size instances at once.
 ``block_diagonal`` stacks their operators into one operator of size B * N,
@@ -176,14 +176,6 @@ def _sinkhorn_pass(Z: np.ndarray, r: np.ndarray):
     return A, c, A / c
 
 
-def _sinkhorn_passes(Z: np.ndarray, passes: int):
-    """Yield each pass's ``(r, A, c, Z)`` from the clamped start Z."""
-    for _ in range(passes):
-        r = Z.sum(axis=-1, keepdims=True)
-        A, c, Z = _sinkhorn_pass(Z, r)
-        yield r, A, c, Z
-
-
 def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarray:
     """Alternating row/column normalization toward the doubly stochastic set.
 
@@ -201,31 +193,32 @@ def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarra
     if X.ndim not in (2, 3) or X.shape[-1] != X.shape[-2]:
         raise ValueError("sinkhorn expects a square matrix or a stack (B, n, n) of them")
     Y = np.maximum(X, FLOOR)
-    if not tol:
-        for *_, Y in _sinkhorn_passes(Y, max_iters):
-            pass
-        return Y
     out = Y.reshape(-1, *Y.shape[-2:])      # a view: rows written to out land in Y
-    live = np.arange(len(out))
-    Z, r = out, out.sum(axis=-1, keepdims=True)
-    for _ in range(max_iters):
+    live, Z = np.arange(len(out)), out
+    for it in range(max_iters):
+        r = Z.sum(axis=-1, keepdims=True)
+        if tol and it:                       # the check's row sums divide this pass
+            done = np.maximum(np.abs(r - 1.0).max(axis=(1, 2)),
+                              np.abs(Z.sum(axis=1) - 1.0).max(axis=1)) < tol
+            if done.any():
+                out[live[done]] = Z[done]
+                going = ~done
+                live, Z, r = live[going], Z[going], r[going]
+                if not live.size:
+                    break
         _, _, Z = _sinkhorn_pass(Z, r)
-        r = Z.sum(axis=-1, keepdims=True)   # the check's row sums divide the next pass
-        done = np.maximum(np.abs(r - 1.0).max(axis=(1, 2)),
-                          np.abs(Z.sum(axis=1) - 1.0).max(axis=1)) < tol
-        if done.any():
-            out[live[done]] = Z[done]
-            going = ~done
-            live, Z, r = live[going], Z[going], r[going]
-            if not live.size:
-                break
     out[live] = Z
     return Y
 
 
 def sinkhorn_vjp(Y: np.ndarray, passes: int, G: np.ndarray) -> np.ndarray:
     """Gradient at Y of <G, sinkhorn(Y, passes, tol=0.0)>; 0 where Y <= FLOOR."""
-    for r, A, c, Z in reversed(list(_sinkhorn_passes(np.maximum(Y, FLOOR), passes))):
+    steps, Z = [], np.maximum(Y, FLOOR)
+    for _ in range(passes):
+        r = Z.sum(axis=-1, keepdims=True)
+        A, c, Z = _sinkhorn_pass(Z, r)
+        steps.append((r, A, c, Z))
+    for r, A, c, Z in reversed(steps):
         G = (G - (G * Z).sum(axis=0, keepdims=True)) / c
         G = (G - (G * A).sum(axis=1, keepdims=True)) / r
     return G * (Y > FLOOR)

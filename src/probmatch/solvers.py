@@ -46,16 +46,16 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration record of a probabilistic solve; objectives use the original K.
+    """Per-iteration record of a probabilistic solve, holding the solve's own arrays.
 
-    ``products[t]`` is K x_t and ``scales[t]`` the scale s_t that multiplied it;
-    the last iterate is not propagated, so ``iterations`` counts the scales."""
+    ``assignments[t]`` is X_t, ``products[t]`` K x_t and ``scales[t]`` the scale s_t
+    that multiplied it; the last iterate is not propagated, so ``iterations`` counts
+    the scales. The arrays are not copies: callers must not write into them. Binary
+    scores and objectives (against the original K) are worked out when read."""
 
     assignments: list = field(default_factory=list)
     products: list = field(default_factory=list)
     scales: list = field(default_factory=list)
-    binary_scores: list = field(default_factory=list)
-    objectives: list = field(default_factory=list)
     stop_reason: str = "max_iters"
     last_delta_sq: float = float("nan")
 
@@ -63,11 +63,17 @@ class SolveTrace:
     def iterations(self) -> int:
         return len(self.scales)
 
+    @property
+    def binary_scores(self) -> list:
+        return [binary_score(X) for X in self.assignments]
+
+    @property
+    def objectives(self) -> list:
+        return [float(np.dot(X.ravel(), Kx)) for X, Kx in zip(self.assignments, self.products)]
+
     def record(self, X: np.ndarray, Kx: np.ndarray):
-        self.assignments.append(X.copy())
+        self.assignments.append(X)
         self.products.append(Kx)
-        self.binary_scores.append(binary_score(X))
-        self.objectives.append(float(np.dot(X.ravel(), Kx)))
 
     def to_json(self) -> str:
         doc = {
@@ -92,10 +98,12 @@ def probabilistic_solve(K: SparseAffinity, X_init: np.ndarray,
     product of the ratios, multiplies each propagation K x.
     """
     cfg = cfg or SolverConfig()
+    if np.shape(X_init) != (K.n1, K.n2):
+        raise ValueError(f"X_init must have shape ({K.n1}, {K.n2}), got {np.shape(X_init)}")
     X = np.maximum(np.asarray(X_init, dtype=np.float64), FLOOR)
     trace = SolveTrace()
 
-    if K.unary.max(initial=0.0) == 0.0 and (K.vals.size == 0 or K.vals.max() == 0.0):
+    if not (K.unary.any() or K.vals.any()):
         # Degenerate operator: propagation is identically zero. Return the
         # normalized input immediately.
         X = sinkhorn(X, cfg.sinkhorn_iters, tol=0.0)

@@ -5,14 +5,20 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_qap,
+    random_pairs,
     random_sparse_affinity,
     reference_probabilistic_solve,
     reference_rrwm,
     reference_spectral_match,
 )
+from probmatch import autodiff as ad
+from probmatch import solvers as solvers_module
 from probmatch.affinity import assemble_affinity, objective
+from probmatch.autodiff import Tensor
 from probmatch.graphs import synthesize_pair
-from probmatch.linalg import FLOOR, SparseAffinity, hungarian, perm_matrix, sinkhorn, spmv
+from probmatch.linalg import (FLOOR, SparseAffinity, binary_score, hungarian, perm_matrix,
+                              sinkhorn, spmv)
+from probmatch.predictor import dpgm_assignment
 from probmatch.solvers import (
     SolverConfig,
     accuracy,
@@ -20,6 +26,7 @@ from probmatch.solvers import (
     ipfp,
     probabilistic_solve,
     rrwm,
+    solve_tape,
     spectral_match,
 )
 
@@ -74,6 +81,28 @@ def test_zero_affinity_returns_normalized_init():
     X, trace = probabilistic_solve(K, X0)
     assert trace.stop_reason == "early_stop"
     assert np.allclose(X, sinkhorn(X0))
+
+
+@pytest.mark.parametrize("K", [
+    SparseAffinity(3, 3, -np.ones(9)),
+    SparseAffinity.symmetric(3, 3, -np.ones(9), np.array([0, 1]), np.array([4, 5]),
+                             np.array([0.0, -1.0])),
+], ids=["minus_identity", "minus_identity_with_pairs"])
+def test_nonzero_operator_without_positive_entry_is_solved(K):
+    # only an operator with no nonzero entry is the zero operator
+    _, trace = probabilistic_solve(K, np.full((3, 3), 1 / 3))
+    assert trace.iterations >= 1
+
+
+@pytest.mark.parametrize("shape", [(9,), (1, 9), (9, 1)])
+def test_start_of_the_wrong_shape_is_rejected_before_any_work(shape, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the solve did work on a start of the wrong shape")
+
+    monkeypatch.setattr(solvers_module, "spmv", no_work)
+    K = SparseAffinity(3, 3, np.ones(9))
+    with pytest.raises(ValueError, match=r"X_init must have shape \(3, 3\)"):
+        probabilistic_solve(K, np.full(shape, 1 / 3))
 
 
 def test_early_stop_delta_below_threshold():
@@ -136,6 +165,34 @@ def test_trace_keeps_the_products_and_scales_the_solve_computed():
                 assert np.array_equal(s, scale)
                 scale = scale * (x_next / np.maximum(x_t, FLOOR))
     assert stops == ["max_iters", "early_stop"] * 6
+
+
+def test_a_solve_computes_no_score_and_the_record_works_them_out_when_read(monkeypatch):
+    def no_score(X):
+        raise AssertionError("a solve computed a binary score")
+
+    monkeypatch.setattr(solvers_module, "binary_score", no_score)
+    rng = np.random.default_rng(3)
+    K, X0 = next(_recorded_solves())
+    probabilistic_solve(K, X0)
+    dpgm_assignment(K, X0, SolverConfig(), "full")
+    unary, p, q, w = random_pairs(rng, 6, 6)
+    X = solve_tape(Tensor(unary), Tensor(w), (p, q), (6, 6), SolverConfig())
+    ad.tsum(ad.mul(X, rng.normal(size=36))).backward()
+    monkeypatch.undo()
+    for K, X0 in _recorded_solves():
+        _, trace = probabilistic_solve(K, X0)
+        assert len(trace.binary_scores) == len(trace.objectives) == len(trace.assignments)
+        for X_t, score, f in zip(trace.assignments, trace.binary_scores, trace.objectives):
+            assert score == binary_score(X_t)
+            assert f == objective(K, X_t.ravel())
+
+
+def test_the_record_holds_the_solves_own_arrays():
+    solves = [*_recorded_solves(), (SparseAffinity(2, 2, np.zeros(4)), np.full((2, 2), 0.5))]
+    for K, X0 in solves:
+        X, trace = probabilistic_solve(K, X0)
+        assert trace.assignments[-1] is X
 
 
 @st.composite
