@@ -223,17 +223,20 @@ def _run_instance(cfg: ExperimentConfig, noise: float, index: int, inst_seed: in
 
 def _run_chunk(cfg: ExperimentConfig, chunk: list, store, solvers: tuple) -> dict:
     """Each solver's rows on the instances of ``chunk`` (``test_split``
-    entries), every solver seeing the same pair, K and X_init. Spectral and
-    RRWM solve the chunk in one batched call; dpgm and IPFP one instance at
-    a time."""
+    entries), every solver seeing the same pair, K and X_init. dpgm,
+    spectral and RRWM solve the chunk in one batched call, dpgm getting a
+    chunk of one as that operator itself; IPFP solves one instance at a
+    time."""
     built = [_run_instance(cfg, noise, index, seed, store) for index, noise, seed in chunk]
     Ks = [K for _, K, _, _ in built]
     out = {}
     for solver in solvers:
         t0 = time.perf_counter()
-        if solver == "dpgm":
-            solved = [dpgm_assignment(K, X_init, cfg.solver_cfg, cfg.ablation)
-                      for _, K, X_init, _ in built]
+        if solver == "dpgm" and len(built) == 1:
+            solved = [dpgm_assignment(Ks[0], built[0][2], cfg.solver_cfg, cfg.ablation)]
+        elif solver == "dpgm":
+            solved = zip(*dpgm_assignment(Ks, np.stack([X_init for _, _, X_init, _ in built]),
+                                          cfg.solver_cfg, cfg.ablation))
         elif solver == "ipfp":
             solved = [ipfp(K, np.full(K.size, 1.0 / cfg.n)) for K in Ks]
         else:

@@ -155,8 +155,9 @@ def block_diagonal(Ks) -> SparseAffinity:
     if not Ks:
         raise ValueError("a chunk needs at least one operator")
     n1, n2 = Ks[0].n1, Ks[0].n2
-    if any((K.n1, K.n2) != (n1, n2) for K in Ks):
-        raise ValueError("a chunk's operators must all have the same size")
+    sizes = sorted({(K.n1, K.n2) for K in Ks})
+    if len(sizes) > 1:
+        raise ValueError(f"a chunk's operators must all have the same size, got {sizes}")
     if len(Ks) == 1:
         return Ks[0]
     offsets = [b * n1 * n2 for b in range(len(Ks))]

@@ -181,20 +181,25 @@ def learned_affinity(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
     return K, X_init
 
 
-def dpgm_assignment(K: SparseAffinity, X_init: np.ndarray, scfg: SolverConfig,
-                    ablation: str):
+def dpgm_assignment(K, X_init: np.ndarray, scfg: SolverConfig, ablation: str):
     """Numpy inference: solve K from X_init; returns (X, iterations).
 
-    Ablations: "tia" solves from the uniform assignment instead, and "wps"
-    returns X_init without solving."""
+    K and X_init are one operator and its (n1, n2) start, or a chunk of
+    same-size operators and their (B, n1, n2) starts, solved in one batched
+    call; for a chunk the iteration counts are a length-B array. Ablations:
+    "tia" solves from the uniform assignment instead, and "wps" returns
+    X_init without solving."""
     if ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}")
+    one = isinstance(K, SparseAffinity)
     if ablation == "wps":
-        return X_init, 0
+        return X_init, 0 if one else np.zeros(len(X_init), dtype=int)
     if ablation == "tia":
-        X_init = np.full(X_init.shape, 1.0 / X_init.shape[1])
+        X_init = np.full(np.shape(X_init), 1.0 / np.shape(X_init)[-1])
     X, trace = probabilistic_solve(K, X_init, scfg)
-    return X, trace.iterations
+    if one:
+        return X, trace.iterations
+    return X, np.array([t.iterations for t in trace])
 
 
 def pipeline_forward(aa: AAGraph, store: ParamStore, pcfg: PredictorConfig,

@@ -8,13 +8,14 @@ row-scale vector over a fixed K. Early stop fires when the squared change of
 the assignment vector drops below a threshold. ``solve_tape`` is the same
 solve as one autodiff tape node whose backward, the exact adjoint, reads its record.
 
-Spectral matching and RRWM take one operator or a chunk of same-size ones.
-A chunk is solved in one pass over its block-diagonal stack, so numpy's
-per-call overhead is paid once per chunk instead of once per instance. Each
-instance keeps its own stopping rules and leaves the chunk when it stops,
-and its result is bitwise what it would be alone: norms are taken one
-instance at a time with ``np.dot``, and sums and maxima within each
-instance's row.
+The probabilistic solver, spectral matching and RRWM take one operator or a
+chunk of same-size ones. A chunk is solved in one pass over its
+block-diagonal stack, so numpy's per-call overhead is paid once per chunk
+instead of once per instance. Each instance keeps its own stopping rules and
+leaves the chunk when it stops, and its result is bitwise what it would be
+alone: norms are taken one instance at a time with ``np.dot``, and sums and
+maxima within each instance's row. A single operator is a chunk of one, so
+there is one loop per solver.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ class SolveTrace:
 
     ``assignments[t]`` is X_t, ``products[t]`` K x_t and ``scales[t]`` the scale s_t
     that multiplied it; the last iterate is not propagated, so ``iterations`` counts
-    the scales. The arrays are not copies: callers must not write into them. Binary
-    scores and objectives (against the original K) are worked out when read."""
+    the scales. The arrays are not copies (in a chunk's solve, views into the chunk's
+    arrays): callers must not write into them. Binary scores and objectives (against
+    the original K) are worked out when read."""
 
     assignments: list = field(default_factory=list)
     products: list = field(default_factory=list)
@@ -87,48 +89,83 @@ class SolveTrace:
         return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def probabilistic_solve(K: SparseAffinity, X_init: np.ndarray,
-                        cfg: SolverConfig | None = None):
+def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None):
     """Iterative probabilistic QAP solver.
 
-    Returns the final soft assignment and the full per-iteration trace. The
-    input assignment is clamped below by ``FLOOR`` so Sinkhorn and the
-    refinement ratios are well defined. Refining row p of K by ratio_p is
-    (diag(r) K) x = r * (K x), so K stays fixed and ``scale``, the running
-    product of the ratios, multiplies each propagation K x.
+    K is one square operator, with X_init of shape (n1, n2), or a chunk of B
+    same-size square operators, with X_init of shape (B, n1, n2); each
+    instance is solved on its own. Returns the final soft assignment and the
+    full per-iteration trace: for a chunk, the assignments as a (B, n1, n2)
+    array and one trace per instance. The input assignment is clamped below
+    by ``FLOOR`` so Sinkhorn and the refinement ratios are well defined.
+    Refining row p of K by ratio_p is (diag(r) K) x = r * (K x), so K stays
+    fixed and ``scale``, the running product of the ratios, multiplies each
+    propagation K x. An instance that stops early leaves the chunk, and the
+    live instances' operators are stacked anew; the final K x of every
+    instance is one product of the whole stack. Raises ValueError before any
+    work on a non-square operator, a chunk of different sizes or a start of
+    the wrong shape.
     """
     cfg = cfg or SolverConfig()
-    if np.shape(X_init) != (K.n1, K.n2):
-        raise ValueError(f"X_init must have shape ({K.n1}, {K.n2}), got {np.shape(X_init)}")
-    X = np.maximum(np.asarray(X_init, dtype=np.float64), FLOOR)
-    trace = SolveTrace()
+    one = isinstance(K, SparseAffinity)
+    Ks = [K] if one else list(K)
+    stacked, B, n1, n2 = _chunk(Ks)
+    if n1 != n2:
+        raise ValueError(f"the solver needs a square operator, got (n1, n2) = ({n1}, {n2})")
+    shape = (n1, n2) if one else (B, n1, n2)
+    if np.shape(X_init) != shape:
+        raise ValueError(f"X_init must have shape {shape}, got {np.shape(X_init)}")
+    N = n1 * n2
+    X = np.maximum(np.asarray(X_init, dtype=np.float64), FLOOR).reshape(B, n1, n2)
+    traces = [SolveTrace() for _ in range(B)]
+    out = np.empty((B, n1, n2))     # each instance's final iterate
+    live = np.array([b for b, K_b in enumerate(Ks) if K_b.unary.any() or K_b.vals.any()],
+                    dtype=np.intp)
+    if live.size < B:
+        # Degenerate operators: propagation is identically zero. Their solve
+        # is the normalized input.
+        zero = np.setdiff1d(np.arange(B), live)
+        out[zero] = sinkhorn(X[zero], cfg.sinkhorn_iters, tol=0.0)
+        for b in zero:
+            traces[b].stop_reason = "early_stop"
+            traces[b].last_delta_sq = 0.0
+        X = X[live]
 
-    if not (K.unary.any() or K.vals.any()):
-        # Degenerate operator: propagation is identically zero. Return the
-        # normalized input immediately.
-        X = sinkhorn(X, cfg.sinkhorn_iters, tol=0.0)
-        trace.record(X, spmv(K, X.ravel()))
-        trace.stop_reason = "early_stop"
-        trace.last_delta_sq = 0.0
-        return X, trace
-
-    scale = np.ones(K.size)
+    stack = stacked
+    scale = np.ones((live.size, N))
+    delta_sq = np.zeros(0)
     for _ in range(cfg.max_iters):
-        x = X.ravel()
-        Kx = spmv(K, x)
-        trace.record(X, Kx)
-        trace.scales.append(scale)
-        X_new = sinkhorn((scale * Kx).reshape(K.n1, K.n2), cfg.sinkhorn_iters, tol=0.0)
-        delta_sq = float(((X_new.ravel() - x) ** 2).sum())
-        if delta_sq < cfg.stop_eta:
-            trace.stop_reason = "early_stop"
-            X = X_new
+        if not live.size:
             break
-        scale = scale * (X_new.ravel() / np.maximum(x, FLOOR))
+        if stack.n1 != live.size * n1:      # instances have stopped: stack the live ones
+            stack = block_diagonal([Ks[b] for b in live])
+        x = X.reshape(live.size, N)
+        Kx = spmv(stack, x.ravel()).reshape(live.size, N)
+        for b, X_t, Kx_t, s_t in zip(live.tolist(), X, Kx, scale):
+            traces[b].record(X_t, Kx_t)
+            traces[b].scales.append(s_t)
+        X_new = sinkhorn((scale * Kx).reshape(-1, n1, n2), cfg.sinkhorn_iters, tol=0.0)
+        x_new = X_new.reshape(live.size, N)
+        delta_sq = ((x_new - x) ** 2).sum(axis=1)    # bitwise the 1-D sum of each row
+        scale = scale * (x_new / np.maximum(x, FLOOR))
         X = X_new
-    trace.last_delta_sq = delta_sq
-    trace.record(X, spmv(K, X.ravel()))
-    return X, trace
+        stop = delta_sq < cfg.stop_eta
+        if np.count_nonzero(stop):
+            out[live[stop]] = X[stop]
+            for b, d in zip(live[stop], delta_sq[stop]):
+                traces[b].stop_reason = "early_stop"
+                traces[b].last_delta_sq = float(d)
+            going = ~stop
+            live, X, scale, delta_sq = live[going], X[going], scale[going], delta_sq[going]
+    out[live] = X
+    for b, d in zip(live, delta_sq):
+        traces[b].last_delta_sq = float(d)
+    Kx = spmv(stacked, out.ravel()).reshape(B, N)    # every final K x in one product
+    for b, trace in enumerate(traces):
+        trace.record(out[b], Kx[b])
+    if one:
+        return traces[0].assignments[-1], traces[0]
+    return out, traces
 
 
 def solve_tape(x: Tensor, e: Tensor, pairs, shape: tuple,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from probmatch import bench
+from probmatch import predictor as predictor_module
 from probmatch.autodiff import ParamStore
 from probmatch.bench import (
     AFFINITY_SOURCES,
@@ -18,11 +19,11 @@ from probmatch.bench import (
 )
 from probmatch.affinity import objective
 from probmatch.graphs import synthesize_pair
-from probmatch.linalg import binary_score, perm_matrix
+from probmatch.linalg import SparseAffinity, binary_score, perm_matrix
 from probmatch.predictor import (ABLATIONS, PredictorConfig, dpgm_assignment, evaluate,
                                  init_params)
-from probmatch.solvers import (SolverConfig, accuracy, discretize, ipfp, rrwm,
-                               spectral_match)
+from probmatch.solvers import (SolverConfig, accuracy, discretize, ipfp,
+                               probabilistic_solve, rrwm, spectral_match)
 
 TINY_PRED = PredictorConfig(d_V=4, d_E=4, T=1)
 
@@ -218,6 +219,63 @@ def test_chunked_rows_equal_per_instance_solves(tmp_path, monkeypatch):
                     "binary_score": binary_score(X.reshape(cfg.n, cfg.n)),
                     "iterations": iterations})
         assert _rows_without_wall_time(bench._run(cfg, SOLVERS)) == expected
+
+
+def _counting_solve(monkeypatch):
+    """Wrap the solve that ``dpgm_assignment`` calls; returns the list of
+    the instance counts it was called with, None for a single operator."""
+    calls = []
+
+    def counted(K, X_init, cfg=None):
+        calls.append(None if isinstance(K, SparseAffinity) else len(K))
+        return probabilistic_solve(K, X_init, cfg)
+
+    monkeypatch.setattr(predictor_module, "probabilistic_solve", counted)
+    return calls
+
+
+def test_chunked_dpgm_rows_equal_per_instance_solves(tmp_path, monkeypatch):
+    # chunks of 3, 3 and 2 instances that straddle the two noise levels
+    monkeypatch.setattr(bench, "_CHUNK_ENTRIES", 75)
+    checkpoint = _untrained_checkpoint(tmp_path)
+    calls = _counting_solve(monkeypatch)
+    for source, ablation in (("handcrafted", "full"), ("learned", "full"),
+                             ("learned", "tia"), ("learned", "wps")):
+        cfg = _tiny_cfg(noise_levels=(0.01, 0.1), instances=4, affinity_source=source,
+                        ablation=ablation, checkpoint=checkpoint, solver_cfg=SolverConfig())
+        store = bench.load_store(cfg)
+        expected = []
+        for index, noise, seed in bench.test_split(cfg):
+            pair = bench.make_pair(cfg, noise, seed)
+            K, X_init = bench.instance_operator(cfg, pair, store)
+            X, iterations = dpgm_assignment(K, X_init, cfg.solver_cfg, ablation)
+            pred = discretize(X)
+            expected.append({"index": index, "noise": noise,
+                             "accuracy": accuracy(pred, pair.ground_truth),
+                             "objective": objective(K, perm_matrix(pred).ravel()),
+                             "binary_score": binary_score(X), "iterations": iterations})
+        if ablation != "wps":
+            assert len({row["iterations"] for row in expected}) > 1
+        calls.clear()
+        assert _rows_without_wall_time(bench._run(cfg, ("dpgm",))) == {"dpgm": expected}
+        assert calls == ([] if ablation == "wps" else [3, 3, 2])
+        parallel = bench._run(dataclasses.replace(cfg, workers=2), ("dpgm",))
+        assert _rows_without_wall_time(parallel) == {"dpgm": expected}
+
+
+def test_runner_solves_each_dpgm_chunk_in_one_call(monkeypatch):
+    calls = _counting_solve(monkeypatch)
+    cfg = _tiny_cfg(noise_levels=(0.02, 0.05), instances=6)
+    run_experiment(cfg)
+    assert calls == [12]
+    calls.clear()
+    compare_solvers(cfg)
+    assert calls == [12]
+    # a chunk of one goes in as the operator itself
+    calls.clear()
+    monkeypatch.setattr(bench, "_CHUNK_ENTRIES", 25)
+    run_experiment(cfg)
+    assert calls == [None] * 12
 
 
 def test_workers_equal_serial_across_a_chunk_boundary():

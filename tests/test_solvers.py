@@ -413,6 +413,101 @@ def test_batched_baselines_reject_a_chunk_of_different_sizes(solve):
         solve([random_sparse_affinity(rng, 3, 3), random_sparse_affinity(rng, 4, 4)])
 
 
+def _dpgm_pool():
+    """(K, X_init) at n = 8 whose solves stop after 0 to 10 iterations:
+    handcrafted operators at noise 0.01 and 0.03, random operators from
+    starts with entries below the floor, the zero operator and -I."""
+    pool = []
+    for noise in (0.01, 0.03):
+        for seed in range(6):
+            pair = synthesize_pair(8, noise, seed=seed)
+            pool.append((assemble_affinity(pair.g1, pair.g2), np.full((8, 8), 1 / 8)))
+    rng = np.random.default_rng(5)
+    for density in (0.02, 0.05, 0.2):
+        X0 = rng.uniform(size=(8, 8))
+        X0[rng.uniform(size=(8, 8)) < 0.3] = 1e-13
+        pool.append((random_sparse_affinity(rng, 8, 8, density=density), X0))
+    pool.append((SparseAffinity(8, 8, np.zeros(64)), rng.uniform(size=(8, 8))))
+    pool.append((SparseAffinity(8, 8, -np.ones(64)), np.full((8, 8), 1 / 8)))
+    return pool
+
+
+def _same_record(a, b):
+    return (a.stop_reason == b.stop_reason and a.last_delta_sq == b.last_delta_sq
+            and all(len(x) == len(y) and all(np.array_equal(u, v) for u, v in zip(x, y))
+                    for x, y in ((a.assignments, b.assignments), (a.products, b.products),
+                                 (a.scales, b.scales))))
+
+
+@pytest.mark.parametrize("B", [1, 8, 33])
+def test_batched_probabilistic_solve_equals_each_instance_alone(B):
+    pool = _dpgm_pool()
+    alone = [probabilistic_solve(K, X0) for K, X0 in pool]
+    counts = {trace.iterations for _, trace in alone}
+    assert {0, 1, 10} <= counts and len(counts) > 4
+    # the zero operator and -I first, then a shuffle that repeats the pool
+    order = [len(pool) - 2, len(pool) - 1, *np.random.default_rng(B).permutation(33)
+             % len(pool)][:B]
+    X, traces = probabilistic_solve([pool[i][0] for i in order],
+                                    np.stack([pool[i][1] for i in order]))
+    assert X.shape == (B, 8, 8) and len(traces) == B
+    for b, i in enumerate(order):
+        X_alone, trace_alone = alone[i]
+        assert np.array_equal(X[b], X_alone)
+        assert traces[b].assignments[-1] is not X_alone
+        assert _same_record(traces[b], trace_alone)
+        if trace_alone.iterations:
+            X_ref, deltas, stop_ref = reference_probabilistic_solve(*pool[i])
+            assert np.abs(X[b] - X_ref).max() < 1e-10
+            assert traces[b].iterations == len(deltas)
+            assert traces[b].stop_reason == stop_ref
+
+
+def test_batched_probabilistic_solve_stays_bitwise_at_n100():
+    pairs = [synthesize_pair(100, 0.03, seed=seed) for seed in range(2)]
+    Ks = [assemble_affinity(pair.g1, pair.g2) for pair in pairs]
+    X0 = np.full((2, 100, 100), 0.01)
+    cfg = SolverConfig(max_iters=3)
+    X, traces = probabilistic_solve(Ks, X0, cfg)
+    for K, X_b, trace in zip(Ks, X, traces):
+        X_alone, trace_alone = probabilistic_solve(K, X0[0], cfg)
+        assert np.array_equal(X_b, X_alone) and _same_record(trace, trace_alone)
+
+
+def test_non_square_operator_is_rejected_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solve did work on a non-square operator")
+
+    monkeypatch.setattr(solvers_module, "spmv", no_work)
+    monkeypatch.setattr(solvers_module, "sinkhorn", no_work)
+    with pytest.raises(ValueError, match=r"\(n1, n2\) = \(2, 3\)"):
+        probabilistic_solve(SparseAffinity(2, 3, np.ones(6)), np.full((2, 3), 0.5))
+    with pytest.raises(ValueError, match=r"\(n1, n2\) = \(2, 3\)"):
+        probabilistic_solve([SparseAffinity(2, 3, np.ones(6))] * 2, np.full((2, 2, 3), 0.5))
+
+
+def test_chunk_of_different_sizes_is_rejected_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the solve did work on a chunk of different sizes")
+
+    monkeypatch.setattr(solvers_module, "spmv", no_work)
+    rng = np.random.default_rng(9)
+    Ks = [random_sparse_affinity(rng, 3, 3), random_sparse_affinity(rng, 4, 4)]
+    with pytest.raises(ValueError, match=r"same size, got \[\(3, 3\), \(4, 4\)\]"):
+        probabilistic_solve(Ks, np.full((2, 3, 3), 1 / 3))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 9), (3, 3, 3), (2, 3, 3, 1)])
+def test_chunk_start_of_the_wrong_shape_is_rejected_before_any_work(shape, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the solve did work on a start of the wrong shape")
+
+    monkeypatch.setattr(solvers_module, "spmv", no_work)
+    Ks = [SparseAffinity(3, 3, np.ones(9)), SparseAffinity(3, 3, np.zeros(9))]
+    with pytest.raises(ValueError, match=r"X_init must have shape \(2, 3, 3\)"):
+        probabilistic_solve(Ks, np.full(shape, 1 / 3))
+
+
 # ---------------------------------------------------------------------------
 # discretize / accuracy
 
