@@ -225,10 +225,21 @@ def _add_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray):
                              indptr, indices, data, rows, out)
 
 
+def _integer_index(index) -> np.ndarray:
+    """``index`` as an array of its own integer dtype, without a copy.
+
+    Raises TypeError on any other dtype, which numpy would truncate or read as
+    a mask."""
+    index = np.asarray(index)
+    if not np.issubdtype(index.dtype, np.integer):
+        raise TypeError(f"an index must be of an integer dtype, got {index.dtype}")
+    return index
+
+
 def gather(a: Tensor, index: np.ndarray) -> Tensor:
-    """Select rows (axis 0) of ``a`` by an index array with entries in
+    """Select rows (axis 0) of ``a`` by an integer index array with entries in
     [0, len(a))."""
-    index = np.asarray(index, dtype=np.int64)
+    index = _integer_index(index)
 
     def backward(g):
         _add_rows(a.grad, index, g)
@@ -237,8 +248,8 @@ def gather(a: Tensor, index: np.ndarray) -> Tensor:
 
 
 def scatter_add(a: Tensor, index: np.ndarray, size: int) -> Tensor:
-    """Sum rows of ``a`` into ``size`` bins given by ``index`` (axis 0)."""
-    index = np.asarray(index, dtype=np.int64)
+    """Sum rows of ``a`` into ``size`` bins given by an integer ``index`` (axis 0)."""
+    index = _integer_index(index)
     acc = np.zeros((size,) + a.data.shape[1:])
     _add_rows(acc, index, a.data)
 

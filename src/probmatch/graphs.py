@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
+from .linalg import index_dtype
+
 _N_DIST_BINS = 4
 _N_ANGLE_BINS = 4
 FEATURE_DIM = _N_DIST_BINS + _N_ANGLE_BINS
@@ -76,7 +78,7 @@ class AAGraph:
     n1: int
     n2: int
     node_attrs: np.ndarray   # (n1*n2, 2 * FEATURE_DIM)
-    edges: np.ndarray        # (m, 2) int
+    edges: np.ndarray        # (m, 2) flat match indices, ``linalg.index_dtype`` wide
     edge_attrs: np.ndarray   # (m, AA_EDGE_DIM) coordinate concatenations
 
 
@@ -208,9 +210,12 @@ def edge_pairs(e1: np.ndarray, e2: np.ndarray, n2: int):
     Returns (p, q), flattened from the m1 x 2 m2 grid of each graph-1 edge
     (i, j) crossed with each graph-2 edge (a, b), first as listed, then
     reversed: p = i * n2 + a and q = j * n2 + b. This is the only place the
-    package forms a flat match index from its node indices.
+    package forms a flat match index from its node indices. The indices lie
+    below (max i + 1) * n2 and have ``linalg.index_dtype``'s width for that
+    size: the edge lists are cast before the grid is formed.
     """
-    o2 = _oriented(e2)
+    index = index_dtype((int(e1.max(initial=-1)) + 1) * n2)
+    e1, o2 = e1.astype(index), _oriented(e2).astype(index)
     p = (e1[:, :1] * n2 + o2[:, 0]).ravel()
     q = (e1[:, 1:] * n2 + o2[:, 1]).ravel()
     return p, q

@@ -14,6 +14,13 @@ Batched solvers work on a chunk of B same-size instances at once.
 ``block_diagonal`` stacks their operators into one operator of size B * N,
 and ``sinkhorn`` normalizes a stack (B, n, n) with every sum taken within
 one instance, so each instance's result is bitwise what it would be alone.
+
+Operator indices are 32-bit where they fit: ``index_dtype(size)`` is the one
+rule, int32 for indices below 2**31 and int64 from there. ``edge_pairs``
+forms K's triplets at that width, ``SparseAffinity`` keeps int32 triplets as
+given and widens any other integer input to int64, and ``stable_csr`` narrows
+only after its range check, so an index too large for int32 is rejected
+rather than wrapped.
 """
 
 from __future__ import annotations
@@ -27,13 +34,27 @@ from scipy.sparse import _sparsetools
 FLOOR = 1e-12   # least probability: Sinkhorn's clamp and the solver's ratio denominators
 
 
+def index_dtype(size: int) -> type:
+    """Width of indices in [0, size) and of counts up to size: int32 below
+    2**31, int64 from there."""
+    return np.int32 if size < 2**31 else np.int64
+
+
+def _index_array(a) -> np.ndarray:
+    """int32 indices as given, without a copy; any other input as int64."""
+    if isinstance(a, np.ndarray) and a.dtype == np.int32:
+        return a
+    return np.asarray(a, dtype=np.int64)
+
+
 @dataclass
 class SparseAffinity:
     """Sparse symmetric affinity operator.
 
     ``rows``/``cols``/``vals`` store the off-diagonal entries in directed form:
     every undirected affinity appears twice, once as (p, q) and once as (q, p).
-    ``unary`` holds the diagonal.
+    ``unary`` holds the diagonal. int32 ``rows``/``cols`` are kept as
+    given, without a copy; any other input is stored as int64.
 
     ``spmv`` reads the off-diagonal entries through a CSR view that it builds
     on the first product and rebuilds when ``rows``, ``cols`` or ``vals`` is
@@ -50,8 +71,8 @@ class SparseAffinity:
 
     def __post_init__(self):
         self.unary = np.asarray(self.unary, dtype=np.float64)
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
+        self.rows = _index_array(self.rows)
+        self.cols = _index_array(self.cols)
         self.vals = np.asarray(self.vals, dtype=np.float64)
         if self.unary.shape != (self.size,):
             raise ValueError(
@@ -81,7 +102,8 @@ class SparseAffinity:
 
     def to_dense(self) -> np.ndarray:
         size = self.size
-        off = np.bincount(self.rows * size + self.cols, weights=self.vals,
+        # int64, since int32 would wrap from size**2 >= 2**31
+        off = np.bincount(self.rows.astype(np.int64) * size + self.cols, weights=self.vals,
                           minlength=size * size)
         return np.diag(self.unary) + off.reshape(size, size)
 
@@ -95,9 +117,11 @@ def stable_csr(n_row: int, n_col: int, rows, cols, vals) -> tuple:
 
     A stable counting sort by row (scipy's ``coo_tocsr`` kernel) keeps the
     entries of each row in their stored order, so a CSR product sums them in
-    that order. Indices are 32-bit where they fit, for a smaller matrix and a
-    faster product. Raises ValueError unless the triplets are 1-D of one
-    length with rows in [0, n_row) and cols in [0, n_col).
+    that order. Indices are ``index_dtype``'s width, for a smaller matrix and
+    a faster product; int32 triplets are read without a copy, and wider ones
+    are narrowed only after the range check. Raises ValueError unless the
+    triplets are 1-D of one length with rows in [0, n_row) and cols in
+    [0, n_col).
     """
     rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=np.float64)
     nnz = rows.size
@@ -107,12 +131,12 @@ def stable_csr(n_row: int, n_col: int, rows, cols, vals) -> tuple:
     if nnz and (min(rows.min(), cols.min()) < 0
                 or rows.max() >= n_row or cols.max() >= n_col):
         raise ValueError(f"rows must lie in [0, {n_row}) and cols in [0, {n_col})")
-    index = np.int32 if max(nnz, n_row, n_col) < 2**31 else np.int64
+    index = index_dtype(max(nnz, n_row, n_col))
     indptr = np.empty(n_row + 1, dtype=index)
     indices = np.empty(nnz, dtype=index)
     data = np.empty(nnz)
-    _sparsetools.coo_tocsr(n_row, n_col, nnz, rows.astype(index), cols.astype(index),
-                           vals, indptr, indices, data)
+    _sparsetools.coo_tocsr(n_row, n_col, nnz, rows.astype(index, copy=False),
+                           cols.astype(index, copy=False), vals, indptr, indices, data)
     return indptr, indices, data
 
 
@@ -148,8 +172,11 @@ def block_diagonal(Ks) -> SparseAffinity:
     stacked K has ``n1`` equal to B times each instance's n1. The triplets are
     concatenated in block order; each row keeps its instance's entries in
     their stored order, so ``spmv`` on the stack is bitwise the product of
-    each block alone. A chunk of one is that operator itself. Raises
-    ValueError on an empty chunk or on operators of different sizes.
+    each block alone. A chunk of one is that operator itself. The stacked
+    indices take ``index_dtype`` of the stacked size, widened to int64 if any
+    block's are, and the offsets are added at that width, so they cannot
+    wrap. Raises ValueError on an empty chunk or on operators of different
+    sizes.
     """
     Ks = list(Ks)
     if not Ks:
@@ -160,10 +187,16 @@ def block_diagonal(Ks) -> SparseAffinity:
         raise ValueError(f"a chunk's operators must all have the same size, got {sizes}")
     if len(Ks) == 1:
         return Ks[0]
-    offsets = [b * n1 * n2 for b in range(len(Ks))]
+    N = n1 * n2
+    index = np.result_type(index_dtype(len(Ks) * N),
+                           *{a.dtype for K in Ks for a in (K.rows, K.cols)})
+
+    def stacked(blocks):
+        return np.concatenate([a.astype(index, copy=False) + b * N
+                               for b, a in enumerate(blocks)])
+
     return SparseAffinity(len(Ks) * n1, n2, np.concatenate([K.unary for K in Ks]),
-                          np.concatenate([K.rows + o for K, o in zip(Ks, offsets)]),
-                          np.concatenate([K.cols + o for K, o in zip(Ks, offsets)]),
+                          stacked(K.rows for K in Ks), stacked(K.cols for K in Ks),
                           np.concatenate([K.vals for K in Ks]))
 
 

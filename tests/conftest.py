@@ -36,6 +36,13 @@ def random_sparse_affinity(rng, n1, n2, density=0.3):
     return SparseAffinity.symmetric(n1, n2, *random_pairs(rng, n1, n2, density))
 
 
+def int64_copy(K):
+    """K with its triplets copied to int64, for checks that the index width
+    changes no result."""
+    return SparseAffinity(K.n1, K.n2, K.unary, K.rows.astype(np.int64),
+                          K.cols.astype(np.int64), K.vals)
+
+
 def reference_edge_pairs(e1, e2):
     """Every pair of a graph-1 and a graph-2 edge by ``np.repeat`` and
     ``np.tile``: (i, j, a, b), one entry per graph-1 edge (i, j) crossed

@@ -83,7 +83,7 @@ def test_assembled_triplets_are_bitwise_the_per_pair_oracle():
         K = assemble_affinity(g1, g2, cfg)
         e1, e2 = g1.edge_list(), g2.edge_list()
         i, j, a, b = reference_edge_pairs(e1, e2)
-        p, q = i * g2.n + a, j * g2.n + b
+        p, q = (i * g2.n + a).astype(np.int32), (j * g2.n + b).astype(np.int32)
         k1 = np.repeat(np.arange(len(e1)), 2 * len(e2))
         k2 = np.tile(np.arange(len(e2)), 2 * len(e1))
         d1 = g1.points[e1[k1, 1]] - g1.points[e1[k1, 0]]

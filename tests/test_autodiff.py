@@ -103,6 +103,8 @@ _INDEX_CASES = {
     "repeated_unsorted": (np.array([4, 1, 4, 0, 1, 4, 4, 0, 1, 4] * 5), 6),
     "empty_bins": (np.array([5, 5, 2, 5, 2]), 9),
     "empty_index": (np.zeros(0, dtype=np.int64), 4),
+    # a strided int32 column, as predictor_forward passes an AA graph's edges
+    "int32_column": (np.array([[4, 0], [1, 5], [4, 2], [0, 1]] * 5, dtype=np.int32)[:, 0], 6),
 }
 
 
@@ -144,6 +146,16 @@ def test_gather_and_scatter_reject_indices_out_of_range():
     loss = ad.tsum(ad.gather(a, np.array([0, -1])))
     with pytest.raises(ValueError, match="lie in"):
         loss.backward()
+
+
+def test_gather_and_scatter_reject_a_non_integer_index():
+    # numpy would truncate a float index to rows 0 and 2, and read a bool one as a mask
+    a = Tensor(np.ones((3, 2)))
+    for index in (np.array([0.7, 2.9]), [0.0, 1.0], np.array([True, False, True])):
+        with pytest.raises(TypeError, match="integer"):
+            ad.gather(a, index)
+        with pytest.raises(TypeError, match="integer"):
+            ad.scatter_add(a, index, 3)
 
 
 # ---------------------------------------------------------------------------

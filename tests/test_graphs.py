@@ -268,8 +268,17 @@ def test_edge_pairs_are_bitwise_the_repeat_tile_oracle():
     for name, g1, g2 in builder_graph_pairs():
         i, j, a, b = reference_edge_pairs(g1.edge_list(), g2.edge_list())
         p, q = edge_pairs(g1.edge_list(), g2.edge_list(), g2.n)
-        _assert_bitwise(p, i * g2.n + a, name)
-        _assert_bitwise(q, j * g2.n + b, name)
+        _assert_bitwise(p, (i * g2.n + a).astype(np.int32), name)
+        _assert_bitwise(q, (j * g2.n + b).astype(np.int32), name)
+
+
+def test_edge_pairs_widen_to_int64_from_2_to_the_31_matches():
+    # (max i + 1) * n2 = 2 * n2 matches; no grid that large is formed
+    e = np.array([[0, 1]])
+    for n2, dtype in ((2**30 - 1, np.int32), (2**30, np.int64)):
+        p, q = edge_pairs(e, e, n2)
+        assert p.dtype == q.dtype == dtype
+        assert p.tolist() == [0, 1] and q.tolist() == [n2 + 1, n2]
 
 
 def test_aa_graph_is_bitwise_the_fancy_index_oracle():
@@ -277,8 +286,8 @@ def test_aa_graph_is_bitwise_the_fancy_index_oracle():
         aa = build_aa_graph(g1, g2)
         i, j, a, b = reference_edge_pairs(g1.edge_list(), g2.edge_list())
         p, q = i * g2.n + a, j * g2.n + b
-        _assert_bitwise(aa.edges, np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1),
-                        name)
+        _assert_bitwise(aa.edges, np.stack([np.minimum(p, q), np.maximum(p, q)],
+                                           axis=1).astype(np.int32), name)
         _assert_bitwise(aa.edge_attrs, reference_edge_attrs(g1, g2), name)
         assert aa.edge_attrs.flags.c_contiguous, name
 

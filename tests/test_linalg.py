@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_sparse_affinity, reference_sinkhorn, reference_spmv
+from conftest import int64_copy, random_sparse_affinity, reference_sinkhorn, reference_spmv
 from probmatch.affinity import assemble_affinity
 from probmatch.graphs import FEATURE_DIM, AttributedGraph, build_aa_graph, synthesize_pair
 from probmatch.linalg import (
@@ -15,6 +15,7 @@ from probmatch.linalg import (
     binary_score,
     block_diagonal,
     hungarian,
+    index_dtype,
     l21_norm,
     perm_matrix,
     sinkhorn,
@@ -200,6 +201,50 @@ def test_spmv_rejects_triplets_the_native_kernels_cannot_index():
     K.vals = np.array([1.0])
     with pytest.raises(ValueError, match="one length"):
         spmv(K, np.ones(4))
+    # an int64 index past 2**32 is rejected, not read as its low 32 bits (1)
+    K = SparseAffinity(2, 2, np.ones(4), rows=np.array([0, 2**32 + 1]), cols=[1, 0],
+                       vals=[1.0, 1.0])
+    with pytest.raises(ValueError, match="lie in"):
+        spmv(K, np.ones(4))
+    ok = SparseAffinity(2, 2, np.ones(4), rows=np.array([0, 1], dtype=np.int32),
+                        cols=np.array([1, 0], dtype=np.int32), vals=[1.0, 1.0])
+    for chunk in ([K, ok], [ok, K]):
+        with pytest.raises(ValueError, match="lie in"):
+            spmv(block_diagonal(chunk), np.ones(8))
+
+
+def test_index_width_is_int32_below_2_to_the_31():
+    assert index_dtype(0) is index_dtype(2**31 - 1) is np.int32
+    assert index_dtype(2**31) is index_dtype(2**40) is np.int64
+
+
+def test_int32_triplets_are_kept_without_a_copy():
+    rows, cols = np.array([0, 3], dtype=np.int32), np.array([3, 0], dtype=np.int32)
+    K = SparseAffinity(2, 2, np.ones(4), rows, cols, [0.5, 0.5])
+    assert K.rows is rows and K.cols is cols
+    K = SparseAffinity(2, 2, np.ones(4), [0, 3], np.array([3, 0], dtype=np.uint32),
+                       [0.5, 0.5])
+    assert K.rows.dtype == K.cols.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [3, 8, 21])
+def test_int32_and_int64_triplets_give_bitwise_the_same_results(n):
+    rng = np.random.default_rng(n)
+    Ks = [assemble_affinity(p.g1, p.g2)
+          for p in (synthesize_pair(n, 0.02, seed=n + b) for b in range(3))]
+    assert all(K.rows.dtype == K.cols.dtype == np.int32 for K in Ks)
+    wide = [int64_copy(K) for K in Ks]
+    for K, K64 in zip(Ks, wide):
+        assert np.array_equal(K.to_dense(), K64.to_dense())
+        for x in _bitwise_cases(K, rng):
+            assert np.array_equal(spmv(K, x), spmv(K64, x))
+    mixed = [Ks[0], wide[1], Ks[2]]
+    for chunk, dtype in ((Ks, np.int32), (wide, np.int64), (mixed, np.int64)):
+        stacked = block_diagonal(chunk)
+        assert stacked.rows.dtype == stacked.cols.dtype == dtype
+        assert np.array_equal(stacked.to_dense(), block_diagonal(wide).to_dense())
+        x = rng.normal(size=stacked.size)
+        assert np.array_equal(spmv(stacked, x), spmv(block_diagonal(wide), x))
 
 
 def test_to_dense_sums_repeated_entries():

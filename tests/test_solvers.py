@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_qap,
+    int64_copy,
     random_pairs,
     random_sparse_affinity,
     reference_probabilistic_solve,
@@ -471,6 +472,23 @@ def test_batched_probabilistic_solve_stays_bitwise_at_n100():
     for K, X_b, trace in zip(Ks, X, traces):
         X_alone, trace_alone = probabilistic_solve(K, X0[0], cfg)
         assert np.array_equal(X_b, X_alone) and _same_record(trace, trace_alone)
+
+
+@pytest.mark.parametrize("n, max_iters", [(8, 100), (100, 3)])
+def test_probabilistic_solve_is_bitwise_the_same_on_int64_triplets(n, max_iters):
+    pairs = [synthesize_pair(n, 0.03, seed=seed) for seed in range(2)]
+    Ks = [assemble_affinity(pair.g1, pair.g2) for pair in pairs]
+    assert all(K.rows.dtype == K.cols.dtype == np.int32 for K in Ks)
+    wide = [int64_copy(K) for K in Ks]
+    X0 = np.full((2, n, n), 1.0 / n)
+    cfg = SolverConfig(max_iters=max_iters)
+    for K, K64 in zip(Ks, wide):
+        X, trace = probabilistic_solve(K, X0[0], cfg)
+        X64, trace64 = probabilistic_solve(K64, X0[0], cfg)
+        assert np.array_equal(X, X64) and _same_record(trace, trace64)
+    X, traces = probabilistic_solve(Ks, X0, cfg)
+    X64, traces64 = probabilistic_solve(wide, X0, cfg)
+    assert np.array_equal(X, X64) and all(map(_same_record, traces, traces64))
 
 
 def test_non_square_operator_is_rejected_before_any_work(monkeypatch):
