@@ -35,12 +35,9 @@ for noise in noise_levels:
 
         X, _ = probabilistic_solve(K, uniform)
         scores["dpgm"].append(accuracy(discretize(X), gt))
-        scores["spectral"].append(
-            accuracy(discretize(spectral_match(K)[0].reshape(n, n)), gt))
-        scores["ipfp"].append(
-            accuracy(discretize(ipfp(K, uniform.ravel())[0].reshape(n, n)), gt))
-        scores["rrwm"].append(
-            accuracy(discretize(rrwm(K)[0].reshape(n, n)), gt))
+        scores["spectral"].append(accuracy(discretize(spectral_match([K])[0][0]), gt))
+        scores["ipfp"].append(accuracy(discretize(ipfp([K], uniform[None])[0][0]), gt))
+        scores["rrwm"].append(accuracy(discretize(rrwm([K])[0][0]), gt))
     print(f"  {noise:5.2f}    "
           + "   ".join(f"{np.mean(scores[k]):.3f}"
                        for k in ("dpgm", "spectral", "ipfp", "rrwm")))

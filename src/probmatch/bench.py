@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError("lr must be positive")
         if not self.lr < np.inf:
             raise ConfigError("lr must be finite")
+        if self.target_accuracy is not None and not 0 <= self.target_accuracy <= 1:
+            raise ConfigError("target_accuracy must lie in [0, 1]")
         if not self.noise_levels or len(set(self.noise_levels)) < len(self.noise_levels):
             raise ConfigError("noise_levels must be non-empty and distinct")
         for name, values in (("noise_levels", self.noise_levels),
@@ -223,38 +225,31 @@ def _run_instance(cfg: ExperimentConfig, noise: float, index: int, inst_seed: in
 
 def _run_chunk(cfg: ExperimentConfig, chunk: list, store, solvers: tuple) -> dict:
     """Each solver's rows on the instances of ``chunk`` (``test_split``
-    entries), every solver seeing the same pair, K and X_init. dpgm,
-    spectral and RRWM solve the chunk in one batched call, dpgm getting a
-    chunk of one as that operator itself; IPFP solves one instance at a
-    time."""
+    entries), every solver seeing the same pairs, Ks and X_init and solving
+    the whole chunk in one call."""
     built = [_run_instance(cfg, noise, index, seed, store) for index, noise, seed in chunk]
     Ks = [K for _, K, _, _ in built]
+    X_init = np.stack([X_init for _, _, X_init, _ in built])
+    solve = {"dpgm": lambda: dpgm_assignment(Ks, X_init, cfg.solver_cfg, cfg.ablation),
+             "spectral": lambda: spectral_match(Ks),
+             "ipfp": lambda: ipfp(Ks, np.full(X_init.shape, 1.0 / cfg.n)),
+             "rrwm": lambda: rrwm(Ks)}
     out = {}
     for solver in solvers:
         t0 = time.perf_counter()
-        if solver == "dpgm" and len(built) == 1:
-            solved = [dpgm_assignment(Ks[0], built[0][2], cfg.solver_cfg, cfg.ablation)]
-        elif solver == "dpgm":
-            solved = zip(*dpgm_assignment(Ks, np.stack([X_init for _, _, X_init, _ in built]),
-                                          cfg.solver_cfg, cfg.ablation))
-        elif solver == "ipfp":
-            solved = [ipfp(K, np.full(K.size, 1.0 / cfg.n)) for K in Ks]
-        else:
-            X, iterations = (spectral_match if solver == "spectral" else rrwm)(Ks)
-            solved = zip(X, iterations)
-        solved = [(X.reshape(cfg.n, cfg.n), int(iterations)) for X, iterations in solved]
-        preds = [discretize(X) for X, _ in solved]
+        X, iterations = solve[solver]()
+        preds = [discretize(X_b) for X_b in X]
         share_s = (time.perf_counter() - t0) / len(chunk)
         out[solver] = [{
             "index": index,
             "noise": noise,
             "accuracy": accuracy(pred, pair.ground_truth),
             "objective": objective(K, perm_matrix(pred).ravel()),
-            "binary_score": binary_score(X),
-            "iterations": iterations,
+            "binary_score": binary_score(X_b),
+            "iterations": int(steps),
             "wall_ms": (build_s + share_s) * 1e3,
-        } for (index, noise, _), (pair, K, _, build_s), (X, iterations), pred
-            in zip(chunk, built, solved, preds)]
+        } for (index, noise, _), (pair, K, _, build_s), X_b, steps, pred
+            in zip(chunk, built, X, iterations, preds)]
     return out
 
 

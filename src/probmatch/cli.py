@@ -204,6 +204,8 @@ def _cmd_compare(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_gradcheck(cfg: ExperimentConfig, args) -> int:
+    if not 0 < args.step < float("inf"):
+        raise ConfigError("--step: step must be finite and positive")
     try:
         pcfg = PredictorConfig(d_V=args.d, d_E=args.d, T=args.T)
     except ValueError as exc:

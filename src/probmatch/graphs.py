@@ -38,6 +38,8 @@ class AttributedGraph:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.adjacency = np.asarray(self.adjacency, dtype=bool)
         n = self.n
+        if self.features.ndim != 2 or len(self.features) != n:
+            raise ValueError(f"features {self.features.shape} need one row per point ({n})")
         if self.adjacency.shape != (n, n):
             raise ValueError("adjacency shape mismatch")
         if np.any(self.adjacency != self.adjacency.T) or np.any(np.diag(self.adjacency)):
@@ -277,6 +279,8 @@ def load_pair(path) -> GraphPair:
         n = points.shape[0]
         adj = np.zeros((n, n), dtype=bool)
         for i, j in d["edges"]:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge [{i}, {j}] names a node outside [0, {n})")
             adj[i, j] = adj[j, i] = True
         return AttributedGraph(points, np.asarray(d["features"]), adj,
                                delaunay_fallback=d["delaunay_fallback"])

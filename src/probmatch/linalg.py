@@ -175,8 +175,9 @@ def block_diagonal(Ks) -> SparseAffinity:
     each block alone. A chunk of one is that operator itself. The stacked
     indices take ``index_dtype`` of the stacked size, widened to int64 if any
     block's are, and the offsets are added at that width, so they cannot
-    wrap. Raises ValueError on an empty chunk or on operators of different
-    sizes.
+    wrap. Raises ValueError on an empty chunk, on operators of different
+    sizes, or on an index outside [0, N) of its own block, which would
+    otherwise land silently in a neighbouring block.
     """
     Ks = list(Ks)
     if not Ks:
@@ -192,11 +193,14 @@ def block_diagonal(Ks) -> SparseAffinity:
                            *{a.dtype for K in Ks for a in (K.rows, K.cols)})
 
     def stacked(blocks):
-        return np.concatenate([a.astype(index, copy=False) + b * N
-                               for b, a in enumerate(blocks)])
+        flat = np.concatenate(blocks).astype(index, copy=False)
+        if flat.size and not 0 <= flat.min() <= flat.max() < N:
+            raise ValueError(f"each operator's rows and cols must lie in [0, {N})")
+        return flat + np.repeat(np.arange(len(Ks), dtype=index) * N,
+                                [K.vals.size for K in Ks])
 
     return SparseAffinity(len(Ks) * n1, n2, np.concatenate([K.unary for K in Ks]),
-                          stacked(K.rows for K in Ks), stacked(K.cols for K in Ks),
+                          stacked([K.rows for K in Ks]), stacked([K.cols for K in Ks]),
                           np.concatenate([K.vals for K in Ks]))
 
 

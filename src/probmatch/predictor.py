@@ -181,25 +181,24 @@ def learned_affinity(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
     return K, X_init
 
 
-def dpgm_assignment(K, X_init: np.ndarray, scfg: SolverConfig, ablation: str):
-    """Numpy inference: solve K from X_init; returns (X, iterations).
-
-    K and X_init are one operator and its (n1, n2) start, or a chunk of
-    same-size operators and their (B, n1, n2) starts, solved in one batched
-    call; for a chunk the iteration counts are a length-B array. Ablations:
-    "tia" solves from the uniform assignment instead, and "wps" returns
-    X_init without solving."""
+def dpgm_assignment(Ks, X_init: np.ndarray, scfg: SolverConfig, ablation: str):
+    """Numpy inference: solve a chunk of same-size operators from their
+    (B, n1, n2) starts in one batched call; returns X (B, n1, n2) and the
+    length-B iteration counts. A chunk of one is solved as that operator
+    itself, so its solve records one ``SolveTrace``. Ablations: "tia"
+    solves from the uniform assignment instead, and "wps" returns X_init
+    without solving."""
     if ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}")
-    one = isinstance(K, SparseAffinity)
     if ablation == "wps":
-        return X_init, 0 if one else np.zeros(len(X_init), dtype=int)
+        return X_init, np.zeros(len(Ks), dtype=int)
     if ablation == "tia":
         X_init = np.full(np.shape(X_init), 1.0 / np.shape(X_init)[-1])
-    X, trace = probabilistic_solve(K, X_init, scfg)
-    if one:
-        return X, trace.iterations
-    return X, np.array([t.iterations for t in trace])
+    if len(Ks) == 1:
+        X, trace = probabilistic_solve(Ks[0], np.squeeze(X_init, 0), scfg)
+        return X[None], np.array([trace.iterations])
+    X, traces = probabilistic_solve(Ks, X_init, scfg)
+    return X, np.array([trace.iterations for trace in traces])
 
 
 def pipeline_forward(aa: AAGraph, store: ParamStore, pcfg: PredictorConfig,
@@ -265,8 +264,8 @@ def evaluate(pairs, store: ParamStore, pcfg: PredictorConfig,
     accs = []
     for pair in pairs:
         K, X_init = learned_affinity(build_aa_graph(pair.g1, pair.g2), store, pcfg)
-        X, _ = dpgm_assignment(K, X_init, scfg, ablation)
-        accs.append(accuracy(discretize(X), pair.ground_truth))
+        X, _ = dpgm_assignment([K], X_init[None], scfg, ablation)
+        accs.append(accuracy(discretize(X[0]), pair.ground_truth))
     return float(np.mean(accs))
 
 

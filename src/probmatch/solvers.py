@@ -8,14 +8,14 @@ row-scale vector over a fixed K. Early stop fires when the squared change of
 the assignment vector drops below a threshold. ``solve_tape`` is the same
 solve as one autodiff tape node whose backward, the exact adjoint, reads its record.
 
-The probabilistic solver, spectral matching and RRWM take one operator or a
-chunk of same-size ones. A chunk is solved in one pass over its
-block-diagonal stack, so numpy's per-call overhead is paid once per chunk
-instead of once per instance. Each instance keeps its own stopping rules and
-leaves the chunk when it stops, and its result is bitwise what it would be
-alone: norms are taken one instance at a time with ``np.dot``, and sums and
-maxima within each instance's row. A single operator is a chunk of one, so
-there is one loop per solver.
+Every solver takes a chunk, a list of same-size operators, and returns X
+(B, n1, n2) and per-instance counts; ``probabilistic_solve`` also takes one
+bare operator. Except IPFP, which goes one instance at a time, a chunk is
+solved in one pass over its block-diagonal stack, so numpy's per-call
+overhead is paid once per chunk. Each instance keeps its own stopping rules
+and leaves the chunk when it stops, and its result is bitwise what it would
+be alone: norms are taken one instance at a time with ``np.dot``, and sums
+and maxima within each instance's row.
 """
 
 from __future__ import annotations
@@ -206,30 +206,20 @@ def solve_tape(x: Tensor, e: Tensor, pairs, shape: tuple,
     return Tensor(X.ravel(), (x, e), backward)
 
 
-def _chunk(K):
-    """``(stacked K, B, n1, n2)`` for one operator or a chunk of same-size ones."""
-    Ks = [K] if isinstance(K, SparseAffinity) else list(K)
-    stacked = block_diagonal(Ks)
-    return stacked, len(Ks), Ks[0].n1, Ks[0].n2
+def _chunk(Ks: list):
+    """``(stacked K, B, n1, n2)`` of a chunk of same-size operators."""
+    return block_diagonal(Ks), len(Ks), Ks[0].n1, Ks[0].n2
 
 
-def _unchunk(K, X, iterations):
-    """One operator's ``(x, iterations)``, or a chunk's ``(X (B, N), iterations)``."""
-    if isinstance(K, SparseAffinity):
-        return X[0], int(iterations[0])
-    return X, iterations
+def spectral_match(Ks, iters: int = 100):
+    """Power iteration approximating the principal eigenvector of each K.
 
-
-def spectral_match(K, iters: int = 100):
-    """Power iteration approximating the principal eigenvector of K.
-
-    K is one operator or a chunk of same-size operators, each iterated on its
-    own. Starts from the uniform vector; the iterate stays nonnegative with
-    unit Euclidean norm. Returns the iterate and the number of updates applied
-    to it, fewer than ``iters`` only when K x vanishes: for a chunk, the
-    iterates as rows of a (B, N) array and the counts as a length-B array.
+    Each operator of the chunk is iterated on its own from the uniform
+    vector; the iterate stays nonnegative with unit Euclidean norm. Returns
+    the iterates X (B, n1, n2) and the number of updates applied to each,
+    fewer than ``iters`` only when its K x vanishes.
     """
-    stacked, B, n1, n2 = _chunk(K)
+    stacked, B, n1, n2 = _chunk(Ks)
     N = n1 * n2
     X = np.full((B, N), 1.0 / np.sqrt(N))
     done = np.full(B, iters)
@@ -244,48 +234,48 @@ def spectral_match(K, iters: int = 100):
             if not live.size:
                 break
         X[live] = Y / norm[:, None]
-    return _unchunk(K, X, done)
+    return X.reshape(B, n1, n2), done
 
 
-def ipfp(K: SparseAffinity, x0: np.ndarray, max_iters: int = 50):
+def ipfp(Ks, X0: np.ndarray, max_iters: int = 50):
     """Integer projected fixed point iteration.
 
     Each step discretizes the gradient K x with the Hungarian algorithm and
     line-searches the quadratic objective along the segment toward that
-    permutation. The returned point never has a lower objective than x0.
-    Returns the point and the number of steps taken from x0.
+    permutation. The chunk is solved one instance at a time, each from its
+    start in X0 (B, n1, n2), and never ends below its start's objective.
+    Returns the points X (B, n1, n2) and the steps each took.
     """
-    x = np.asarray(x0, dtype=np.float64).copy()
-    n1, n2 = K.n1, K.n2
-    for it in range(max_iters):
-        g = spmv(K, x)
-        b = perm_matrix(hungarian(g.reshape(n1, n2))).ravel()
-        d = b - x
-        # f(x + t d) = f(x) + c1 t + c2 t^2 on the symmetric operator.
-        c1 = 2.0 * float(np.dot(d, g))
-        c2 = float(np.dot(d, spmv(K, d)))
-        if c1 <= 1e-12:
-            return x, it
-        t = 1.0 if c2 >= 0 else min(1.0, -c1 / (2.0 * c2))
-        if c1 * t + c2 * t * t <= 1e-12:
-            return x, it
-        x = x + t * d
-    return x, max_iters
+    X = np.array(X0, dtype=np.float64, order="C")
+    steps = np.full(len(X), max_iters)
+    for b, K in enumerate(Ks):
+        x = X[b].reshape(-1)      # a view: each step updates X in place
+        for it in range(max_iters):
+            g = spmv(K, x)
+            d = perm_matrix(hungarian(g.reshape(K.n1, K.n2))).ravel() - x
+            # f(x + t d) = f(x) + c1 t + c2 t^2 on the symmetric operator.
+            c1 = 2.0 * float(np.dot(d, g))
+            c2 = float(np.dot(d, spmv(K, d)))
+            t = 1.0 if c2 >= 0 else min(1.0, -c1 / (2.0 * c2))
+            if c1 <= 1e-12 or c1 * t + c2 * t * t <= 1e-12:
+                steps[b] = it
+                break
+            x += t * d
+    return X, steps
 
 
-def rrwm(K, alpha: float = 0.2, inflation: float = 30.0, max_iters: int = 100):
+def rrwm(Ks, alpha: float = 0.2, inflation: float = 30.0, max_iters: int = 100):
     """Reweighted random-walk matching.
 
     The l1-normalized walk step y = Kx / |Kx|_1 is mixed, with weight
     ``alpha``, with a jump vector obtained by exponentiating y (exponent
     ``inflation``) and reprojecting with Sinkhorn. alpha = 0 reduces to plain
-    l1-normalized power iteration. K is one operator or a chunk of same-size
-    operators; each instance walks until its own step is below 1e-8 or its
-    K x sums to 0, and the rest of the chunk goes on without it. Returns the
-    iterate and the number of updates applied to it: for a chunk, the
-    iterates as rows of a (B, N) array and the counts as a length-B array.
+    l1-normalized power iteration. Each instance of the chunk walks until its
+    own step is below 1e-8 or its K x sums to 0, and the rest of the chunk
+    goes on without it. Returns the iterates X (B, n1, n2) and the number of
+    updates applied to each.
     """
-    stacked, B, n1, n2 = _chunk(K)
+    stacked, B, n1, n2 = _chunk(Ks)
     N = n1 * n2
     X = np.full((B, N), 1.0 / N)
     done = np.full(B, max_iters)
@@ -316,7 +306,7 @@ def rrwm(K, alpha: float = 0.2, inflation: float = 30.0, max_iters: int = 100):
             live = live[~stop]
             if not live.size:
                 break
-    return _unchunk(K, X, done)
+    return X.reshape(B, n1, n2), done
 
 
 def discretize(X: np.ndarray) -> np.ndarray:

@@ -81,12 +81,9 @@ def test_solvers_against_brute_force_oracle():
         uniform = np.full((n, n), 1.0 / n)
         X, _ = probabilistic_solve(K, uniform)
         hits["dpgm"] += np.array_equal(discretize(X), best)
-        hits["spectral"] += np.array_equal(
-            discretize(spectral_match(K)[0].reshape(n, n)), best)
-        hits["ipfp"] += np.array_equal(
-            discretize(ipfp(K, uniform.ravel())[0].reshape(n, n)), best)
-        hits["rrwm"] += np.array_equal(
-            discretize(rrwm(K)[0].reshape(n, n)), best)
+        hits["spectral"] += np.array_equal(discretize(spectral_match([K])[0][0]), best)
+        hits["ipfp"] += np.array_equal(discretize(ipfp([K], uniform[None])[0][0]), best)
+        hits["rrwm"] += np.array_equal(discretize(rrwm([K])[0][0]), best)
     dt = time.perf_counter() - t0
     rates = {k: v / 200 for k, v in hits.items()}
     ok = (rates["dpgm"] >= 0.95

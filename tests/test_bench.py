@@ -94,6 +94,9 @@ def test_bad_sizes_rejected(overrides):
     (dict(train_instances=10_001), "train_instances must be at most 10000, so seed ranges"),
     (dict(instances=1_000_001), "instances must be at most 1000000, so seed ranges"),
     (dict(test_instances=1_000_001), "test_instances must be at most 1000000, so seed ranges"),
+    (dict(target_accuracy=float("nan")), r"target_accuracy must lie in \[0, 1\]"),
+    (dict(target_accuracy=1.5), r"target_accuracy must lie in \[0, 1\]"),
+    (dict(target_accuracy=-0.2), r"target_accuracy must lie in \[0, 1\]"),
 ])
 def test_config_rules_run_at_construction_and_on_replace(overrides, message):
     with pytest.raises(ConfigError, match=f"^{message}"):
@@ -207,17 +210,17 @@ def test_chunked_rows_equal_per_instance_solves(tmp_path, monkeypatch):
             pair = bench.make_pair(cfg, noise, seed)
             K, X_init = bench.instance_operator(cfg, pair, store)
             for s, (X, iterations) in (
-                    ("dpgm", dpgm_assignment(K, X_init, cfg.solver_cfg, cfg.ablation)),
-                    ("spectral", spectral_match(K)),
-                    ("ipfp", ipfp(K, np.full(K.size, 1.0 / cfg.n))),
-                    ("rrwm", rrwm(K))):
-                pred = discretize(X.reshape(cfg.n, cfg.n))
+                    ("dpgm", dpgm_assignment([K], X_init[None], cfg.solver_cfg, cfg.ablation)),
+                    ("spectral", spectral_match([K])),
+                    ("ipfp", ipfp([K], np.full((1, cfg.n, cfg.n), 1.0 / cfg.n))),
+                    ("rrwm", rrwm([K]))):
+                pred = discretize(X[0])
                 expected[s].append({
                     "index": index, "noise": noise,
                     "accuracy": accuracy(pred, pair.ground_truth),
                     "objective": objective(K, perm_matrix(pred).ravel()),
-                    "binary_score": binary_score(X.reshape(cfg.n, cfg.n)),
-                    "iterations": iterations})
+                    "binary_score": binary_score(X[0]),
+                    "iterations": iterations[0]})
         assert _rows_without_wall_time(bench._run(cfg, SOLVERS)) == expected
 
 
@@ -248,12 +251,12 @@ def test_chunked_dpgm_rows_equal_per_instance_solves(tmp_path, monkeypatch):
         for index, noise, seed in bench.test_split(cfg):
             pair = bench.make_pair(cfg, noise, seed)
             K, X_init = bench.instance_operator(cfg, pair, store)
-            X, iterations = dpgm_assignment(K, X_init, cfg.solver_cfg, ablation)
-            pred = discretize(X)
+            X, iterations = dpgm_assignment([K], X_init[None], cfg.solver_cfg, ablation)
+            pred = discretize(X[0])
             expected.append({"index": index, "noise": noise,
                              "accuracy": accuracy(pred, pair.ground_truth),
                              "objective": objective(K, perm_matrix(pred).ravel()),
-                             "binary_score": binary_score(X), "iterations": iterations})
+                             "binary_score": binary_score(X[0]), "iterations": iterations[0]})
         if ablation != "wps":
             assert len({row["iterations"] for row in expected}) > 1
         calls.clear()

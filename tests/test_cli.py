@@ -217,6 +217,9 @@ def test_invalid_config_exits_before_work(tmp_path, capsys):
      "train_instances must be at most 10000, so seed ranges stay disjoint"),
     ("--test-instances", "1000001",
      "test_instances must be at most 1000000, so seed ranges stay disjoint"),
+    ("--target-accuracy", "nan", "target_accuracy must lie in [0, 1]"),
+    ("--target-accuracy", "1.5", "target_accuracy must lie in [0, 1]"),
+    ("--target-accuracy", "-0.2", "target_accuracy must lie in [0, 1]"),
 ])
 def test_bad_training_config_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch,
                                                             flag, value, message):
@@ -281,15 +284,22 @@ def test_bad_config_value_exits_with_one_line_before_work(tmp_path, capsys, monk
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("flag, value, message", [("--d", "0", "d_V must be >= 1"),
-                                                  ("--T", "-1", "T must be >= 0")])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--d", "0", "d_V must be >= 1"),
+    ("--T", "-1", "T must be >= 0"),
+    ("--step", "0", "step must be finite and positive"),
+    ("--step", "-0.5", "step must be finite and positive"),
+    ("--step", "nan", "step must be finite and positive"),
+    ("--step", "inf", "step must be finite and positive"),
+])
 def test_bad_gradcheck_size_exits_with_one_line_before_work(capsys, monkeypatch,
                                                             flag, value, message):
     calls = []
     monkeypatch.setattr(cli, "grad_check", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(SystemExit) as exc:
         main(["gradcheck", flag, value])
-    assert str(exc.value) == f"probmatch: --d/--T: {message}"
+    where = "--step" if flag == "--step" else "--d/--T"
+    assert str(exc.value) == f"probmatch: {where}: {message}"
     assert not calls and capsys.readouterr().out == ""
 
 

@@ -328,3 +328,31 @@ def test_pair_load_rejects_unknown_version(tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError):
         load_pair(path)
+
+
+@pytest.mark.parametrize("edge", [[-1, 0], [0, 5], [5, 5]])
+def test_pair_load_rejects_edges_outside_the_graph(tmp_path, edge):
+    pair = synthesize_pair(5, 0.0, seed=0)
+    path = tmp_path / "pair.json"
+    save_pair(pair, path)
+    doc = json.loads(path.read_text())
+    doc["g2"]["edges"].append(edge)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"edge \[{edge[0]}, {edge[1]}\] .*\[0, 5\)"):
+        load_pair(path)
+
+
+def test_graph_needs_one_feature_row_per_point(tmp_path):
+    points = [[0, 0], [1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="one row per point"):
+        AttributedGraph(points, np.zeros((2, FEATURE_DIM)), np.zeros((3, 3), dtype=bool))
+    with pytest.raises(ValueError, match="one row per point"):
+        AttributedGraph(points, np.zeros(3), np.zeros((3, 3), dtype=bool))
+    pair = synthesize_pair(5, 0.0, seed=0)
+    path = tmp_path / "pair.json"
+    save_pair(pair, path)
+    doc = json.loads(path.read_text())
+    doc["g1"]["features"] = doc["g1"]["features"][:4]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"features \(4, \d+\) need one row per point \(5\)"):
+        load_pair(path)

@@ -146,6 +146,21 @@ def test_block_diagonal_products_are_each_block_alone():
         block_diagonal([])
 
 
+def test_block_diagonal_rejects_an_index_outside_its_own_block():
+    # in range for the stack, but instance 1 would read instance 0's x[3]
+    ok = SparseAffinity(2, 2, np.ones(4), rows=[0, 1], cols=[1, 0], vals=[1.0, 1.0])
+    bad = SparseAffinity(2, 2, np.ones(4), rows=[0], cols=[-1], vals=[5.0])
+    with pytest.raises(ValueError, match="lie in"):
+        spmv(bad, np.arange(4.0))
+    for chunk in ([ok, bad], [bad, ok], [ok, ok, bad]):
+        with pytest.raises(ValueError, match=r"lie in \[0, 4\)"):
+            block_diagonal(chunk)
+    past = SparseAffinity(2, 2, np.ones(4), rows=[4], cols=[0], vals=[5.0])
+    with pytest.raises(ValueError, match=r"lie in \[0, 4\)"):
+        block_diagonal([past, ok])
+    assert block_diagonal([bad]) is bad
+
+
 def test_spmv_is_bitwise_the_triplet_kernel_without_off_diagonal_entries():
     rng = np.random.default_rng(4)
     for n1, n2 in ((1, 1), (2, 3), (5, 5)):

@@ -426,27 +426,27 @@ def test_ablation_argument_validation_and_shapes():
     K, X_init = learned_affinity(aa, store, TINY)
     scfg = SolverConfig(max_iters=2)
     for ablation in ABLATIONS:
-        X, iterations = dpgm_assignment(K, X_init, scfg, ablation)
-        assert X.shape == (3, 3)
-        assert 0 <= iterations <= scfg.max_iters
+        X, iterations = dpgm_assignment([K], X_init[None], scfg, ablation)
+        assert X.shape == (1, 3, 3)
+        assert 0 <= iterations[0] <= scfg.max_iters
     # "full" solves from the predicted assignment, "tia" from the uniform one
     for ablation, start in (("full", X_init), ("tia", np.full((3, 3), 1.0 / 3))):
-        X, iterations = dpgm_assignment(K, X_init, scfg, ablation)
+        X, iterations = dpgm_assignment([K], X_init[None], scfg, ablation)
         expected, trace = probabilistic_solve(K, start, scfg)
-        assert np.array_equal(X, expected)
-        assert iterations == len(trace.assignments) - 1
+        assert np.array_equal(X[0], expected)
+        assert iterations[0] == len(trace.assignments) - 1
     with pytest.raises(ValueError):
-        dpgm_assignment(K, X_init, scfg, "nope")
+        dpgm_assignment([K], X_init[None], scfg, "nope")
 
 
 def test_wps_ablation_returns_decoded_scores():
     _, aa, _ = _tiny_instance(n=3, seed=18)
     store = init_params(TINY, seed=18)
     K, X_init = learned_affinity(aa, store, TINY)
-    X, iterations = dpgm_assignment(K, X_init, SolverConfig(), "wps")
+    X, iterations = dpgm_assignment([K], X_init[None], SolverConfig(), "wps")
     scores, _ = predictor_forward(aa, store, TINY)
     assert np.allclose(X.ravel(), scores.data)
-    assert iterations == 0
+    assert iterations[0] == 0
 
 
 def test_init_params_widths_follow_latent_sizes():

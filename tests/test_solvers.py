@@ -176,7 +176,7 @@ def test_a_solve_computes_no_score_and_the_record_works_them_out_when_read(monke
     rng = np.random.default_rng(3)
     K, X0 = next(_recorded_solves())
     probabilistic_solve(K, X0)
-    dpgm_assignment(K, X0, SolverConfig(), "full")
+    dpgm_assignment([K], X0[None], SolverConfig(), "full")
     unary, p, q, w = random_pairs(rng, 6, 6)
     X = solve_tape(Tensor(unary), Tensor(w), (p, q), (6, 6), SolverConfig())
     ad.tsum(ad.mul(X, rng.normal(size=36))).backward()
@@ -254,21 +254,21 @@ def test_trace_json_round_trips():
 
 def test_spectral_dominant_axis():
     K = SparseAffinity(1, 2, np.array([2.0, 1.0]))
-    x, _ = spectral_match(K, iters=200)
+    x = spectral_match([K], iters=200)[0][0].ravel()
     assert np.allclose(x, [1.0, 0.0], atol=1e-8)
 
 
 def test_spectral_symmetric_2x2():
     K = SparseAffinity.symmetric(1, 2, np.array([2.0, 2.0]), np.array([0]),
                                  np.array([1]), np.array([1.0]))
-    x, _ = spectral_match(K)
+    x = spectral_match([K])[0][0].ravel()
     assert np.allclose(x, [1 / np.sqrt(2)] * 2, atol=1e-9)
 
 
 def test_spectral_rayleigh_stationarity():
     rng = np.random.default_rng(21)
     K = random_sparse_affinity(rng, 3, 3, density=0.4)
-    x, _ = spectral_match(K, iters=200)
+    x = spectral_match([K], iters=200)[0][0].ravel()
     y = spmv(K, x)
     x2 = y / np.linalg.norm(y)
     r1 = x @ spmv(K, x)
@@ -283,9 +283,9 @@ def test_ipfp_ground_truth_is_local_optimum():
     pair = synthesize_pair(5, 0.0, seed=17, translation_max=0.0)
     K = assemble_affinity(pair.g1, pair.g2)
     x0 = perm_matrix(pair.ground_truth).ravel()
-    x, steps = ipfp(K, x0)
-    assert np.allclose(x, x0)
-    assert steps == 0
+    X, steps = ipfp([K], x0.reshape(1, 5, 5))
+    assert np.allclose(X[0].ravel(), x0)
+    assert steps[0] == 0
     # no 2-swap of the ground truth improves the objective
     base = objective(K, x0)
     for i in range(5):
@@ -299,8 +299,8 @@ def test_ipfp_diagonal_reduces_to_hungarian():
     rng = np.random.default_rng(31)
     profit = rng.uniform(0, 1, size=(4, 4))
     K = SparseAffinity(4, 4, profit.ravel())
-    x, _ = ipfp(K, np.full(16, 1 / 4))
-    assert np.array_equal(discretize(x.reshape(4, 4)), hungarian(profit))
+    X, _ = ipfp([K], np.full((1, 4, 4), 1 / 4))
+    assert np.array_equal(discretize(X[0]), hungarian(profit))
 
 
 def test_ipfp_monotone_over_100_seeds():
@@ -308,7 +308,8 @@ def test_ipfp_monotone_over_100_seeds():
         rng = np.random.default_rng(seed)
         K = random_sparse_affinity(rng, 4, 4, density=0.15)
         x0 = rng.uniform(0, 1, size=16)
-        assert objective(K, ipfp(K, x0)[0]) >= objective(K, x0) - 1e-12
+        assert objective(K, ipfp([K], x0.reshape(1, 4, 4))[0][0].ravel()) \
+            >= objective(K, x0) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +318,8 @@ def test_ipfp_monotone_over_100_seeds():
 def test_rrwm_alpha_zero_matches_spectral_direction():
     rng = np.random.default_rng(41)
     K = random_sparse_affinity(rng, 3, 3, density=0.4)
-    x, _ = rrwm(K, alpha=0.0, max_iters=300)
-    y, _ = spectral_match(K, iters=300)
+    x = rrwm([K], alpha=0.0, max_iters=300)[0][0].ravel()
+    y = spectral_match([K], iters=300)[0][0].ravel()
     cos = x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
     assert np.arccos(np.clip(cos, -1, 1)) < 1e-6
 
@@ -328,15 +329,15 @@ def test_rrwm_uniform_operator_fixed_point():
     size = n * n
     p, q = np.triu_indices(size, 1)
     K = SparseAffinity.symmetric(n, n, np.ones(size), p, q, np.ones(p.size))
-    x, _ = rrwm(K)
+    x = rrwm([K])[0][0].ravel()
     assert np.allclose(x, np.full(size, 1 / size), atol=1e-9)
 
 
 def test_rrwm_zero_noise_recovers_ground_truth():
     pair = synthesize_pair(5, 0.0, seed=23, translation_max=0.0)
     K = assemble_affinity(pair.g1, pair.g2)
-    x, _ = rrwm(K)
-    assert np.array_equal(discretize(x.reshape(5, 5)), pair.ground_truth)
+    X, _ = rrwm([K])
+    assert np.array_equal(discretize(X[0]), pair.ground_truth)
     assert np.array_equal(brute_force_qap(K)[0], pair.ground_truth)
 
 
@@ -347,11 +348,11 @@ def test_baselines_count_the_updates_they_apply():
     for seed in range(8):
         pair = synthesize_pair(6, 0.03, seed=seed)
         K = assemble_affinity(pair.g1, pair.g2)
-        x, steps = spectral_match(K, iters=40)
-        assert steps == 40
-        for solve, cap in ((lambda m: ipfp(K, np.full(36, 1 / 6), max_iters=m), 50),
-                           (lambda m: rrwm(K, max_iters=m), 100)):
-            x, steps = solve(cap)
+        _, steps = spectral_match([K], iters=40)
+        assert steps[0] == 40
+        for solve, cap in ((lambda m: ipfp([K], np.full((1, 6, 6), 1 / 6), max_iters=m), 50),
+                           (lambda m: rrwm([K], max_iters=m), 100)):
+            x, (steps,) = solve(cap)
             assert 1 <= steps < cap
             assert np.array_equal(solve(steps)[0], x)
             assert not np.array_equal(solve(steps - 1)[0], x)
@@ -359,14 +360,14 @@ def test_baselines_count_the_updates_they_apply():
 
 def test_baselines_report_zero_when_they_stop_before_any_update():
     zero = SparseAffinity(3, 3, np.zeros(9))
-    x, steps = spectral_match(zero)
+    x, (steps,) = spectral_match([zero])
     assert steps == 0 and np.allclose(x, 1 / 3)
-    x, steps = rrwm(zero)
+    x, (steps,) = rrwm([zero])
     assert steps == 0 and np.allclose(x, 1 / 9)
     # a directed chain whose K x vanishes after one power step
     chain = SparseAffinity(1, 2, np.zeros(2), rows=[0], cols=[1], vals=[1.0])
-    x, steps = spectral_match(chain)
-    assert steps == 1 and np.array_equal(x, [1.0, 0.0])
+    x, (steps,) = spectral_match([chain])
+    assert steps == 1 and np.array_equal(x[0].ravel(), [1.0, 0.0])
 
 
 def _mixed_chunk():
@@ -397,14 +398,14 @@ def test_batched_baselines_equal_each_instance_alone(solve, reference, kwargs):
     for order in (range(len(Ks)), [8, 3, 7, 0, 6, 1, 5, 2, 4]):
         chunk = [Ks[i] for i in order]
         X, steps = solve(chunk, **kwargs)
-        assert X.shape == (len(chunk), 16) and steps.shape == (len(chunk),)
+        assert X.shape == (len(chunk), 4, 4) and steps.shape == (len(chunk),)
         for b, i in enumerate(order):
-            assert np.array_equal(X[b], expected[i][0])
+            assert np.array_equal(X[b].ravel(), expected[i][0])
             assert steps[b] == expected[i][1]
     for K, (x_ref, steps_ref) in zip(Ks, expected):
-        x, steps = solve(K, **kwargs)          # one operator is a chunk of one
-        assert np.array_equal(x, x_ref) and steps == steps_ref
-        assert x.shape == (16,) and type(steps) is int
+        X, steps = solve([K], **kwargs)        # a chunk of one
+        assert X.shape == (1, 4, 4) and steps.shape == (1,)
+        assert np.array_equal(X[0].ravel(), x_ref) and steps[0] == steps_ref
 
 
 @pytest.mark.parametrize("solve", [spectral_match, rrwm])
