@@ -27,7 +27,9 @@ untrained = evaluate(test_pairs, init_params(pcfg, seed=0), pcfg, scfg)
 print(f"untrained test accuracy: {untrained:.3f}  (chance = {1 / n:.3f})\n")
 
 store, metrics = train(train_pairs, pcfg, scfg, LossConfig(), epochs=10,
-                       lr=1e-3, batch_size=8, seed=0, verbose=True)
+                       lr=1e-3, batch_size=8, seed=0)
+for entry in metrics:
+    print(f"epoch {entry['epoch']}: loss {entry['mean_loss']:.3f}")
 
 print(f"\ntrained test accuracy:   "
       f"{evaluate(test_pairs, store, pcfg, scfg):.3f}")

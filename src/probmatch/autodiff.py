@@ -349,7 +349,7 @@ class ParamStore:
                 zf.writestr(f"arrays/{n}.npy", buf.getvalue())
 
     def load(self, path):
-        """Load values into existing slots; shape mismatches are rejected."""
+        """Load values into existing slots; bad shapes and non-finite values are rejected."""
         with zipfile.ZipFile(path) as zf:
             manifest = json.loads(zf.read("manifest.json"))
             if manifest.get("version") != CHECKPOINT_VERSION:
@@ -360,5 +360,7 @@ class ParamStore:
                 if tuple(shape) != self._params[n].data.shape:
                     raise ValueError(f"shape mismatch for parameter {n!r}")
                 arr = np.load(BytesIO(zf.read(f"arrays/{n}.npy")))
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"non-finite value in parameter {n!r}")
                 self._params[n].data = arr.astype(np.float64)
         self.zero_grad()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
@@ -72,7 +73,6 @@ class ExperimentConfig:
     checkpoint: str | None = None
     # training
     train_instances: int = 500
-    test_instances: int = 100
     epochs: int = 50
     lr: float = 1e-3
     batch_size: int = 8
@@ -89,14 +89,12 @@ class ExperimentConfig:
     def __post_init__(self):
         self.noise_levels = tuple(self.noise_levels)
         for name, least in (("n", 3), ("instances", 1), ("workers", 1), ("batch_size", 1),
-                            ("train_instances", 1), ("test_instances", 1), ("epochs", 1),
-                            ("seed", 0)):
+                            ("train_instances", 1), ("epochs", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}")
         # seed ranges: training pairs, then each noise level's test instances
         for name, most in (("train_instances", _TEST_SEED_BASE - _TRAIN_SEED_BASE),
-                           ("instances", _NOISE_SEED_STRIDE),
-                           ("test_instances", _NOISE_SEED_STRIDE)):
+                           ("instances", _NOISE_SEED_STRIDE)):
             if getattr(self, name) > most:
                 raise ConfigError(f"{name} must be at most {most}, so seed ranges stay disjoint")
         if not self.lr > 0:
@@ -286,16 +284,19 @@ def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     solve it with every solver in ``solvers``. Returns each solver's rows,
     ordered by instance index regardless of worker completion order.
 
-    The split is cut into chunks of ``_chunk_size`` consecutive instances, and
-    each chunk is one task. A row's ``wall_ms`` is the time spent building its
-    own K and X_init, plus an equal share of the time its solver took to solve
-    and discretise the whole chunk."""
+    The split is cut into chunks of ``_chunk_size`` consecutive instances for
+    min(``cfg.workers``, usable CPUs) processes, each chunk one task; a pool
+    starts only for two or more of both. A row's ``wall_ms`` is the time spent
+    building its own K and X_init, plus an equal share of the time its solver
+    took to solve and discretise the whole chunk."""
     store = load_store(cfg)
     split = test_split(cfg)
-    size = _chunk_size(cfg.n, len(split), cfg.workers)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    procs = min(cfg.workers, cpus or 1)
+    size = _chunk_size(cfg.n, len(split), procs)
     tasks = [(cfg, split[i:i + size], store, solvers) for i in range(0, len(split), size)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    if procs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(procs, len(tasks))) as pool:
             per_chunk = list(pool.map(_run_chunk, *zip(*tasks)))
     else:
         per_chunk = [_run_chunk(*t) for t in tasks]
@@ -339,8 +340,7 @@ def train_and_eval(cfg: ExperimentConfig):
     Returns (report, checkpoint_path, metrics). The checkpoint and learning
     curve are written under ``cfg.out_dir``.
     """
-    eval_cfg = replace(cfg, affinity_source="learned", solver="dpgm",
-                       instances=cfg.test_instances)
+    eval_cfg = replace(cfg, affinity_source="learned", solver="dpgm")
     train_pairs = [make_pair(cfg, cfg.noise_levels[0], s) for s in train_seeds(cfg)]
     store, metrics = train(train_pairs, cfg.predictor_cfg, cfg.solver_cfg,
                            cfg.loss_cfg, epochs=cfg.epochs, lr=cfg.lr,

@@ -80,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--train-instances", type=int, dest="train_instances")
-    p.add_argument("--test-instances", type=int, dest="test_instances")
     p.add_argument("--target-accuracy", type=float, dest="target_accuracy")
 
     p = sub.add_parser("compare", help="accuracy table over all solvers")

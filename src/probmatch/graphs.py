@@ -37,6 +37,8 @@ class AttributedGraph:
         self.points = np.asarray(self.points, dtype=np.float64)
         self.features = np.asarray(self.features, dtype=np.float64)
         self.adjacency = np.asarray(self.adjacency, dtype=bool)
+        if self.points.ndim != 2 or self.points.shape[1] != 2 or not np.isfinite(self.points).all():
+            raise ValueError(f"points {self.points.shape} must be finite, of shape (n, 2)")
         n = self.n
         if self.features.ndim != 2 or len(self.features) != n:
             raise ValueError(f"features {self.features.shape} need one row per point ({n})")
@@ -214,7 +216,8 @@ def edge_pairs(e1: np.ndarray, e2: np.ndarray, n2: int):
     reversed: p = i * n2 + a and q = j * n2 + b. This is the only place the
     package forms a flat match index from its node indices. The indices lie
     below (max i + 1) * n2 and have ``linalg.index_dtype``'s width for that
-    size: the edge lists are cast before the grid is formed.
+    size: the edge lists are cast before the grid is formed. When every
+    graph-1 edge has i < j, as ``edge_list`` gives them, p < q.
     """
     index = index_dtype((int(e1.max(initial=-1)) + 1) * n2)
     e1, o2 = e1.astype(index), _oriented(e2).astype(index)
@@ -239,7 +242,7 @@ def build_aa_graph(g1: AttributedGraph, g2: AttributedGraph) -> AAGraph:
 
     e1, e2 = g1.edge_list(), g2.edge_list()
     p, q = edge_pairs(e1, e2, n2)
-    edges = np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
+    edges = np.stack([p, q], axis=1)
     edge_attrs = np.empty((len(e1), 2 * len(e2), AA_EDGE_DIM))
     edge_attrs[..., :4] = g1.points[e1].reshape(-1, 1, 4)
     edge_attrs[..., 4:] = g2.points[_oriented(e2)].reshape(1, -1, 4)

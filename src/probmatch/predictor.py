@@ -271,8 +271,7 @@ def evaluate(pairs, store: ParamStore, pcfg: PredictorConfig,
 
 def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
           lcfg: LossConfig, epochs: int = 50, lr: float = 1e-3,
-          batch_size: int = 8, seed: int = 0,
-          target_accuracy: float | None = None, verbose: bool = False):
+          batch_size: int = 8, seed: int = 0, target_accuracy: float | None = None):
     """Mini-batch Adam training of the predictor through the solver.
 
     Returns the trained ParamStore and a per-epoch metrics list. If
@@ -301,13 +300,9 @@ def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
                 losses.append(float(loss.data))
             store.adam_step(lr=lr)
         entry = {"epoch": epoch, "mean_loss": float(np.mean(losses))}
-        line = f"epoch {epoch}: loss {entry['mean_loss']:.3f}"
         if target_accuracy is not None:
             entry["monitor_accuracy"] = evaluate(pairs[:32], store, pcfg, scfg)
-            line += f" acc {entry['monitor_accuracy']:.3f}"
         metrics.append(entry)
-        if verbose:
-            print(line)
         if target_accuracy is not None and entry["monitor_accuracy"] >= target_accuracy:
             break
     return store, metrics

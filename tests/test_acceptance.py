@@ -216,7 +216,7 @@ def test_cli_determinism(tmp_path, capsys):
     train_cfg = tmp_path / "train_cfg.json"
     train_cfg.write_text(json.dumps({
         "n": 4, "noise_levels": [0.02], "train_instances": 4,
-        "test_instances": 2, "epochs": 1,
+        "instances": 2, "epochs": 1,
         "predictor_cfg": {"d_V": 4, "d_E": 4, "T": 1},
         "solver_cfg": {"max_iters": 2},
     }))

@@ -292,3 +292,10 @@ def test_checkpoint_rejects_shape_and_name_mismatch(tmp_path):
     wrong_names.add("v", np.zeros((3, 2)))
     with pytest.raises(ValueError):
         wrong_names.load(path)
+
+    store["w"].data[1, 0] = np.nan
+    store.save(path)
+    same_slots = ParamStore()
+    same_slots.add("w", np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="non-finite value in parameter 'w'"):
+        same_slots.load(path)

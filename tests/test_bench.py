@@ -74,7 +74,7 @@ def test_bad_sizes_rejected(overrides):
     (dict(workers=0), "workers must be at least 1"),
     (dict(batch_size=0), "batch_size must be at least 1"),
     (dict(train_instances=0), "train_instances must be at least 1"),
-    (dict(test_instances=0), "test_instances must be at least 1"),
+    (dict(noise_levels=(float("nan"),)), "noise_levels must be finite and nonnegative"),
     (dict(epochs=0), "epochs must be at least 1"),
     (dict(seed=-1), "seed must be at least 0"),
     (dict(lr=0.0), "lr must be positive"),
@@ -93,7 +93,7 @@ def test_bad_sizes_rejected(overrides):
     (dict(lr=float("inf")), "lr must be finite"),
     (dict(train_instances=10_001), "train_instances must be at most 10000, so seed ranges"),
     (dict(instances=1_000_001), "instances must be at most 1000000, so seed ranges"),
-    (dict(test_instances=1_000_001), "test_instances must be at most 1000000, so seed ranges"),
+    (dict(rotation_max=-0.1), "rotation_max must be finite and nonnegative"),
     (dict(target_accuracy=float("nan")), r"target_accuracy must lie in \[0, 1\]"),
     (dict(target_accuracy=1.5), r"target_accuracy must lie in \[0, 1\]"),
     (dict(target_accuracy=-0.2), r"target_accuracy must lie in \[0, 1\]"),
@@ -293,6 +293,45 @@ def test_workers_equal_serial_across_a_chunk_boundary():
         assert all(r["wall_ms"] > 0 for r in rows)
 
 
+def _serial_pool(monkeypatch, cpus):
+    """Stand in for the process pool and the usable CPU count; returns the
+    list of pool sizes asked for. The stand-in maps in this process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    return sizes
+
+
+@pytest.mark.parametrize("workers, instances, cpus, pools", [
+    (10 ** 6, 2, 4, [2]),   # two chunks, however many workers are allowed
+    (3, 8, 2, [2]),         # no more processes than CPUs
+    (4, 1, 4, []),          # one chunk runs in this process
+])
+def test_pool_is_sized_by_the_cpus_and_the_chunks(monkeypatch, workers, instances, cpus,
+                                                  pools):
+    cfg = _tiny_cfg(noise_levels=(0.02,), instances=instances, workers=workers)
+    serial = bench._run(dataclasses.replace(cfg, workers=1), SOLVERS)
+    sizes = _serial_pool(monkeypatch, cpus)
+    rows = bench._run(cfg, SOLVERS)
+    assert sizes == pools
+    assert _rows_without_wall_time(rows) == _rows_without_wall_time(serial)
+
+
 @pytest.mark.parametrize("n, instances, workers, size", [
     (8, 100, 1, 25), (8, 100, 2, 25), (8, 32, 1, 32), (8, 33, 1, 17), (16, 100, 1, 8),
     (45, 100, 1, 1), (46, 100, 1, 1), (100, 20, 1, 1), (5, 6, 4, 2), (8, 1, 4, 1),
@@ -312,7 +351,7 @@ def test_learned_source_with_workers_matches_serial(tmp_path):
 
 
 def test_train_and_eval_with_workers_matches_serial(tmp_path):
-    cfg = _tiny_cfg(workers=2, train_instances=2, test_instances=3, epochs=1,
+    cfg = _tiny_cfg(workers=2, train_instances=2, instances=3, epochs=1,
                     out_dir=str(tmp_path / "parallel"))
     parallel, _, _ = train_and_eval(cfg)
     serial, _, _ = train_and_eval(dataclasses.replace(cfg, workers=1,
@@ -390,7 +429,7 @@ def test_compare_solvers_rejects_other_ablations_before_work(tmp_path, monkeypat
 
 
 def test_train_and_eval_splits_are_disjoint(tmp_path):
-    cfg = _tiny_cfg(train_instances=6, test_instances=4, epochs=1,
+    cfg = _tiny_cfg(train_instances=6, instances=4, epochs=1,
                     noise_levels=(0.02,), out_dir=str(tmp_path))
     assert not set(train_seeds(cfg)) & {seed for _, _, seed in bench.test_split(cfg)}
     report, ckpt, metrics = train_and_eval(cfg)

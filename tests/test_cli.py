@@ -207,7 +207,6 @@ def test_invalid_config_exits_before_work(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--train-instances", "0", "train_instances must be at least 1"),
-    ("--test-instances", "0", "test_instances must be at least 1"),
     ("--epochs", "0", "epochs must be at least 1"),
     ("--lr", "-1", "lr must be positive"),
     ("--lr", "0", "lr must be positive"),
@@ -215,8 +214,6 @@ def test_invalid_config_exits_before_work(tmp_path, capsys):
     ("--lr", "inf", "lr must be finite"),
     ("--train-instances", "10001",
      "train_instances must be at most 10000, so seed ranges stay disjoint"),
-    ("--test-instances", "1000001",
-     "test_instances must be at most 1000000, so seed ranges stay disjoint"),
     ("--target-accuracy", "nan", "target_accuracy must lie in [0, 1]"),
     ("--target-accuracy", "1.5", "target_accuracy must lie in [0, 1]"),
     ("--target-accuracy", "-0.2", "target_accuracy must lie in [0, 1]"),
@@ -329,7 +326,7 @@ def test_train_subcommand_tiny(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "n": 4, "noise_levels": [0.02], "train_instances": 4,
-        "test_instances": 2, "epochs": 1,
+        "instances": 2, "epochs": 1,
         "predictor_cfg": {"d_V": 4, "d_E": 4, "T": 1},
         "solver_cfg": {"max_iters": 2},
     }))
@@ -339,6 +336,15 @@ def test_train_subcommand_tiny(tmp_path, capsys):
     assert (tmp_path / "predictor.ckpt").exists()
     assert (tmp_path / "eval_rows.csv").exists()
     assert out.startswith("index,noise,accuracy")
+
+
+def test_train_evaluates_the_instances_option(tmp_path, capsys):
+    code, out = _run(capsys, ["train", "--n", "4", "--train-instances", "4", "--epochs", "1",
+                              "--instances", "3", "--out-dir", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "eval_rows.csv").read_text()
+    assert rows == out
+    assert [line.split(",")[0] for line in rows.splitlines()[1:]] == ["0", "1", "2"]
 
 
 def _no_pairs(monkeypatch):
@@ -375,6 +381,10 @@ def _bad_checkpoint(tmp_path, kind):
     elif kind == "zip without manifest":
         with zipfile.ZipFile(path, "w") as zf:
             zf.writestr("notes.txt", "")
+    elif kind == "non-finite value":
+        store = init_params(PredictorConfig(), seed=0)
+        store["M1"].data[0, 0] = np.nan
+        store.save(path)
     return path
 
 
@@ -384,6 +394,8 @@ def _bad_checkpoint(tmp_path, kind):
     ("bench", "other predictor_cfg", "shape mismatch for parameter 'M1'"),
     ("solve", "missing", "No such file or directory"),
     ("compare", "zip without manifest", "manifest.json"),
+    ("bench", "non-finite value", "non-finite value in parameter 'M1'"),
+    ("solve", "non-finite value", "non-finite value in parameter 'M1'"),
 ])
 def test_unreadable_checkpoint_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch,
                                                                command, kind, reason):

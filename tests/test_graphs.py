@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -355,4 +356,24 @@ def test_graph_needs_one_feature_row_per_point(tmp_path):
     doc["g1"]["features"] = doc["g1"]["features"][:4]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"features \(4, \d+\) need one row per point \(5\)"):
+        load_pair(path)
+
+
+@pytest.mark.parametrize("points, shape", [
+    (np.zeros((4, 3)), "(4, 3)"),
+    (np.zeros(4), "(4,)"),
+    ([[0, 0], [1, np.nan], [0, 1], [1, 1]], "(4, 2)"),
+    ([[0, 0], [1, np.inf], [0, 1], [1, 1]], "(4, 2)"),
+])
+def test_graph_needs_planar_finite_points(tmp_path, points, shape):
+    message = re.escape(f"points {shape} must be finite, of shape (n, 2)")
+    with pytest.raises(ValueError, match=message):
+        AttributedGraph(points, np.zeros((4, FEATURE_DIM)), np.zeros((4, 4), dtype=bool))
+    pair = synthesize_pair(4, 0.0, seed=0)
+    path = tmp_path / "pair.json"
+    save_pair(pair, path)
+    doc = json.loads(path.read_text())
+    doc["g2"]["points"] = np.asarray(points, dtype=float).tolist()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
         load_pair(path)
