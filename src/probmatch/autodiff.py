@@ -357,9 +357,9 @@ class ParamStore:
             if set(manifest["params"]) != set(self._params):
                 raise ValueError("checkpoint parameter names do not match the model")
             for n, shape in manifest["params"].items():
-                if tuple(shape) != self._params[n].data.shape:
-                    raise ValueError(f"shape mismatch for parameter {n!r}")
                 arr = np.load(BytesIO(zf.read(f"arrays/{n}.npy")))
+                if not tuple(shape) == arr.shape == self._params[n].data.shape:
+                    raise ValueError(f"shape mismatch for parameter {n!r}")
                 if not np.isfinite(arr).all():
                     raise ValueError(f"non-finite value in parameter {n!r}")
                 self._params[n].data = arr.astype(np.float64)

@@ -26,6 +26,14 @@ _LOG_DIST_RANGE = (np.log(5e-3), np.log(1.5))
 PAIR_SCHEMA_VERSION = 1
 
 
+def _planar_points(points) -> np.ndarray:
+    """``points`` as a float array, checked to be finite and of shape (n, 2)."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 2 or not np.isfinite(points).all():
+        raise ValueError(f"points {points.shape} must be finite, of shape (n, 2)")
+    return points
+
+
 @dataclass
 class AttributedGraph:
     points: np.ndarray      # (n, 2) coordinates, unit-square scale
@@ -34,11 +42,9 @@ class AttributedGraph:
     delaunay_fallback: bool = False
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
+        self.points = _planar_points(self.points)
         self.features = np.asarray(self.features, dtype=np.float64)
         self.adjacency = np.asarray(self.adjacency, dtype=bool)
-        if self.points.ndim != 2 or self.points.shape[1] != 2 or not np.isfinite(self.points).all():
-            raise ValueError(f"points {self.points.shape} must be finite, of shape (n, 2)")
         n = self.n
         if self.features.ndim != 2 or len(self.features) != n:
             raise ValueError(f"features {self.features.shape} need one row per point ({n})")
@@ -278,7 +284,7 @@ def load_pair(path) -> GraphPair:
         raise ValueError(f"unsupported schema version {doc.get('schema_version')}")
 
     def graph_from_doc(d: dict) -> AttributedGraph:
-        points = np.asarray(d["points"], dtype=np.float64)
+        points = _planar_points(d["points"])
         n = points.shape[0]
         adj = np.zeros((n, n), dtype=bool)
         for i, j in d["edges"]:

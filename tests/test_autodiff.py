@@ -1,3 +1,7 @@
+import io
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -299,3 +303,14 @@ def test_checkpoint_rejects_shape_and_name_mismatch(tmp_path):
     same_slots.add("w", np.zeros((3, 2)))
     with pytest.raises(ValueError, match="non-finite value in parameter 'w'"):
         same_slots.load(path)
+
+    # the manifest says (3, 2), but the stored array is (7,)
+    manifest = {"version": ad.CHECKPOINT_VERSION, "params": {"w": [3, 2]}}
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(7))
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("manifest.json", json.dumps(manifest))
+        zf.writestr("arrays/w.npy", buf.getvalue())
+    with pytest.raises(ValueError, match="shape mismatch for parameter 'w'"):
+        same_slots.load(path)
+    assert same_slots["w"].data.shape == (3, 2)

@@ -1,5 +1,11 @@
 import dataclasses
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -330,6 +336,59 @@ def test_pool_is_sized_by_the_cpus_and_the_chunks(monkeypatch, workers, instance
     rows = bench._run(cfg, SOLVERS)
     assert sizes == pools
     assert _rows_without_wall_time(rows) == _rows_without_wall_time(serial)
+
+
+_SECOND_RUN_FAULTS = """
+import resource
+from probmatch.bench import ExperimentConfig, run_experiment
+cfg = ExperimentConfig(n=60, instances=4, seed=0)
+run_experiment(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the runner's allocator policy is glibc's")
+def test_runner_keeps_freed_memory_for_the_next_instance():
+    # a fresh interpreter, so no earlier test's allocator state hides the
+    # faults; without the policy a second run takes about 900 per instance
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", _SECOND_RUN_FAULTS], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert int(out) < 50 * 4
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the policy is set on Linux only")
+def test_allocator_policy_is_set_once_per_process(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(bench, "_libc", lambda: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(bench, "_heap_kept", False)
+    cfg = _tiny_cfg(instances=2)
+    bench._run(cfg, ("dpgm",))
+    bench._run(cfg, ("dpgm",))
+    assert calls == [(bench._M_TOP_PAD, bench._TOP_PAD_BYTES)]
+
+
+def _no_libc():
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("libc", [_no_libc, object], ids=["lookup fails", "no mallopt"])
+def test_runner_without_mallopt_gives_the_same_rows(monkeypatch, libc):
+    cfg = _tiny_cfg(noise_levels=(0.02, 0.05))
+    expected = run_experiment(cfg).rows_csv()
+    monkeypatch.setattr(bench, "_libc", libc)
+    monkeypatch.setattr(bench, "_heap_kept", False)
+    assert run_experiment(cfg).rows_csv() == expected
+    assert bench._heap_kept
 
 
 @pytest.mark.parametrize("n, instances, workers, size", [

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import zipfile
@@ -385,6 +386,16 @@ def _bad_checkpoint(tmp_path, kind):
         store = init_params(PredictorConfig(), seed=0)
         store["M1"].data[0, 0] = np.nan
         store.save(path)
+    elif kind == "M1 stored as (7,)":
+        init_params(PredictorConfig(), seed=0).save(path)
+        with zipfile.ZipFile(path) as zf:
+            files = {name: zf.read(name) for name in zf.namelist()}
+        buf = io.BytesIO()
+        np.save(buf, np.zeros(7))
+        files["arrays/M1.npy"] = buf.getvalue()
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in files.items():
+                zf.writestr(name, data)
     return path
 
 
@@ -396,6 +407,8 @@ def _bad_checkpoint(tmp_path, kind):
     ("compare", "zip without manifest", "manifest.json"),
     ("bench", "non-finite value", "non-finite value in parameter 'M1'"),
     ("solve", "non-finite value", "non-finite value in parameter 'M1'"),
+    ("bench", "M1 stored as (7,)", "shape mismatch for parameter 'M1'"),
+    ("solve", "M1 stored as (7,)", "shape mismatch for parameter 'M1'"),
 ])
 def test_unreadable_checkpoint_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch,
                                                                command, kind, reason):

@@ -364,6 +364,7 @@ def test_graph_needs_one_feature_row_per_point(tmp_path):
     (np.zeros(4), "(4,)"),
     ([[0, 0], [1, np.nan], [0, 1], [1, 1]], "(4, 2)"),
     ([[0, 0], [1, np.inf], [0, 1], [1, 1]], "(4, 2)"),
+    (3.0, "()"),
 ])
 def test_graph_needs_planar_finite_points(tmp_path, points, shape):
     message = re.escape(f"points {shape} must be finite, of shape (n, 2)")
