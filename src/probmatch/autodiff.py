@@ -7,6 +7,12 @@ predictor needs are provided (the solver is one node, ``solvers.solve_tape``);
 anything else does not exist on the tape, so an unsupported construction
 fails at graph-building time.
 
+One backward per tape. Leaves (parameters, inputs, constants) keep their
+grads; every intermediate node drops its grad, its parent links and its
+closure as soon as the sweep has passed it, so the tape is freed while the
+sweep runs rather than when the loss is dropped. A second ``backward``
+through a swept node raises ``RuntimeError``.
+
 Inside a ``no_grad()`` block the same operations record no tape: every result
 is a ``Tensor`` without parents or backward closure, so an intermediate is
 freed as soon as the forward drops it. Inference runs the predictor this way.
@@ -64,6 +70,16 @@ class Tensor:
             self._backward = None
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every leaf's ``grad``; ``self`` must be
+        a scalar.
+
+        One backward per tape. The sweep frees the tape as it passes it: a
+        node's parents get their zero grad buffers just before its closure
+        runs, and once it has run the node drops its grad, its parent links
+        and its closure, so only the leaves (parameters, inputs and
+        constants) keep their grads. A second backward through a swept node
+        raises ``RuntimeError``.
+        """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar output")
         topo: list[Tensor] = []
@@ -81,15 +97,24 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        for node in topo:
-            # Leaves owned by a ParamStore keep their grad buffer so batch
-            # gradients accumulate across multiple backward calls.
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
         self.grad = self.grad + np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                # a leaf keeps its grad, so a ParamStore's batch gradients
+                # accumulate across backward calls
+                continue
+            for parent in node._parents:
+                if parent.grad is None:
+                    parent.grad = np.zeros_like(parent.data)
+            node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _swept
+
+
+def _swept(g):
+    raise RuntimeError("backward already swept this tape; build it again to differentiate again")
 
 
 def _const(x) -> Tensor:
@@ -310,13 +335,15 @@ class ParamStore:
         return np.concatenate([self._params[n].data.ravel() for n in self.names()])
 
     def set_vector(self, vec: np.ndarray):
+        """Assign the flat ``vec`` in ``names()`` order; a vector of the wrong
+        length is rejected before any parameter changes."""
+        if vec.size != self.n_params():
+            raise ValueError(f"expected a vector of {self.n_params()} values, got {vec.size}")
         offset = 0
         for n in self.names():
             t = self._params[n]
             t.data = vec[offset:offset + t.data.size].reshape(t.data.shape).copy()
             offset += t.data.size
-        if offset != vec.size:
-            raise ValueError("vector length mismatch")
 
     def grad_vector(self) -> np.ndarray:
         return np.concatenate([self._params[n].grad.ravel() for n in self.names()])
@@ -349,18 +376,23 @@ class ParamStore:
                 zf.writestr(f"arrays/{n}.npy", buf.getvalue())
 
     def load(self, path):
-        """Load values into existing slots; bad shapes and non-finite values are rejected."""
+        """Load values into existing slots. Every array is read and checked
+        first, so a bad shape or a non-finite value anywhere in the checkpoint
+        is rejected with the store unchanged."""
         with zipfile.ZipFile(path) as zf:
             manifest = json.loads(zf.read("manifest.json"))
             if manifest.get("version") != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {manifest.get('version')}")
             if set(manifest["params"]) != set(self._params):
                 raise ValueError("checkpoint parameter names do not match the model")
+            loaded = {}
             for n, shape in manifest["params"].items():
                 arr = np.load(BytesIO(zf.read(f"arrays/{n}.npy")))
                 if not tuple(shape) == arr.shape == self._params[n].data.shape:
                     raise ValueError(f"shape mismatch for parameter {n!r}")
                 if not np.isfinite(arr).all():
                     raise ValueError(f"non-finite value in parameter {n!r}")
-                self._params[n].data = arr.astype(np.float64)
+                loaded[n] = arr.astype(np.float64)
+        for n, arr in loaded.items():
+            self._params[n].data = arr
         self.zero_grad()

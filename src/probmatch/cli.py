@@ -141,7 +141,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown |= {f"{name}.{key}" for key in values.get(name, {}) if key not in known}
     if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        raise SystemExit(f"probmatch: unknown config keys: {sorted(unknown)}")
     sub = {}
     for name, cls in _SUB_FIELDS.items():
         try:

@@ -226,3 +226,26 @@ def reference_gather_backward(grad, index, g):
     out = grad.copy()
     np.add.at(out, index, g)
     return out
+
+
+def reference_backward(root):
+    """``Tensor.backward`` as a sweep that frees nothing: every node on the
+    tape gets a zero grad buffer first, then the closures run in reverse
+    topological order, the order ``backward`` runs them in."""
+    topo, seen = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    for node in topo:
+        if node.grad is None:
+            node.grad = np.zeros_like(node.data)
+    root.grad = root.grad + np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)

@@ -1,14 +1,19 @@
 import io
 import json
+import tracemalloc
 import zipfile
 
 import numpy as np
 import pytest
 
-from conftest import reference_gather_backward, reference_scatter_add
+from conftest import reference_backward, reference_gather_backward, reference_scatter_add
 
 import probmatch.autodiff as ad
 from probmatch.autodiff import ParamStore, Tensor
+from probmatch.graphs import build_aa_graph, synthesize_pair
+from probmatch.linalg import perm_matrix
+from probmatch.predictor import LossConfig, PredictorConfig, init_params, instance_loss
+from probmatch.solvers import SolverConfig
 
 
 def _fd_grad(f, x, step=1e-6):
@@ -238,6 +243,85 @@ def test_unused_parameter_grad_slot_stays_zero():
 
 
 # ---------------------------------------------------------------------------
+# one backward per tape: the sweep frees what it has passed
+
+def _tape(root: Tensor) -> list:
+    """Every node reachable from ``root``."""
+    nodes, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+def _training_pair(n=8, pcfg=PredictorConfig(d_V=32, d_E=32, T=5)):
+    """``instance_loss``'s arguments for one training pair at size n."""
+    pair = synthesize_pair(n, 0.03, seed=10000)
+    return (build_aa_graph(pair.g1, pair.g2), perm_matrix(pair.ground_truth).ravel(),
+            init_params(pcfg, seed=0), pcfg, SolverConfig(), LossConfig())
+
+
+def test_backward_frees_every_intermediate_node_and_leaves_keep_their_grads():
+    aa, gt, store, pcfg, scfg, lcfg = _training_pair(n=4, pcfg=PredictorConfig(d_V=4, d_E=4, T=1))
+    store.zero_grad()
+    reference_backward(instance_loss(aa, gt, store, pcfg, scfg, lcfg))
+    kept = store.grad_vector()
+    store.zero_grad()
+    loss = instance_loss(aa, gt, store, pcfg, scfg, lcfg)
+    nodes = _tape(loss)
+    inner = [t for t in nodes if t._backward is not None]
+    leaves = [t for t in nodes if t._backward is None]
+    params = [store[n] for n in store.names()]
+    assert len(inner) > 50 and set(map(id, params)) <= set(map(id, leaves))
+    loss.backward()
+    assert np.array_equal(store.grad_vector(), kept)
+    for t in inner:
+        assert t.grad is None and t._parents == ()
+        with pytest.raises(RuntimeError, match="already swept"):
+            t._backward(np.zeros_like(t.data))
+    assert all(t.grad is not None and t.grad.shape == t.data.shape for t in leaves)
+
+
+def test_a_second_backward_raises_and_leaves_the_grads_unchanged():
+    # a second sweep would add its contributions onto the intermediates'
+    # stale grads, a wrong gradient; it is refused before any leaf changes
+    store = ParamStore()
+    p = store.add("p", np.array([1.0, 2.0]))
+    x = Tensor(np.array([3.0, -1.0]))
+    loss = ad.tsum(ad.mul(ad.mul(ad.mul(p, 3.0), p), x))
+    loss.backward()
+    assert np.array_equal(p.grad, [18.0, -12.0]) and np.array_equal(x.grad, [3.0, 12.0])
+    for again in (loss, ad.add(loss, 1.0)):     # the same tape, or a new node on it
+        with pytest.raises(RuntimeError, match="already swept"):
+            again.backward()
+        assert np.array_equal(p.grad, [18.0, -12.0]) and np.array_equal(x.grad, [3.0, 12.0])
+
+
+def test_a_training_pair_holds_no_tape_after_backward():
+    # Keeping the tape and every grad buffer until the loss is dropped holds
+    # about 2.0x the forward's tape after backward, at a peak of 2.0x.
+    args = _training_pair()
+    instance_loss(*args).backward()          # warm any lazily built state
+    store = args[2]
+    store.zero_grad()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = instance_loss(*args)
+        tape = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        held, peak = (v - base for v in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert tape > 5e6
+    assert held < 0.01 * tape, (held, tape)
+    assert peak < 1.5 * tape, (peak, tape)
+
+
+# ---------------------------------------------------------------------------
 # ParamStore
 
 def test_store_vector_round_trip_and_ordering():
@@ -249,8 +333,10 @@ def test_store_vector_round_trip_and_ordering():
     vec = np.arange(7.0)
     store.set_vector(vec)
     assert np.allclose(store.get_vector(), vec)
-    with pytest.raises(ValueError):
-        store.set_vector(np.zeros(6))
+    for wrong in (np.zeros(6), np.zeros(10), np.zeros(4)):
+        with pytest.raises(ValueError, match=f"expected a vector of 7 values, got {wrong.size}"):
+            store.set_vector(wrong)
+        assert np.array_equal(store.get_vector(), vec)    # nothing was written
     with pytest.raises(ValueError):
         store.add("a", np.zeros(1))
 
@@ -314,3 +400,25 @@ def test_checkpoint_rejects_shape_and_name_mismatch(tmp_path):
     with pytest.raises(ValueError, match="shape mismatch for parameter 'w'"):
         same_slots.load(path)
     assert same_slots["w"].data.shape == (3, 2)
+
+    # the whole checkpoint is checked before any slot changes: a bad second
+    # parameter leaves the first one as it was
+    two = ParamStore()
+    two.add("a", np.ones(2))
+    two.add("b", np.ones(3))
+    two.save(path)
+    target = ParamStore()
+    target.add("a", np.full(2, 7.0))
+    target.add("b", np.full(3, 7.0))
+    for bad in (np.array([1.0, np.nan, 1.0]), np.ones(4)):
+        manifest = {"version": ad.CHECKPOINT_VERSION, "params": {"a": [2], "b": [3]}}
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("manifest.json", json.dumps(manifest))
+            for name, value in (("a", np.ones(2)), ("b", bad)):
+                buf = io.BytesIO()
+                np.save(buf, value)
+                zf.writestr(f"arrays/{name}.npy", buf.getvalue())
+        with pytest.raises(ValueError, match="parameter 'b'"):
+            target.load(path)
+        assert np.array_equal(target["a"].data, np.full(2, 7.0))
+        assert np.array_equal(target["b"].data, np.full(3, 7.0))

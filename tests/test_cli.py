@@ -158,8 +158,9 @@ def test_unknown_nested_config_key_rejected(tmp_path, capsys):
                         ({"predictor_cfg": {"d_V": 4, "mlp_hidden": [8]}},
                          r"predictor_cfg\.mlp_hidden")):
         cfg_path.write_text(json.dumps(nested))
-        with pytest.raises(SystemExit, match=rf"unknown config keys.*{key}"):
+        with pytest.raises(SystemExit, match=rf"unknown config keys.*{key}") as exc:
             main(["bench", "--config", str(cfg_path)])
+        assert str(exc.value).startswith("probmatch: ")
 
 
 @pytest.mark.parametrize("nested", [{"solver_cfg": {"max_iters": 0}},
