@@ -40,7 +40,7 @@ from .predictor import (
     learned_affinity,
     train,
 )
-from .solvers import SolverConfig, accuracy, discretize, ipfp, rrwm, spectral_match
+from .solvers import SolverConfig, accuracy, chunks, discretize, ipfp, rrwm, spectral_match
 
 SOLVERS = ("dpgm", "spectral", "ipfp", "rrwm")
 AFFINITY_SOURCES = ("handcrafted", "learned")
@@ -48,11 +48,6 @@ AFFINITY_SOURCES = ("handcrafted", "learned")
 _TRAIN_SEED_BASE = 10_000
 _TEST_SEED_BASE = 20_000
 _NOISE_SEED_STRIDE = 1_000_000
-# Largest chunk, in assignment entries B * n^2, that the batched solvers get.
-# Spectral matching gains nothing from larger chunks and gets slower when
-# batched at n >= 45 (measured at n = 8 to 64); from n = 46 every chunk
-# holds one instance.
-_CHUNK_ENTRIES = 2048
 # glibc's mallopt parameter M_TOP_PAD, and the pad the runner sets: the bytes
 # of freed heap that glibc keeps at the top instead of returning to the
 # kernel. Each handcrafted instance at n = 100 builds and frees about 12 MB
@@ -122,6 +117,10 @@ class ExperimentConfig:
                              ("translation_max", [self.translation_max])):
             if not all(0 <= v < np.inf for v in values):
                 raise ConfigError(f"{name} must be finite and nonnegative")
+        labels = [_noise_label(x) for x in self.noise_levels]
+        if len(set(labels)) < len(labels):
+            raise ConfigError("noise_levels must have distinct labels at 6 significant "
+                              f"digits, got {', '.join(labels)}")
         if self.solver not in SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.affinity_source not in AFFINITY_SOURCES:
@@ -263,10 +262,15 @@ def _run_chunk(cfg: ExperimentConfig, chunk: list, store, solvers: tuple) -> dic
     return out
 
 
+def _noise_label(noise: float) -> str:
+    """A noise level's key in the aggregates and column in ``compare``."""
+    return f"noise={noise:g}"
+
+
 def _aggregate(rows: list, noise_levels) -> dict:
     agg = {"overall": _stats(rows)}
     for noise in noise_levels:
-        agg[f"noise={noise:g}"] = _stats([r for r in rows if r["noise"] == noise])
+        agg[_noise_label(noise)] = _stats([r for r in rows if r["noise"] == noise])
     return agg
 
 
@@ -280,15 +284,6 @@ def _stats(rows: list) -> dict:
         "binary_score_mean": float(np.mean([r["binary_score"] for r in rows])),
         "wall_ms_mean": float(np.mean([r["wall_ms"] for r in rows])),
     }
-
-
-def _chunk_size(n: int, instances: int, workers: int) -> int:
-    """Instances per chunk: the fewest chunks that keep each within
-    ``_CHUNK_ENTRIES`` assignment entries (B * n^2, but at least one instance)
-    and give every worker one, cut as evenly as they can be."""
-    most = max(1, min(_CHUNK_ENTRIES // n ** 2, -(-instances // workers)))
-    chunks = -(-instances // most)
-    return -(-instances // chunks)
 
 
 def _libc():
@@ -321,8 +316,8 @@ def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     solve it with every solver in ``solvers``. Returns each solver's rows,
     ordered by instance index regardless of worker completion order.
 
-    The split is cut into chunks of ``_chunk_size`` consecutive instances for
-    min(``cfg.workers``, usable CPUs) processes, each chunk one task; a pool
+    The split is cut by ``solvers.chunks`` into chunks of consecutive instances
+    for min(``cfg.workers``, usable CPUs) processes, each chunk one task; a pool
     starts only for two or more of both. A row's ``wall_ms`` is the time spent
     building its own K and X_init, plus an equal share of the time its solver
     took to solve and discretise the whole chunk.
@@ -335,8 +330,7 @@ def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     split = test_split(cfg)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     procs = min(cfg.workers, cpus or 1)
-    size = _chunk_size(cfg.n, len(split), procs)
-    tasks = [(cfg, split[i:i + size], store, solvers) for i in range(0, len(split), size)]
+    tasks = [(cfg, chunk, store, solvers) for chunk in chunks(split, cfg.n, procs)]
     if procs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(procs, len(tasks))) as pool:
             per_chunk = list(pool.map(_run_chunk, *zip(*tasks)))
@@ -366,12 +360,13 @@ def compare_solvers(cfg: ExperimentConfig) -> str:
         raise ConfigError("compare runs every solver with the full ablation only")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["solver", "source"] + [f"acc@noise={x:g}" for x in cfg.noise_levels] + ["acc_mean"]
+    header = (["solver", "source"] + [f"acc@{_noise_label(x)}" for x in cfg.noise_levels]
+              + ["acc_mean"])
     writer.writerow(header)
     for solver, rows in _run(cfg, SOLVERS).items():
         agg = _aggregate(rows, cfg.noise_levels)
         writer.writerow([solver, cfg.affinity_source]
-                        + [_fmt(agg[f"noise={x:g}"]["accuracy_mean"]) for x in cfg.noise_levels]
+                        + [_fmt(agg[_noise_label(x)]["accuracy_mean"]) for x in cfg.noise_levels]
                         + [_fmt(agg["overall"]["accuracy_mean"])])
     return buf.getvalue()
 

@@ -9,12 +9,14 @@ the ground-truth permutation. The learned operator is ``SparseAffinity.symmetric
 over the AA-edges, weighted by the edge scores, with the assignment scores as
 its diagonal. Training runs the numpy solver as one tape node
 (``solvers.solve_tape``); inference runs the same predictor forward without a
-tape (``learned_affinity``) and the solver through ``dpgm_assignment``.
+tape (``learned_affinity``) and the solver through ``dpgm_assignment``, one
+call per chunk that ``solvers.chunks`` cuts, as the experiment runner does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .graphs import AA_EDGE_DIM, FEATURE_DIM, AAGraph, GraphPair, build_aa_graph
 from .linalg import SparseAffinity, perm_matrix
-from .solvers import SolverConfig, accuracy, discretize, probabilistic_solve, solve_tape
+from .solvers import SolverConfig, accuracy, chunks, discretize, probabilistic_solve, solve_tape
 
 ABLATIONS = ("full", "tia", "wps")
 
@@ -258,14 +260,20 @@ def grad_check(aa: AAGraph, gt_vec: np.ndarray, store: ParamStore,
 
 def evaluate(pairs, store: ParamStore, pcfg: PredictorConfig,
              scfg: SolverConfig, ablation: str = "full") -> float:
-    """Mean matching accuracy of the learned pipeline over instances, by the
-    experiment runner's numpy inference: ``learned_affinity``, then
-    ``dpgm_assignment`` under ``ablation``."""
+    """Mean matching accuracy of the learned pipeline over ``pairs``, by the
+    experiment runner's numpy inference: consecutive pairs of one size are cut
+    by ``solvers.chunks``, and each chunk's ``learned_affinity`` operators are
+    solved by one ``dpgm_assignment`` call under ``ablation``. Each pair's
+    accuracy is bitwise what it would be alone."""
+    if not pairs:
+        raise ValueError("pairs must not be empty")
     accs = []
-    for pair in pairs:
-        K, X_init = learned_affinity(build_aa_graph(pair.g1, pair.g2), store, pcfg)
-        X, _ = dpgm_assignment([K], X_init[None], scfg, ablation)
-        accs.append(accuracy(discretize(X[0]), pair.ground_truth))
+    for (n, _), run in groupby(pairs, key=lambda pair: (pair.g1.n, pair.g2.n)):
+        for chunk in chunks(list(run), n):
+            Ks, X_init = zip(*(learned_affinity(build_aa_graph(pair.g1, pair.g2), store, pcfg)
+                               for pair in chunk))
+            X, _ = dpgm_assignment(Ks, np.stack(X_init), scfg, ablation)
+            accs += [accuracy(discretize(X_b), pair.ground_truth) for X_b, pair in zip(X, chunk)]
     return float(np.mean(accs))
 
 
@@ -278,6 +286,8 @@ def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
     ``target_accuracy`` is given, training stops once the monitor set (the
     first 32 training pairs) reaches it. Deterministic given ``seed``.
     """
+    if not pairs:
+        raise ValueError("pairs must not be empty")
     store = init_params(pcfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     prepared = []

@@ -12,6 +12,7 @@ import pytest
 
 from probmatch import bench
 from probmatch import predictor as predictor_module
+from probmatch import solvers as solvers_module
 from probmatch.autodiff import ParamStore
 from probmatch.bench import (
     AFFINITY_SOURCES,
@@ -28,7 +29,7 @@ from probmatch.graphs import synthesize_pair
 from probmatch.linalg import SparseAffinity, binary_score, perm_matrix
 from probmatch.predictor import (ABLATIONS, PredictorConfig, dpgm_assignment, evaluate,
                                  init_params)
-from probmatch.solvers import (SolverConfig, accuracy, discretize, ipfp,
+from probmatch.solvers import (SolverConfig, accuracy, chunks, discretize, ipfp,
                                probabilistic_solve, rrwm, spectral_match)
 
 TINY_PRED = PredictorConfig(d_V=4, d_E=4, T=1)
@@ -103,6 +104,11 @@ def test_bad_sizes_rejected(overrides):
     (dict(target_accuracy=float("nan")), r"target_accuracy must lie in \[0, 1\]"),
     (dict(target_accuracy=1.5), r"target_accuracy must lie in \[0, 1\]"),
     (dict(target_accuracy=-0.2), r"target_accuracy must lie in \[0, 1\]"),
+    (dict(noise_levels=(0.3, 0.30000001)),
+     "noise_levels must have distinct labels at 6 significant digits, got noise=0.3, noise=0.3"),
+    (dict(noise_levels=(0.01, 2e-7, 2.0000001e-7)),
+     "noise_levels must have distinct labels at 6 significant digits, "
+     "got noise=0.01, noise=2e-07, noise=2e-07"),
 ])
 def test_config_rules_run_at_construction_and_on_replace(overrides, message):
     with pytest.raises(ConfigError, match=f"^{message}"):
@@ -157,13 +163,16 @@ def test_learned_runner_matches_evaluate(tmp_path, ablation):
     cfg = _tiny_cfg(n=6, noise_levels=(0.03,), instances=8,
                     affinity_source="learned", ablation=ablation,
                     checkpoint=_untrained_checkpoint(tmp_path, seed=3))
-    rows = run_experiment(cfg).rows
+    report = run_experiment(cfg)
     store = init_params(TINY_PRED)
     store.load(cfg.checkpoint)
-    for row, (_, _, seed) in zip(rows, bench.test_split(cfg)):
+    for row, (_, _, seed) in zip(report.rows, bench.test_split(cfg)):
         pair = synthesize_pair(cfg.n, 0.03, rotation_max=cfg.rotation_max, seed=seed,
                                translation_max=cfg.translation_max)
         assert evaluate([pair], store, TINY_PRED, cfg.solver_cfg, ablation) == row["accuracy"]
+    pairs = [bench.make_pair(cfg, noise, seed) for _, noise, seed in bench.test_split(cfg)]
+    assert (evaluate(pairs, store, TINY_PRED, cfg.solver_cfg, ablation)
+            == report.aggregates["overall"]["accuracy_mean"])
 
 
 def test_rows_byte_identical_across_reruns():
@@ -205,11 +214,11 @@ def _rows_without_wall_time(rows_by_solver):
 def test_chunked_rows_equal_per_instance_solves(tmp_path, monkeypatch):
     # 75 entries: chunks of 3 instances at n = 5, so the split of 8 is cut
     # into chunks of 3, 3 and 2 that straddle the two noise levels
-    monkeypatch.setattr(bench, "_CHUNK_ENTRIES", 75)
+    monkeypatch.setattr(solvers_module, "_CHUNK_ENTRIES", 75)
     for source in AFFINITY_SOURCES:
         cfg = _tiny_cfg(noise_levels=(0.02, 0.1), instances=4, affinity_source=source,
                         checkpoint=_untrained_checkpoint(tmp_path))
-        assert bench._chunk_size(cfg.n, 8, cfg.workers) == 3
+        assert [len(c) for c in chunks(list(range(8)), cfg.n, cfg.workers)] == [3, 3, 2]
         store = bench.load_store(cfg)
         expected = {s: [] for s in SOLVERS}
         for index, noise, seed in bench.test_split(cfg):
@@ -245,7 +254,7 @@ def _counting_solve(monkeypatch):
 
 def test_chunked_dpgm_rows_equal_per_instance_solves(tmp_path, monkeypatch):
     # chunks of 3, 3 and 2 instances that straddle the two noise levels
-    monkeypatch.setattr(bench, "_CHUNK_ENTRIES", 75)
+    monkeypatch.setattr(solvers_module, "_CHUNK_ENTRIES", 75)
     checkpoint = _untrained_checkpoint(tmp_path)
     calls = _counting_solve(monkeypatch)
     for source, ablation in (("handcrafted", "full"), ("learned", "full"),
@@ -282,7 +291,7 @@ def test_runner_solves_each_dpgm_chunk_in_one_call(monkeypatch):
     assert calls == [12]
     # a chunk of one goes in as the operator itself
     calls.clear()
-    monkeypatch.setattr(bench, "_CHUNK_ENTRIES", 25)
+    monkeypatch.setattr(solvers_module, "_CHUNK_ENTRIES", 25)
     run_experiment(cfg)
     assert calls == [None] * 12
 
@@ -290,7 +299,7 @@ def test_runner_solves_each_dpgm_chunk_in_one_call(monkeypatch):
 def test_workers_equal_serial_across_a_chunk_boundary():
     # two workers get chunks of 4 and 3 instances; one worker gets all 7
     cfg = _tiny_cfg(noise_levels=(0.02,), instances=7, workers=2)
-    assert [bench._chunk_size(cfg.n, 7, w) for w in (1, 2)] == [7, 4]
+    assert [len(chunks(list(range(7)), cfg.n, w)[0]) for w in (1, 2)] == [7, 4]
     parallel = bench._run(cfg, SOLVERS)
     serial = bench._run(dataclasses.replace(cfg, workers=1), SOLVERS)
     assert _rows_without_wall_time(parallel) == _rows_without_wall_time(serial)
@@ -396,7 +405,10 @@ def test_runner_without_mallopt_gives_the_same_rows(monkeypatch, libc):
     (45, 100, 1, 1), (46, 100, 1, 1), (100, 20, 1, 1), (5, 6, 4, 2), (8, 1, 4, 1),
 ])
 def test_chunk_size_follows_n_and_workers(n, instances, workers, size):
-    assert bench._chunk_size(n, instances, workers) == size
+    items = list(range(instances))
+    cut = chunks(items, n, workers)
+    assert len(cut[0]) == size
+    assert [i for chunk in cut for i in chunk] == items
 
 
 def test_learned_source_with_workers_matches_serial(tmp_path):

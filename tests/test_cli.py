@@ -265,6 +265,8 @@ def test_bad_training_config_exits_with_one_line_before_work(tmp_path, capsys, m
      "instances must be at most 1000000, so seed ranges stay disjoint"),
     ("train", {"train_instances": 10_001},
      "train_instances must be at most 10000, so seed ranges stay disjoint"),
+    ("compare", {"noise_levels": [0.3, 0.30000001]},
+     "noise_levels must have distinct labels at 6 significant digits, got noise=0.3, noise=0.3"),
 ])
 def test_bad_config_value_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch,
                                                          command, values, message):

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_pairs, reference_spmv
 
 import probmatch.autodiff as ad
+import probmatch.predictor as predictor_module
 import probmatch.solvers as solvers_module
 from probmatch.autodiff import ParamStore, Tensor
 from probmatch.graphs import AA_EDGE_DIM, FEATURE_DIM, build_aa_graph, synthesize_pair
@@ -493,3 +494,50 @@ def test_evaluate_returns_fraction():
     store = init_params(TINY, seed=19)
     acc = evaluate(pairs, store, TINY, SolverConfig(max_iters=2))
     assert 0.0 <= acc <= 1.0
+
+
+def test_empty_pair_list_raises_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(predictor_module, "init_params", lambda *args, **kwargs: calls.append(1))
+    monkeypatch.setattr(predictor_module, "learned_affinity", lambda *args: calls.append(1))
+    store = ParamStore()
+    with pytest.raises(ValueError, match="^pairs must not be empty"):
+        evaluate([], store, TINY, SolverConfig())
+    with pytest.raises(ValueError, match="^pairs must not be empty"):
+        train([], TINY, SolverConfig(), LossConfig(), epochs=1, target_accuracy=0.5)
+    assert not calls
+
+
+def _mixed_pairs():
+    # runs of n = 4, 5, 4 and 3; under 48 chunk entries a chunk holds 3, 1, 3 and 5 pairs
+    sizes = [4, 4, 4, 4, 4, 5, 5, 4, 4, 3, 3]
+    return [synthesize_pair(n, 0.05, seed=300 + k) for k, n in enumerate(sizes)]
+
+
+def test_evaluate_solves_each_chunk_in_one_call(monkeypatch):
+    pairs = _mixed_pairs()
+    store = init_params(TINY, seed=19)
+    scfg = SolverConfig(max_iters=3)
+    expected = evaluate(pairs, store, TINY, scfg)
+    monkeypatch.setattr(solvers_module, "_CHUNK_ENTRIES", 48)
+    calls = []
+
+    def counted(Ks, X_init, *args):
+        calls.append(len(Ks))
+        return dpgm_assignment(Ks, X_init, *args)
+
+    monkeypatch.setattr(predictor_module, "dpgm_assignment", counted)
+    assert evaluate(pairs, store, TINY, scfg) == expected
+    assert calls == [3, 2, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_evaluate_of_mixed_sizes_is_the_mean_of_single_pairs(monkeypatch, ablation):
+    pairs = _mixed_pairs()
+    store = init_params(TINY, seed=7)
+    scfg = SolverConfig(max_iters=3)
+    single = [evaluate([pair], store, TINY, scfg, ablation) for pair in pairs]
+    assert len(set(single)) > 1
+    assert evaluate(pairs, store, TINY, scfg, ablation) == float(np.mean(single))
+    monkeypatch.setattr(solvers_module, "_CHUNK_ENTRIES", 48)
+    assert evaluate(pairs, store, TINY, scfg, ablation) == float(np.mean(single))
