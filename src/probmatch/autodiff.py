@@ -3,11 +3,17 @@
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar result sweeps the tape in reverse topological order
 and accumulates gradients into every reachable leaf. Only the operations the
-predictor needs are provided (the solver is one node, ``solvers.solve_tape``);
-anything else does not exist on the tape, so an unsupported construction
-fails at graph-building time.
+predictor needs are provided; anything else does not exist on the tape, so an
+unsupported construction fails at graph-building time. A number or an
+ndarray given to an operation is a constant: it is no node and gets no grad.
 
-One backward per tape. Leaves (parameters, inputs, constants) keep their
+Some nodes stand for a whole chain of finer operations, with a hand-written
+adjoint: an affine-ReLU MLP (``mlp``), the RMS rescale (``rms_rescale``) and
+the solver (``solvers.solve_tape``). Each adds into every grad what its chain
+would add, in the chain's order, so values and grads are bitwise the chain's
+while the tape holds one node where it held up to six.
+
+One backward per tape. Leaves (parameters and input Tensors) keep their
 grads; every intermediate node drops its grad, its parent links and its
 closure as soon as the sweep has passed it, so the tape is freed while the
 sweep runs rather than when the loss is dropped. A second ``backward``
@@ -17,24 +23,24 @@ Inside a ``no_grad()`` block the same operations record no tape: every result
 is a ``Tensor`` without parents or backward closure, so an intermediate is
 freed as soon as the forward drops it. Inference runs the predictor this way.
 
-``scatter_add`` and the backward of ``gather`` sum rows through a CSR
-incidence matrix of their index, in index order, so they are bitwise equal to
-numpy's unbuffered ``add.at`` at a fraction of its cost.
+``scatter_add`` and the backward of ``gather`` sum rows through the
+incidence matrix of their index (``linalg.Incidence``), in index order, so
+they are bitwise equal to numpy's unbuffered ``add.at`` at a fraction of its
+cost. Given an ``Incidence``, as the predictor passes an AA graph's, they
+read its matrix instead of building one.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import threading
 import zipfile
 from contextlib import contextmanager
 from io import BytesIO
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
-from .linalg import stable_csr
+from .linalg import Incidence
 
 
 class _GradMode(threading.local):
@@ -62,7 +68,7 @@ class Tensor:
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        if _grad_mode.enabled:
+        if _grad_mode.enabled and parents:
             self._parents = tuple(parents)
             self._backward = backward
         else:
@@ -117,69 +123,121 @@ def _swept(g):
     raise RuntimeError("backward already swept this tape; build it again to differentiate again")
 
 
-def _const(x) -> Tensor:
-    return Tensor(np.asarray(x, dtype=np.float64))
+def _data(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else _const(x)
+def _tensors(*operands) -> list:
+    """The operands on the tape: a number or an ndarray is a constant, which
+    is no node and gets no grad."""
+    return [x for x in operands if isinstance(x, Tensor)]
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = np.add.reduce(grad, axis=0)
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad.reshape(shape)
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    x, y = _data(a), _data(b)
 
     def backward(g):
-        a.grad += _unbroadcast(g, a.data.shape)
-        b.grad += _unbroadcast(g, b.data.shape)
+        if isinstance(a, Tensor):
+            a.grad += _unbroadcast(g, x.shape)
+        if isinstance(b, Tensor):
+            b.grad += _unbroadcast(g, y.shape)
 
-    return Tensor(a.data + b.data, (a, b), backward)
+    return Tensor(x + y, _tensors(a, b), backward)
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    x, y = _data(a), _data(b)
 
     def backward(g):
-        a.grad += _unbroadcast(g * b.data, a.data.shape)
-        b.grad += _unbroadcast(g * a.data, b.data.shape)
+        if isinstance(a, Tensor):
+            a.grad += _unbroadcast(g * y, x.shape)
+        if isinstance(b, Tensor):
+            b.grad += _unbroadcast(g * x, y.shape)
 
-    return Tensor(a.data * b.data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-
-    def backward(g):
-        a.grad += _unbroadcast(g / b.data, a.data.shape)
-        b.grad += _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-
-    return Tensor(a.data / b.data, (a, b), backward)
+    return Tensor(x * y, _tensors(a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    x, y = _data(a), _data(b)
 
     def backward(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
+        if isinstance(a, Tensor):
+            a.grad += g @ y.T
+        if isinstance(b, Tensor):
+            b.grad += x.T @ g
 
-    return Tensor(a.data @ b.data, (a, b), backward)
+    return Tensor(x @ y, _tensors(a, b), backward)
 
 
-def relu(a: Tensor) -> Tensor:
+def mlp(inputs, layers) -> Tensor:
+    """An affine-ReLU stack as one tape node: ``relu(x @ w0 + b0) @ w1 + b1``
+    and so on for ``layers = [(w0, b0), (w1, b1), ...]``, with a ReLU
+    between each two layers and none after the last, where x is the list
+    ``inputs`` concatenated along axis 1. An ndarray input is a constant and
+    gets no grad.
+
+    The forward computes what a concatenation and the chain of ``matmul`` and
+    ``add`` nodes with a ReLU between them compute. The adjoint adds into
+    each grad what those nodes would add, computed as they compute it, and a
+    backward sweep reaches this node where it would reach them, so every
+    value and grad is bitwise theirs.
+    """
+    data, tensors = [_data(t) for t in inputs], _tensors(*inputs)
+    h = data[0] if len(data) == 1 else np.concatenate(data, axis=1)
+    acts = []                        # each layer's input: x, then the ReLU outputs
+    for k, (w, b) in enumerate(layers):
+        acts.append(h)
+        h = h @ w.data + b.data
+        if k < len(layers) - 1:
+            h = np.maximum(h, 0.0)
+
     def backward(g):
-        a.grad += g * (a.data > 0.0)
+        for k in range(len(layers) - 1, -1, -1):
+            w, b = layers[k]
+            b.grad += np.add.reduce(g, axis=0)
+            w.grad += acts[k].T @ g
+            if k:
+                g = (g @ w.data.T) * (acts[k] > 0.0)
+            elif tensors:
+                g = g @ w.data.T
+        start = 0
+        for t, x in zip(inputs, data):
+            if isinstance(t, Tensor):
+                t.grad += g[:, start:start + x.shape[1]]
+            start += x.shape[1]
 
-    return Tensor(np.maximum(a.data, 0.0), (a,), backward)
+    return Tensor(h, tensors + [t for layer in layers for t in layer], backward)
+
+
+def rms_rescale(a: Tensor, eps: float) -> Tensor:
+    """``a / sqrt(sum(a * a) / a.size + eps)``, ``a`` divided by its global
+    root-mean-square value, as one tape node. The forward and the adjoint
+    compute what the chain of ``mul``, ``tsum``, division, ``add`` and
+    square-root nodes computes, in its order, so every value and grad is
+    bitwise that chain's."""
+    size = a.data.size
+    r = np.sqrt(np.add.reduce(a.data * a.data, axis=None) / size + eps)
+
+    def backward(g):
+        g_r = -g * a.data / (r * r)
+        while g_r.ndim:
+            g_r = np.add.reduce(g_r, axis=0)
+        g_aa = (g_r * 0.5 / r / size) * a.data
+        a.grad += g / r
+        a.grad += g_aa           # the square a * a takes a on both sides
+        a.grad += g_aa
+
+    return Tensor(a.data / r, (a,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -200,26 +258,6 @@ def log(a: Tensor) -> Tensor:
     return Tensor(np.log(a.data), (a,), backward)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    s = np.sqrt(a.data)
-
-    def backward(g):
-        a.grad += g * 0.5 / s
-
-    return Tensor(s, (a,), backward)
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-
-    def backward(g):
-        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t.grad += piece
-
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         a.grad += g.reshape(a.data.shape)
@@ -234,22 +272,6 @@ def tsum(a: Tensor) -> Tensor:
     return Tensor(a.data.sum(), (a,), backward)
 
 
-def _add_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray):
-    """``out[index[k]] += rows[k]`` for k = 0, 1, ..., in place.
-
-    The product with the 0/1 incidence matrix of ``index`` adds each row into
-    ``out`` in the order k, as numpy's ``add.at(out, index, rows)`` does, so the
-    result is bitwise the same. Every index must lie in [0, len(out)).
-    """
-    m = index.size
-    # the native kernel reads rows without bounds checks
-    if rows.shape != (m,) + out.shape[1:]:
-        raise ValueError(f"expected rows of shape {(m,) + out.shape[1:]}, got {rows.shape}")
-    indptr, indices, data = stable_csr(out.shape[0], m, index, np.arange(m), np.ones(m))
-    _sparsetools.csr_matvecs(out.shape[0], m, math.prod(out.shape[1:]),
-                             indptr, indices, data, rows, out)
-
-
 def _integer_index(index) -> np.ndarray:
     """``index`` as an array of its own integer dtype, without a copy.
 
@@ -261,25 +283,28 @@ def _integer_index(index) -> np.ndarray:
     return index
 
 
-def gather(a: Tensor, index: np.ndarray) -> Tensor:
+def gather(a: Tensor, index) -> Tensor:
     """Select rows (axis 0) of ``a`` by an integer index array with entries in
-    [0, len(a))."""
-    index = _integer_index(index)
+    [0, len(a)), or by a ``linalg.Incidence`` into len(a) bins, whose
+    pattern the backward then reads instead of building it."""
+    incidence = index if isinstance(index, Incidence) else None
+    rows = index.index if incidence is not None else _integer_index(index)
 
     def backward(g):
-        _add_rows(a.grad, index, g)
+        (incidence or Incidence(rows, len(a.data))).add_rows(a.grad, g)
 
-    return Tensor(a.data[index], (a,), backward)
+    return Tensor(a.data[rows], (a,), backward)
 
 
-def scatter_add(a: Tensor, index: np.ndarray, size: int) -> Tensor:
-    """Sum rows of ``a`` into ``size`` bins given by an integer ``index`` (axis 0)."""
-    index = _integer_index(index)
+def scatter_add(a: Tensor, index, size: int) -> Tensor:
+    """Sum rows of ``a`` into ``size`` bins given by an integer ``index`` (axis
+    0), or by a ``linalg.Incidence`` into ``size`` bins."""
+    incidence = index if isinstance(index, Incidence) else Incidence(_integer_index(index), size)
     acc = np.zeros((size,) + a.data.shape[1:])
-    _add_rows(acc, index, a.data)
+    incidence.add_rows(acc, a.data)
 
     def backward(g):
-        a.grad += g[index]
+        a.grad += g[incidence.index]
 
     return Tensor(acc, (a,), backward)
 

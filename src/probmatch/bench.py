@@ -14,11 +14,9 @@ never leak test instances into training.
 from __future__ import annotations
 
 import csv
-import ctypes
 import io
 import json
 import os
-import sys
 import time
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .affinity import AffinityConfig, assemble_affinity, objective
+from .allocator import keep_freed_heap
 from .graphs import build_aa_graph, synthesize_pair
 from .linalg import binary_score, perm_matrix
 from .predictor import (
@@ -48,16 +47,6 @@ AFFINITY_SOURCES = ("handcrafted", "learned")
 _TRAIN_SEED_BASE = 10_000
 _TEST_SEED_BASE = 20_000
 _NOISE_SEED_STRIDE = 1_000_000
-# glibc's mallopt parameter M_TOP_PAD, and the pad the runner sets: the bytes
-# of freed heap that glibc keeps at the top instead of returning to the
-# kernel. Each handcrafted instance at n = 100 builds and frees about 12 MB
-# (K's triplets, its CSR view and the assembly temporaries; 2,937 minor page
-# faults x 4 KiB). Under glibc's default pad that memory is handed back after
-# every instance and faulted in again for the next, 5 to 7 ms of kernel time
-# per instance; with this pad it is kept, and the peak does not move.
-_M_TOP_PAD = -2
-_TOP_PAD_BYTES = 64 << 20
-_heap_kept = False
 
 
 class ConfigError(ValueError):
@@ -286,31 +275,6 @@ def _stats(rows: list) -> dict:
     }
 
 
-def _libc():
-    """The C library already loaded into this process."""
-    return ctypes.CDLL(None)
-
-
-def _keep_freed_heap():
-    """Once per process, on Linux, ask glibc to keep ``_TOP_PAD_BYTES`` of
-    freed heap for the next instance (``mallopt(M_TOP_PAD, ...)``). Pool
-    workers fork later and inherit it. Where the C library has no ``mallopt``
-    or the call fails (returns 0), nothing changes."""
-    global _heap_kept
-    if _heap_kept:
-        return
-    _heap_kept = True
-    if sys.platform != "linux":
-        return
-    try:
-        mallopt = _libc().mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
-
-
 def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     """Load the checkpoint, then generate and build each test instance once and
     solve it with every solver in ``solvers``. Returns each solver's rows,
@@ -323,9 +287,9 @@ def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     took to solve and discretise the whole chunk.
 
     First it keeps the memory it frees for the next instance (glibc only;
-    ``_keep_freed_heap``): later instances take no page faults, and the
-    resident size stays at its peak between instances."""
-    _keep_freed_heap()
+    ``allocator.keep_freed_heap``): later instances take no page faults, and
+    the resident size stays at its peak between instances."""
+    keep_freed_heap()
     store = load_store(cfg)
     split = test_split(cfg)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

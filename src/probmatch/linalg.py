@@ -8,7 +8,10 @@ lists the match pairs (p, q) of joint edges; ``SparseAffinity.symmetric``
 stores one weight per pair at (p, q) and at (q, p). ``FLOOR`` is the one
 probability floor of Sinkhorn, its adjoint and the probabilistic solver, and
 ``_sinkhorn_pass`` the one Sinkhorn pass: ``sinkhorn`` runs it in one loop,
-and ``sinkhorn_vjp`` replays and reverses its passes rather than keep them.
+``sinkhorn_passes`` runs it keeping every pass, and ``sinkhorn_vjp``
+reverses the kept passes. Passes are kept only for ``solvers.solve_tape``,
+whose solve asks for them, and they are freed with its tape; inference
+keeps none, and ``sinkhorn_vjp`` without them runs the passes again.
 
 Batched solvers work on a chunk of B same-size instances at once.
 ``block_diagonal`` stacks their operators into one operator of size B * N,
@@ -25,6 +28,7 @@ rather than wrapped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +100,13 @@ class SparseAffinity:
         return cls(n1, n2, unary, np.concatenate([p, q]), np.concatenate([q, p]),
                    np.concatenate([weights, weights]))
 
+    def use_csr_order(self, order: tuple):
+        """Take the CSR view from ``order``, the ``csr_order`` of these rows and
+        cols, instead of sorting: its data is ``vals[order]``, bitwise what
+        ``stable_csr`` gives."""
+        indptr, indices, perm = order
+        self._csr = ((self.rows, self.cols, self.vals), (indptr, indices, self.vals[perm]))
+
     def copy(self) -> "SparseAffinity":
         return SparseAffinity(self.n1, self.n2, self.unary.copy(),
                               self.rows.copy(), self.cols.copy(), self.vals.copy())
@@ -138,6 +149,44 @@ def stable_csr(n_row: int, n_col: int, rows, cols, vals) -> tuple:
     _sparsetools.coo_tocsr(n_row, n_col, nnz, rows.astype(index, copy=False),
                            cols.astype(index, copy=False), vals, indptr, indices, data)
     return indptr, indices, data
+
+
+def csr_order(n_row: int, n_col: int, rows, cols) -> tuple:
+    """``(indptr, indices, order)`` with ``stable_csr(n_row, n_col, rows, cols,
+    vals)`` equal to ``(indptr, indices, vals[order])`` for every ``vals``:
+    the stable sort done once for a pattern whose values change."""
+    nnz = np.size(rows)
+    indptr, indices, order = stable_csr(n_row, n_col, rows, cols, np.arange(nnz, dtype=np.float64))
+    return indptr, indices, order.astype(index_dtype(nnz))
+
+
+class Incidence:
+    """An integer ``index`` into ``size`` bins with its 0/1 incidence matrix.
+
+    The matrix is size x len(index), with a 1 at (index[k], k), kept in
+    ``stable_csr`` form: row i lists the positions k with index[k] = i in
+    increasing order. ``add_rows`` adds rows through it in the order k, as
+    numpy's unbuffered ``add.at`` does, so the result is bitwise the same at
+    a fraction of its cost. Raises ValueError unless every entry lies in
+    [0, size).
+    """
+
+    __slots__ = ("index", "size", "csr")
+
+    def __init__(self, index: np.ndarray, size: int):
+        m = index.size
+        self.index, self.size = index, size
+        self.csr = stable_csr(size, m, index, np.arange(m), np.ones(m))
+
+    def add_rows(self, out: np.ndarray, rows: np.ndarray):
+        """``out[index[k]] += rows[k]`` for k = 0, 1, ..., in place."""
+        m = self.index.size
+        # the native kernel reads rows and writes out without bounds checks
+        if len(out) != self.size:
+            raise ValueError(f"expected {self.size} bins, got {len(out)}")
+        if rows.shape != (m,) + out.shape[1:]:
+            raise ValueError(f"expected rows of shape {(m,) + out.shape[1:]}, got {rows.shape}")
+        _sparsetools.csr_matvecs(self.size, m, math.prod(out.shape[1:]), *self.csr, rows, out)
 
 
 def _csr_view(K: SparseAffinity) -> tuple:
@@ -204,14 +253,15 @@ def block_diagonal(Ks) -> SparseAffinity:
                           np.concatenate([K.vals for K in Ks]))
 
 
-def _sinkhorn_pass(Z: np.ndarray, r: np.ndarray):
+def _sinkhorn_pass(Z: np.ndarray, r: np.ndarray, A=None, c=None, out=None):
     """One pass on Z with row sums r: ``(A, c, Z')``, A = Z / r and Z' = A / c.
 
     Rows reduce over axis -1 and columns over axis -2, so Z is one matrix or
-    a stack (B, n, n)."""
-    A = Z / r
-    c = A.sum(axis=-2, keepdims=True)
-    return A, c, A / c
+    a stack (B, n, n). Given buffers ``A``, ``c`` and ``out``, the pass writes
+    into them; the values are the same."""
+    A = np.divide(Z, r, out=A)
+    c = np.add.reduce(A, axis=-2, keepdims=True, out=c)
+    return A, c, np.divide(A, c, out=out)
 
 
 def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarray:
@@ -234,10 +284,10 @@ def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarra
     out = Y.reshape(-1, *Y.shape[-2:])      # a view: rows written to out land in Y
     live, Z = np.arange(len(out)), out
     for it in range(max_iters):
-        r = Z.sum(axis=-1, keepdims=True)
+        r = np.add.reduce(Z, axis=-1, keepdims=True)
         if tol and it:                       # the check's row sums divide this pass
             done = np.maximum(np.abs(r - 1.0).max(axis=(1, 2)),
-                              np.abs(Z.sum(axis=1) - 1.0).max(axis=1)) < tol
+                              np.abs(np.add.reduce(Z, axis=1) - 1.0).max(axis=1)) < tol
             if done.any():
                 out[live[done]] = Z[done]
                 going = ~done
@@ -249,16 +299,30 @@ def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarra
     return Y
 
 
-def sinkhorn_vjp(Y: np.ndarray, passes: int, G: np.ndarray) -> np.ndarray:
-    """Gradient at Y of <G, sinkhorn(Y, passes, tol=0.0)>; 0 where Y <= FLOOR."""
-    steps, Z = [], np.maximum(Y, FLOOR)
-    for _ in range(passes):
-        r = Z.sum(axis=-1, keepdims=True)
-        A, c, Z = _sinkhorn_pass(Z, r)
-        steps.append((r, A, c, Z))
-    for r, A, c, Z in reversed(steps):
-        G = (G - (G * Z).sum(axis=0, keepdims=True)) / c
-        G = (G - (G * A).sum(axis=1, keepdims=True)) / r
+def sinkhorn_passes(X: np.ndarray, passes: int) -> tuple:
+    """``sinkhorn(X, passes, tol=0.0)`` keeping every pass: ``(r, A, c, Z)``,
+    each stacked over the passes on a new leading axis, so pass k divided
+    ``max(X, FLOOR)`` (k = 0) or ``Z[k - 1]`` by its row sums ``r[k]`` into
+    ``A[k]`` and that by its column sums ``c[k]`` into ``Z[k]``. ``Z[-1]`` is
+    bitwise ``sinkhorn``'s output. X is one matrix or a stack (B, n, n)."""
+    Z = np.maximum(X, FLOOR)
+    rows, cols = Z.shape[:-1] + (1,), Z.shape[:-2] + (1, Z.shape[-1])
+    kept = tuple(np.empty((passes,) + shape) for shape in (rows, Z.shape, cols, Z.shape))
+    for r, A, c, out in zip(*kept):
+        _, _, Z = _sinkhorn_pass(Z, np.add.reduce(Z, axis=-1, keepdims=True, out=r), A, c, out)
+    return kept
+
+
+def sinkhorn_vjp(Y: np.ndarray, passes: int, G: np.ndarray, kept: tuple | None = None) -> np.ndarray:
+    """Gradient at Y of <G, sinkhorn(Y, passes, tol=0.0)>; 0 where Y <= FLOOR.
+
+    Y is one matrix or a stack (B, n, n). The passes are reversed from
+    ``kept``, the ``sinkhorn_passes(Y, passes)`` of the forward, or run again
+    here when it is not given; the gradient is bitwise the same."""
+    r, A, c, Z = sinkhorn_passes(Y, passes) if kept is None else kept
+    for k in range(passes - 1, -1, -1):
+        G = (G - np.add.reduce(G * Z[k], axis=-2, keepdims=True)) / c[k]
+        G = (G - np.add.reduce(G * A[k], axis=-1, keepdims=True)) / r[k]
     return G * (Y > FLOOR)
 
 

@@ -21,6 +21,7 @@ from itertools import groupby
 import numpy as np
 
 from . import autodiff as ad
+from .allocator import keep_freed_heap
 from .autodiff import ParamStore, Tensor
 from .graphs import AA_EDGE_DIM, FEATURE_DIM, AAGraph, GraphPair, build_aa_graph
 from .linalg import SparseAffinity, perm_matrix
@@ -67,16 +68,15 @@ def _init_mlp(store: ParamStore, name: str, widths, rng):
         store.add(f"{name}.b{k}", rng.uniform(-bound, bound, size=(dout,)))
 
 
-def mlp_forward(store: ParamStore, name: str, x: Tensor) -> Tensor:
-    """Affine-ReLU stack of the layers ``name.w0, name.w1, ...`` in the store."""
-    n_layers = 0
-    while f"{name}.w{n_layers}" in store:
-        n_layers += 1
-    for k in range(n_layers):
-        x = ad.add(ad.matmul(x, store[f"{name}.w{k}"]), store[f"{name}.b{k}"])
-        if k < n_layers - 1:
-            x = ad.relu(x)
-    return x
+def mlp_forward(store: ParamStore, name: str, *inputs) -> Tensor:
+    """Affine-ReLU stack of the layers ``name.w0, name.w1, ...`` in the store
+    on the inputs concatenated along axis 1, as one tape node
+    (``autodiff.mlp``); an ndarray input is a constant."""
+    layers, k = [], 0
+    while f"{name}.w{k}" in store:
+        layers.append((store[f"{name}.w{k}"], store[f"{name}.b{k}"]))
+        k += 1
+    return ad.mlp(inputs, layers)
 
 
 def init_params(cfg: PredictorConfig, seed: int = 0) -> ParamStore:
@@ -105,8 +105,8 @@ def init_params(cfg: PredictorConfig, seed: int = 0) -> ParamStore:
 
 def encode(aa: AAGraph, store: ParamStore):
     """Map raw node/edge attributes into the latent spaces."""
-    V = mlp_forward(store, "rho_v", Tensor(aa.node_attrs))
-    E = mlp_forward(store, "rho_e", Tensor(aa.edge_attrs))
+    V = mlp_forward(store, "rho_v", aa.node_attrs)
+    E = mlp_forward(store, "rho_e", aa.edge_attrs)
     return V, E
 
 
@@ -121,7 +121,7 @@ def affinity_update(V: Tensor, E: Tensor, src, dst, store: ParamStore) -> Tensor
     fwd = ad.mul(ad.gather(A, src), ad.gather(B, dst))
     rev = ad.mul(ad.gather(A, dst), ad.gather(B, src))
     ebar = ad.mul(ad.add(fwd, rev), 0.5)
-    return mlp_forward(store, "tau", ad.concat([E, ebar], axis=1))
+    return mlp_forward(store, "tau", E, ebar)
 
 
 def assignment_update(V: Tensor, E: Tensor, src, dst, store: ParamStore) -> Tensor:
@@ -131,7 +131,7 @@ def assignment_update(V: Tensor, E: Tensor, src, dst, store: ParamStore) -> Tens
     """
     n = V.data.shape[0]
     agg = ad.add(ad.scatter_add(E, src, n), ad.scatter_add(E, dst, n))
-    return mlp_forward(store, "kappa", ad.concat([agg, V], axis=1))
+    return mlp_forward(store, "kappa", agg, V)
 
 
 def decode(V: Tensor, E: Tensor, store: ParamStore):
@@ -151,8 +151,7 @@ def _rms_rescale(t: Tensor, eps: float = 1e-12) -> Tensor:
     """
     if t.data.size == 0:
         return t
-    ms = ad.div(ad.tsum(ad.mul(t, t)), t.data.size)
-    return ad.div(t, ad.sqrt(ad.add(ms, eps)))
+    return ad.rms_rescale(t, eps)
 
 
 def predictor_forward(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
@@ -162,8 +161,7 @@ def predictor_forward(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
     score per AA-edge of ``aa.edges``. They are the learned operator's
     diagonal and its weights at the AA-edges' match pairs.
     """
-    src = aa.edges[:, 0]
-    dst = aa.edges[:, 1]
+    src, dst = aa.incidences
     V, E = encode(aa, store)
     for _ in range(cfg.T):
         E = _rms_rescale(affinity_update(V, E, src, dst, store))
@@ -209,7 +207,7 @@ def pipeline_forward(aa: AAGraph, store: ParamStore, pcfg: PredictorConfig,
     assignment; returns the flat final assignment vector on the tape.
     Inference runs ``learned_affinity`` and ``dpgm_assignment`` instead."""
     x_scores, e_scores = predictor_forward(aa, store, pcfg)
-    return solve_tape(x_scores, e_scores, aa.edges.T, (aa.n1, aa.n2), scfg)
+    return solve_tape(x_scores, e_scores, aa, scfg)
 
 
 def balanced_ce_loss(x: Tensor, x_gt: np.ndarray, cfg: LossConfig) -> Tensor:
@@ -285,14 +283,21 @@ def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
     Returns the trained ParamStore and a per-epoch metrics list. If
     ``target_accuracy`` is given, training stops once the monitor set (the
     first 32 training pairs) reaches it. Deterministic given ``seed``.
+
+    Like the experiment runner, it first sets the process's heap policy
+    (``allocator.keep_freed_heap``; glibc only, once per process): from then
+    on the whole process keeps the memory it frees instead of returning it
+    to the kernel, and later steps reuse it instead of faulting it in again.
     """
     if not pairs:
         raise ValueError("pairs must not be empty")
+    keep_freed_heap()
     store = init_params(pcfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     prepared = []
     for pair in pairs:
         aa = build_aa_graph(pair.g1, pair.g2)
+        aa.build_patterns()
         gt_vec = perm_matrix(pair.ground_truth).ravel()
         prepared.append((aa, gt_vec))
 

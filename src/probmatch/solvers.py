@@ -28,7 +28,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .linalg import (FLOOR, SparseAffinity, binary_score, block_diagonal, hungarian,
-                     perm_matrix, sinkhorn, sinkhorn_vjp, spmv)
+                     perm_matrix, sinkhorn, sinkhorn_passes, sinkhorn_vjp, spmv)
 
 
 @dataclass
@@ -52,13 +52,16 @@ class SolveTrace:
 
     ``assignments[t]`` is X_t, ``products[t]`` K x_t and ``scales[t]`` the scale s_t
     that multiplied it; the last iterate is not propagated, so ``iterations`` counts
-    the scales. The arrays are not copies (in a chunk's solve, views into the chunk's
-    arrays): callers must not write into them. Binary scores and objectives (against
-    the original K) are worked out when read."""
+    the scales. ``passes[t]``, kept only when the solve is asked to, holds the
+    passes of iteration t's Sinkhorn as ``linalg.sinkhorn_passes`` gives them. The
+    arrays are not copies (in a chunk's solve, views into the chunk's arrays):
+    callers must not write into them. Binary scores and objectives (against the
+    original K) are worked out when read."""
 
     assignments: list = field(default_factory=list)
     products: list = field(default_factory=list)
     scales: list = field(default_factory=list)
+    passes: list = field(default_factory=list)
     stop_reason: str = "max_iters"
     last_delta_sq: float = float("nan")
 
@@ -90,7 +93,8 @@ class SolveTrace:
         return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None):
+def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None,
+                        keep_passes: bool = False):
     """Iterative probabilistic QAP solver.
 
     K is one square operator, with X_init of shape (n1, n2), or a chunk of B
@@ -105,7 +109,8 @@ def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None):
     live instances' operators are stacked anew; the final K x of every
     instance is one product of the whole stack. Raises ValueError before any
     work on a non-square operator, a chunk of different sizes or a start of
-    the wrong shape.
+    the wrong shape. With ``keep_passes`` each trace also keeps every
+    Sinkhorn pass (``SolveTrace.passes``), for ``solve_tape``'s backward.
     """
     cfg = cfg or SolverConfig()
     one = isinstance(K, SparseAffinity)
@@ -145,7 +150,14 @@ def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None):
         for b, X_t, Kx_t, s_t in zip(live.tolist(), X, Kx, scale):
             traces[b].record(X_t, Kx_t)
             traces[b].scales.append(s_t)
-        X_new = sinkhorn((scale * Kx).reshape(-1, n1, n2), cfg.sinkhorn_iters, tol=0.0)
+        Y = (scale * Kx).reshape(-1, n1, n2)
+        if keep_passes:
+            kept = sinkhorn_passes(Y, cfg.sinkhorn_iters)
+            for i, b in enumerate(live.tolist()):
+                traces[b].passes.append(tuple(a[:, i] for a in kept))
+            X_new = kept[-1][-1]
+        else:
+            X_new = sinkhorn(Y, cfg.sinkhorn_iters, tol=0.0)
         x_new = X_new.reshape(live.size, N)
         delta_sq = ((x_new - x) ** 2).sum(axis=1)    # bitwise the 1-D sum of each row
         scale = scale * (x_new / np.maximum(x, FLOOR))
@@ -169,32 +181,33 @@ def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None):
     return out, traces
 
 
-def solve_tape(x: Tensor, e: Tensor, pairs, shape: tuple,
-               cfg: SolverConfig) -> Tensor:
+def solve_tape(x: Tensor, e: Tensor, aa, cfg: SolverConfig) -> Tensor:
     """``probabilistic_solve`` as one autodiff tape node; returns the flat final X.
 
     ``x`` (flat) is both the initial assignment and K's unary diagonal, and
-    ``e[t]`` is K's entry at (p[t], q[t]) and at (q[t], p[t]) for
-    ``pairs = (p, q)``. The backward is the exact adjoint of the iterations
-    the solve ran; it reads x_t, K x_t and s_t from the solve's record.
+    ``e[t]`` is K's entry at (p, q) and at (q, p) for the t-th edge (p, q) of
+    the AA graph ``aa`` (``AAGraph.operators``). The backward is the exact
+    adjoint of the iterations the solve ran; it reads x_t, K x_t, s_t and
+    each Sinkhorn pass from the solve's record. Only this solve keeps the
+    passes (about 230 KB at n = 8); the record goes with the tape.
     """
-    p, q = pairs
-    K = SparseAffinity.symmetric(*shape, x.data, p, q, e.data)
-    X, trace = probabilistic_solve(K, x.data.reshape(shape), cfg)
+    shape = (aa.n1, aa.n2)
+    K, K_T = aa.operators(x.data, e.data)
+    X, trace = probabilistic_solve(K, x.data.reshape(shape), cfg, keep_passes=True)
 
     def backward(g):
         if not trace.iterations:
             raise RuntimeError("a zero-operator solve has no iteration to differentiate")
         xs = [X_t.ravel() for X_t in trace.assignments]
-        K_T = SparseAffinity(*shape, K.unary, K.cols, K.rows, K.vals)   # K's triplets, swapped
         g_s = np.zeros(K.size)
         g_vals = np.zeros(K.vals.size)           # per directed entry of K
-        for x_t, x_next, s, Kx in reversed(list(zip(xs, xs[1:], trace.scales, trace.products))):
+        for x_t, x_next, s, Kx, kept in reversed(list(zip(xs, xs[1:], trace.scales,
+                                                          trace.products, trace.passes))):
             den = np.maximum(x_t, FLOOR)        # s_{t+1} = s * (x_next / den)
             g = g + g_s * s / den
             g_prev = -g_s * s * x_next / (den * den) * (x_t > FLOOR)
             g_y = sinkhorn_vjp((s * Kx).reshape(shape), cfg.sinkhorn_iters,
-                               g.reshape(shape)).ravel()   # x_next = sinkhorn(s * Kx)
+                               g.reshape(shape), kept).ravel()   # x_next = sinkhorn(s * Kx)
             g_s = g_s * (x_next / den) + g_y * Kx
             g_Kx = g_y * s
             x.grad += g_Kx * x_t                 # x as K's unary diagonal

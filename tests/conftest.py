@@ -2,17 +2,21 @@ import itertools
 
 import numpy as np
 
+import probmatch.autodiff as ad
 from probmatch.affinity import objective
+from probmatch.autodiff import Tensor
 from probmatch.graphs import (
     _LOG_DIST_RANGE,
     _N_ANGLE_BINS,
     _N_DIST_BINS,
+    AA_EDGE_DIM,
     FEATURE_DIM,
+    AAGraph,
     AttributedGraph,
     graph_from_points,
     synthesize_pair,
 )
-from probmatch.linalg import SparseAffinity, perm_matrix, sinkhorn, spmv
+from probmatch.linalg import FLOOR, SparseAffinity, perm_matrix, sinkhorn, spmv
 
 
 def random_pairs(rng, n1, n2, density=0.3):
@@ -29,6 +33,13 @@ def random_pairs(rng, n1, n2, density=0.3):
                 w.append(rng.uniform(0.0, 1.0))
     return (unary, np.array(p, dtype=np.int64), np.array(q, dtype=np.int64),
             np.array(w, dtype=np.float64))
+
+
+def aa_graph_of_pairs(n1, n2, p, q):
+    """An AA graph whose edges are the match pairs (p, q), with zero node and
+    edge attributes: the operator pattern ``solvers.solve_tape`` reads."""
+    return AAGraph(n1, n2, np.zeros((n1 * n2, 2 * FEATURE_DIM)), np.stack([p, q], axis=1),
+                   np.zeros((len(p), AA_EDGE_DIM)))
 
 
 def random_sparse_affinity(rng, n1, n2, density=0.3):
@@ -249,3 +260,84 @@ def reference_backward(root):
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+
+
+# ---------------------------------------------------------------------------
+# Fine tape compositions of the fused autodiff nodes. Each op below is a tape
+# node as the autodiff module once had it; the fused node must be bitwise the
+# chain of them.
+
+def _wrap(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _relu(a):
+    def backward(g):
+        a.grad += g * (a.data > 0.0)
+
+    return Tensor(np.maximum(a.data, 0.0), (a,), backward)
+
+
+def _concat(tensors, axis=-1):
+    tensors = [_wrap(t) for t in tensors]
+
+    def backward(g):
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
+            t.grad += piece
+
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+
+
+def _div(a, b):
+    a, b = _wrap(a), _wrap(b)
+
+    def backward(g):
+        a.grad += ad._unbroadcast(g / b.data, a.data.shape)
+        b.grad += ad._unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+
+    return Tensor(a.data / b.data, (a, b), backward)
+
+
+def _sqrt(a):
+    s = np.sqrt(a.data)
+
+    def backward(g):
+        a.grad += g * 0.5 / s
+
+    return Tensor(s, (a,), backward)
+
+
+def reference_mlp(inputs, layers):
+    """``autodiff.mlp`` as its fine chain: a concatenation of the inputs
+    (none for one), then ``matmul`` and ``add`` per layer with a ReLU node
+    between each two."""
+    x = _wrap(inputs[0]) if len(inputs) == 1 else _concat(inputs, axis=1)
+    for k, (w, b) in enumerate(layers):
+        x = ad.add(ad.matmul(x, w), b)
+        if k < len(layers) - 1:
+            x = _relu(x)
+    return x
+
+
+def reference_rms_rescale(t, eps):
+    """``autodiff.rms_rescale`` as its fine chain of mul, tsum, div, add and
+    sqrt nodes."""
+    ms = _div(ad.tsum(ad.mul(t, t)), t.data.size)
+    return _div(t, _sqrt(ad.add(ms, eps)))
+
+
+def reference_sinkhorn_vjp(Y, passes, G):
+    """Sinkhorn's adjoint on one matrix, replaying the passes into a list
+    with ``ndarray.sum`` and reversing them."""
+    steps, Z = [], np.maximum(Y, FLOOR)
+    for _ in range(passes):
+        r = Z.sum(axis=1, keepdims=True)
+        A = Z / r
+        c = A.sum(axis=0, keepdims=True)
+        Z = A / c
+        steps.append((r, A, c, Z))
+    for r, A, c, Z in reversed(steps):
+        G = (G - (G * Z).sum(axis=0, keepdims=True)) / c
+        G = (G - (G * A).sum(axis=1, keepdims=True)) / r
+    return G * (Y > FLOOR)

@@ -6,7 +6,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from conftest import reference_backward, reference_gather_backward, reference_scatter_add
+from conftest import (reference_backward, reference_gather_backward, reference_mlp,
+                      reference_rms_rescale, reference_scatter_add)
 
 import probmatch.autodiff as ad
 from probmatch.autodiff import ParamStore, Tensor
@@ -37,15 +38,15 @@ def _check_op(build, x, step=1e-6, atol=1e-5):
     assert np.allclose(t.grad, fd, atol=atol), (t.grad, fd)
 
 
-def test_add_mul_div_broadcast_grads():
+def test_add_mul_broadcast_grads():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 4))
     b = rng.uniform(0.5, 2.0, size=(4,))
     ta, tb = Tensor(a.copy()), Tensor(b.copy())
-    loss = ad.tsum(ad.div(ad.mul(ad.add(ta, tb), ta), tb))
+    loss = ad.tsum(ad.mul(ad.add(ta, tb), ta))
     loss.backward()
-    fd_a = _fd_grad(lambda v: float((((v + b) * v) / b).sum()), a)
-    fd_b = _fd_grad(lambda v: float((((a + v) * a) / v).sum()), b)
+    fd_a = _fd_grad(lambda v: float(((v + b) * v).sum()), a)
+    fd_b = _fd_grad(lambda v: float(((a + v) * a).sum()), b)
     assert np.allclose(ta.grad, fd_a, atol=1e-5)
     assert np.allclose(tb.grad, fd_b, atol=1e-5)
 
@@ -66,8 +67,6 @@ def test_elementwise_op_grads_vs_fd():
     x = rng.uniform(0.2, 2.0, size=(3, 3))
     _check_op(ad.sigmoid, rng.normal(size=(3, 3)))
     _check_op(ad.log, x)
-    _check_op(ad.sqrt, x)
-    _check_op(lambda t: ad.relu(t), rng.normal(size=(3, 3)) + 0.1)
 
 
 def test_sigmoid_is_stable_at_extremes():
@@ -77,16 +76,12 @@ def test_sigmoid_is_stable_at_extremes():
     assert np.all(np.isfinite(out.data))
 
 
-def test_concat_reshape_sum_grads():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 3))
-    b = rng.normal(size=(2, 2))
-    ta, tb = Tensor(a.copy()), Tensor(b.copy())
-    cat = ad.concat([ta, tb], axis=1)
-    loss = ad.tsum(ad.mul(ad.reshape(cat, (10,)), 2.0))
+def test_reshape_sum_grads():
+    a = np.random.default_rng(3).normal(size=(2, 3))
+    ta = Tensor(a.copy())
+    loss = ad.tsum(ad.mul(ad.reshape(ta, (6,)), 2.0))
     loss.backward()
     assert np.allclose(ta.grad, 2.0)
-    assert np.allclose(tb.grad, 2.0)
 
 
 def test_gather_scatter_grads():
@@ -168,13 +163,67 @@ def test_gather_and_scatter_reject_a_non_integer_index():
 
 
 # ---------------------------------------------------------------------------
+# fused nodes against their fine chains
+
+def _fused_and_fine(run):
+    """``run(fused)`` twice on leaves of the same values, once with the fused
+    nodes and once with their fine chains; each run returns its output and
+    the leaves whose grads it checks."""
+    fused, fine = run(True), run(False)
+    assert np.array_equal(fused[0].data, fine[0].data)
+    assert len(fused[1]) == len(fine[1])
+    for a, b in zip(fused[1], fine[1]):
+        assert np.array_equal(a.grad, b.grad)
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["tensor-inputs", "array-input"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_mlp_node_is_bitwise_its_fine_chain(depth, constant):
+    # x1 has two consumers besides the MLP, so its grad takes three
+    # contributions, in the sweep's order; every leaf starts from a nonzero
+    # grad, as a parameter does over a batch
+    def run(fused):
+        rng = np.random.default_rng(depth)
+        x1, x2 = Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=(6, 2)))
+        widths = [5, 4, 3, 2][:depth + 1]
+        layers = [(Tensor(rng.normal(size=(din, dout))), Tensor(rng.normal(size=dout)))
+                  for din, dout in zip(widths, widths[1:])]
+        leaves = [x1, x2] + [t for layer in layers for t in layer]
+        for t in leaves:
+            t.grad = rng.normal(size=t.data.shape)
+        inputs = [rng.normal(size=(6, 5))] if constant else [x1, x2]
+        y = (ad.mlp if fused else reference_mlp)(inputs, layers)
+        loss = ad.add(ad.add(ad.tsum(ad.mul(y, rng.normal(size=y.data.shape))),
+                             ad.tsum(ad.mul(x1, rng.normal(size=(6, 3))))),
+                      ad.tsum(ad.mul(x1, x1)))
+        loss.backward()
+        return y, leaves
+
+    _fused_and_fine(run)
+
+
+def test_rms_rescale_node_is_bitwise_its_fine_chain():
+    def run(fused):
+        rng = np.random.default_rng(11)
+        t = Tensor(rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-3, 4, size=(7, 5)))
+        t.grad = rng.normal(size=t.data.shape)
+        y = (ad.rms_rescale if fused else reference_rms_rescale)(t, 1e-12)
+        ad.add(ad.tsum(ad.mul(y, rng.normal(size=y.data.shape))),
+               ad.tsum(ad.mul(t, t))).backward()
+        return y, [t]
+
+    _fused_and_fine(run)
+
+
+# ---------------------------------------------------------------------------
 # no_grad
 
 def _every_op(t: Tensor, u: Tensor) -> list:
     """One result of each operation, on positive 2x2 inputs."""
     idx = np.array([1, 0, 1])
-    return [ad.add(t, u), ad.mul(t, u), ad.div(t, u), ad.matmul(t, u), ad.relu(t),
-            ad.sigmoid(t), ad.log(t), ad.sqrt(t), ad.concat([t, u], axis=1),
+    w, b = Tensor(np.concatenate([t.data, u.data])), Tensor(u.data[0])
+    return [ad.add(t, u), ad.mul(t, u), ad.matmul(t, u), ad.mlp([t, u], [(w, b), (u, b)]),
+            ad.rms_rescale(t, 1e-12), ad.sigmoid(t), ad.log(t),
             ad.reshape(t, (4,)), ad.tsum(t), ad.gather(t, idx),
             ad.scatter_add(ad.gather(t, idx), idx, 2), ad.clip(t, 0.5, 1.5)]
 
@@ -263,6 +312,20 @@ def _training_pair(n=8, pcfg=PredictorConfig(d_V=32, d_E=32, T=5)):
             init_params(pcfg, seed=0), pcfg, SolverConfig(), LossConfig())
 
 
+def test_a_training_pair_records_at_most_120_tape_nodes():
+    # Nodes other than the parameters on one n = 8, T = 5 pair's tape. It held
+    # 252 before the fused nodes: 32 constants and 220 operations, among them
+    # five per MLP (14 MLPs), six per RMS rescale (10) and a concatenation
+    # per update layer (10). It holds 104 operations now and no constant, and
+    # each gets one grad buffer in the sweep.
+    aa, gt, store, pcfg, scfg, lcfg = _training_pair()
+    params = {id(store[name]) for name in store.names()}
+    nodes = [t for t in _tape(instance_loss(aa, gt, store, pcfg, scfg, lcfg))
+             if id(t) not in params]
+    assert len(nodes) <= 120, len(nodes)
+    assert all(t._backward is not None for t in nodes)    # no constant is a node
+
+
 def test_backward_frees_every_intermediate_node_and_leaves_keep_their_grads():
     aa, gt, store, pcfg, scfg, lcfg = _training_pair(n=4, pcfg=PredictorConfig(d_V=4, d_E=4, T=1))
     store.zero_grad()
@@ -274,7 +337,7 @@ def test_backward_frees_every_intermediate_node_and_leaves_keep_their_grads():
     inner = [t for t in nodes if t._backward is not None]
     leaves = [t for t in nodes if t._backward is None]
     params = [store[n] for n in store.names()]
-    assert len(inner) > 50 and set(map(id, params)) <= set(map(id, leaves))
+    assert len(inner) > 30 and set(map(id, params)) <= set(map(id, leaves))
     loss.backward()
     assert np.array_equal(store.grad_vector(), kept)
     for t in inner:

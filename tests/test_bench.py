@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from probmatch import bench
+from probmatch import allocator, bench
 from probmatch import predictor as predictor_module
 from probmatch import solvers as solvers_module
 from probmatch.autodiff import ParamStore
@@ -378,12 +378,12 @@ def test_allocator_policy_is_set_once_per_process(monkeypatch):
         calls.append((param, value))
         return 1
 
-    monkeypatch.setattr(bench, "_libc", lambda: SimpleNamespace(mallopt=mallopt))
-    monkeypatch.setattr(bench, "_heap_kept", False)
+    monkeypatch.setattr(allocator, "_libc", lambda: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(allocator, "_heap_kept", False)
     cfg = _tiny_cfg(instances=2)
     bench._run(cfg, ("dpgm",))
     bench._run(cfg, ("dpgm",))
-    assert calls == [(bench._M_TOP_PAD, bench._TOP_PAD_BYTES)]
+    assert calls == [(allocator._M_TOP_PAD, allocator._TOP_PAD_BYTES)]
 
 
 def _no_libc():
@@ -394,10 +394,10 @@ def _no_libc():
 def test_runner_without_mallopt_gives_the_same_rows(monkeypatch, libc):
     cfg = _tiny_cfg(noise_levels=(0.02, 0.05))
     expected = run_experiment(cfg).rows_csv()
-    monkeypatch.setattr(bench, "_libc", libc)
-    monkeypatch.setattr(bench, "_heap_kept", False)
+    monkeypatch.setattr(allocator, "_libc", libc)
+    monkeypatch.setattr(allocator, "_heap_kept", False)
     assert run_experiment(cfg).rows_csv() == expected
-    assert bench._heap_kept
+    assert allocator._heap_kept
 
 
 @pytest.mark.parametrize("n, instances, workers, size", [

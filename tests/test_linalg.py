@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import int64_copy, random_sparse_affinity, reference_sinkhorn, reference_spmv
+from conftest import (int64_copy, random_sparse_affinity, reference_sinkhorn,
+                      reference_sinkhorn_vjp, reference_spmv)
 from probmatch.affinity import assemble_affinity
 from probmatch.graphs import FEATURE_DIM, AttributedGraph, build_aa_graph, synthesize_pair
 from probmatch.linalg import (
@@ -19,6 +20,7 @@ from probmatch.linalg import (
     l21_norm,
     perm_matrix,
     sinkhorn,
+    sinkhorn_passes,
     sinkhorn_vjp,
     spmv,
 )
@@ -352,6 +354,43 @@ def test_sinkhorn_row_col_sums(seed):
 
 def _sinkhorn_loss(Y, passes, G):
     return float((sinkhorn(Y, passes, tol=0.0) * G).sum())
+
+
+def _sinkhorn_inputs(rng, shape):
+    """Inputs from near doubly stochastic to far from it, with entries at and
+    below the floor."""
+    Y = rng.uniform(0.05, 2.0, size=shape) ** rng.choice([1, 8], size=shape[:-2] + (1, 1))
+    Y[rng.uniform(size=shape) < 0.05] = rng.choice([0.0, FLOOR / 2, FLOOR])
+    return Y
+
+
+@pytest.mark.parametrize("passes", [1, 20])
+@pytest.mark.parametrize("n", [3, 8, 21])
+def test_kept_pass_sinkhorn_vjp_is_bitwise_the_replay(n, passes):
+    rng = np.random.default_rng(n + passes)
+    for _ in range(3):
+        Y, G = _sinkhorn_inputs(rng, (n, n)), rng.normal(size=(n, n))
+        kept = sinkhorn_passes(Y, passes)
+        assert np.array_equal(kept[3][-1], sinkhorn(Y, passes, tol=0.0))
+        expected = reference_sinkhorn_vjp(Y, passes, G)
+        assert np.array_equal(sinkhorn_vjp(Y, passes, G, kept), expected)
+        assert np.array_equal(sinkhorn_vjp(Y, passes, G), expected)
+
+
+@pytest.mark.parametrize("B", [1, 5])
+def test_kept_pass_sinkhorn_vjp_on_a_stack_is_each_matrix_alone(B):
+    rng = np.random.default_rng(40 + B)
+    Y, G = _sinkhorn_inputs(rng, (B, 8, 8)), rng.normal(size=(B, 8, 8))
+    kept = sinkhorn_passes(Y, 20)
+    assert [a.shape for a in kept] == [(20, B, 8, 1), (20, B, 8, 8), (20, B, 1, 8), (20, B, 8, 8)]
+    assert np.array_equal(kept[3][-1], sinkhorn(Y, 20, tol=0.0))
+    grad = sinkhorn_vjp(Y, 20, G, kept)
+    assert np.array_equal(sinkhorn_vjp(Y, 20, G), grad)
+    for b in range(B):
+        assert np.array_equal(grad[b], reference_sinkhorn_vjp(Y[b], 20, G[b]))
+        # one instance's passes, as the solver keeps them for its trace
+        own = tuple(a[:, b] for a in kept)
+        assert np.array_equal(sinkhorn_vjp(Y[b], 20, G[b], own), grad[b])
 
 
 @pytest.mark.parametrize("passes", [1, 2, 20])
