@@ -8,10 +8,17 @@ unsupported construction fails at graph-building time. A number or an
 ndarray given to an operation is a constant: it is no node and gets no grad.
 
 Some nodes stand for a whole chain of finer operations, with a hand-written
-adjoint: an affine-ReLU MLP (``mlp``), the RMS rescale (``rms_rescale``) and
-the solver (``solvers.solve_tape``). Each adds into every grad what its chain
-would add, in the chain's order, so values and grads are bitwise the chain's
-while the tape holds one node where it held up to six.
+adjoint: an affine-ReLU MLP (``mlp``), the predictor's two update layers
+(``edge_update`` and ``node_update``: a gate or an aggregate of the edges,
+an MLP and the RMS rescale) and the solver (``solvers.solve_tape``). Each
+adds into every grad what its chain would add, in the chain's order, so
+values and grads are bitwise the chain's while the tape holds one node
+where the chain held up to 22. The MLP and update nodes keep only their
+inputs: none of the chain's intermediates (the concatenated input, the
+hidden activations, the gathered endpoint embeddings, the output before
+the rescale) outlives the forward. The backward computes them again from
+the inputs, the same way, then runs the adjoint. So a node holds its
+output and nothing else.
 
 One backward per tape. Leaves (parameters and input Tensors) keep their
 grads; every intermediate node drops its grad, its parent links and its
@@ -23,11 +30,9 @@ Inside a ``no_grad()`` block the same operations record no tape: every result
 is a ``Tensor`` without parents or backward closure, so an intermediate is
 freed as soon as the forward drops it. Inference runs the predictor this way.
 
-``scatter_add`` and the backward of ``gather`` sum rows through the
-incidence matrix of their index (``linalg.Incidence``), in index order, so
-they are bitwise equal to numpy's unbuffered ``add.at`` at a fraction of its
-cost. Given an ``Incidence``, as the predictor passes an AA graph's, they
-read its matrix instead of building one.
+The update nodes gather and scatter rows through the incidence matrices of
+the AA graph's edge ends (``linalg.Incidence``), in index order, so their
+sums are bitwise those of numpy's unbuffered ``add.at``.
 """
 
 from __future__ import annotations
@@ -167,16 +172,66 @@ def mul(a, b) -> Tensor:
     return Tensor(x * y, _tensors(a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
-    x, y = _data(a), _data(b)
+# ---------------------------------------------------------------------------
+# Coarse nodes. Each runs its forward twice, once for its value and once more
+# in its backward, so that it keeps nothing but its inputs.
+
+def _mlp(x: np.ndarray, layers) -> tuple:
+    """``(acts, out)`` of the affine-ReLU stack on x: the input of each layer
+    (x, then each hidden ReLU output) and the last layer's output."""
+    acts = [x]
+    for w, b in layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w.data + b.data, 0.0))
+    w, b = layers[-1]
+    return acts, acts[-1] @ w.data + b.data
+
+
+def _mlp_vjp(g: np.ndarray, acts: list, layers, input_grad: bool = True):
+    """Add each layer's grads into its weight and bias, from the last layer
+    back, as the chain of ``matmul``, ``add`` and ReLU nodes adds them; the
+    grad at the stack's input if ``input_grad``."""
+    for k in range(len(layers) - 1, -1, -1):
+        w, b = layers[k]
+        b.grad += np.add.reduce(g, axis=0)
+        w.grad += acts[k].T @ g
+        if k:
+            g = (g @ w.data.T) * (acts[k] > 0.0)
+        elif input_grad:
+            return g @ w.data.T
+    return None
+
+
+def _mlp_node(parents: list, layers, inputs, inputs_vjp=None, eps=None) -> Tensor:
+    """The MLP ``layers`` on the array ``inputs()`` computes from the parents'
+    data, as one node on the parents and the layers that keeps only them;
+    with ``eps``, its output h is rescaled to ``h / sqrt(sum(h * h) / h.size
+    + eps)`` (an empty h stays as it is). ``inputs()`` also returns what its
+    adjoint needs, and ``inputs_vjp(g, that)`` adds the grad g at the MLP's
+    input into the parents' grads; without it, no input gets a grad."""
+
+    def forward():
+        x, saved = inputs()
+        acts, h = _mlp(x, layers)
+        r = None
+        if eps is not None and h.size:
+            r = np.sqrt(np.add.reduce(h * h, axis=None) / h.size + eps)
+        return saved, acts, h, r
 
     def backward(g):
-        if isinstance(a, Tensor):
-            a.grad += g @ y.T
-        if isinstance(b, Tensor):
-            b.grad += x.T @ g
+        saved, acts, h, r = forward()
+        if r is not None:        # as the chain of mul, tsum, div, add and sqrt nodes
+            g_r = -g * h / (r * r)
+            while g_r.ndim:
+                g_r = np.add.reduce(g_r, axis=0)
+            g_hh = (g_r * 0.5 / r / h.size) * h
+            g = g / r + g_hh + g_hh        # the square h * h takes h on both sides
+        g = _mlp_vjp(g, acts, layers, inputs_vjp is not None)
+        if inputs_vjp is not None:
+            inputs_vjp(g, saved)
 
-    return Tensor(x @ y, _tensors(a, b), backward)
+    _, _, h, r = forward()
+    return Tensor(h if r is None else h / r, parents + [t for layer in layers for t in layer],
+                  backward)
 
 
 def mlp(inputs, layers) -> Tensor:
@@ -193,51 +248,78 @@ def mlp(inputs, layers) -> Tensor:
     value and grad is bitwise theirs.
     """
     data, tensors = [_data(t) for t in inputs], _tensors(*inputs)
-    h = data[0] if len(data) == 1 else np.concatenate(data, axis=1)
-    acts = []                        # each layer's input: x, then the ReLU outputs
-    for k, (w, b) in enumerate(layers):
-        acts.append(h)
-        h = h @ w.data + b.data
-        if k < len(layers) - 1:
-            h = np.maximum(h, 0.0)
 
-    def backward(g):
-        for k in range(len(layers) - 1, -1, -1):
-            w, b = layers[k]
-            b.grad += np.add.reduce(g, axis=0)
-            w.grad += acts[k].T @ g
-            if k:
-                g = (g @ w.data.T) * (acts[k] > 0.0)
-            elif tensors:
-                g = g @ w.data.T
+    def concat():
+        return (data[0] if len(data) == 1 else np.concatenate(data, axis=1)), None
+
+    def split(g, _):
         start = 0
         for t, x in zip(inputs, data):
             if isinstance(t, Tensor):
                 t.grad += g[:, start:start + x.shape[1]]
             start += x.shape[1]
 
-    return Tensor(h, tensors + [t for layer in layers for t in layer], backward)
+    return _mlp_node(tensors, layers, concat, split if tensors else None)
 
 
-def rms_rescale(a: Tensor, eps: float) -> Tensor:
-    """``a / sqrt(sum(a * a) / a.size + eps)``, ``a`` divided by its global
-    root-mean-square value, as one tape node. The forward and the adjoint
-    compute what the chain of ``mul``, ``tsum``, division, ``add`` and
-    square-root nodes computes, in its order, so every value and grad is
-    bitwise that chain's."""
-    size = a.data.size
-    r = np.sqrt(np.add.reduce(a.data * a.data, axis=None) / size + eps)
+def edge_update(E: Tensor, V: Tensor, M1: Tensor, M2: Tensor, layers, src, dst,
+                eps: float) -> Tensor:
+    """The predictor's edge update as one node: the rescaled (``eps``) MLP
+    ``layers`` on ``[E, (A[src] * B[dst] + A[dst] * B[src]) * 0.5]`` with
+    A = V @ M1 and B = V @ M2, for edges from ``src`` to ``dst`` (integer
+    indices into V's rows, or their ``linalg.Incidence``). It adds into
+    every grad what the chain of two ``matmul``, four gathers, three ``mul``
+    and an ``add``, the MLP and the rescale's nodes adds, in their order."""
+    n = len(V.data)
+    src, dst = (i if isinstance(i, Incidence) else Incidence(i, n) for i in (src, dst))
 
-    def backward(g):
-        g_r = -g * a.data / (r * r)
-        while g_r.ndim:
-            g_r = np.add.reduce(g_r, axis=0)
-        g_aa = (g_r * 0.5 / r / size) * a.data
-        a.grad += g / r
-        a.grad += g_aa           # the square a * a takes a on both sides
-        a.grad += g_aa
+    def inputs():
+        A, B = V.data @ M1.data, V.data @ M2.data
+        ends = A[src.index], B[dst.index], A[dst.index], B[src.index]
+        return np.concatenate([E.data, (ends[0] * ends[1] + ends[2] * ends[3]) * 0.5], axis=1), ends
 
-    return Tensor(a.data / r, (a,), backward)
+    def inputs_vjp(g, ends):
+        a_src, b_dst, a_dst, b_src = ends
+        d = E.data.shape[1]
+        E.grad += g[:, :d]
+        g = g[:, d:] * 0.5
+        g_A, g_B = np.zeros((n, M1.data.shape[1])), np.zeros((n, M2.data.shape[1]))
+        # in the order the fine chain's sweep adds them: both gathers of A and
+        # the first of B, A's product, then B's second gather and B's product
+        src.add_rows(g_A, g * b_dst)
+        dst.add_rows(g_B, g * a_src)
+        dst.add_rows(g_A, g * b_src)
+        V.grad += g_A @ M1.data.T
+        M1.grad += V.data.T @ g_A
+        src.add_rows(g_B, g * a_dst)
+        V.grad += g_B @ M2.data.T
+        M2.grad += V.data.T @ g_B
+
+    return _mlp_node([E, V, M1, M2], layers, inputs, inputs_vjp, eps)
+
+
+def node_update(E: Tensor, V: Tensor, layers, src, dst, eps: float) -> Tensor:
+    """The predictor's node update as one node: the rescaled (``eps``) MLP
+    ``layers`` on ``[agg, V]``, where row i of agg adds the sum of the rows
+    of E whose edge starts at i (``src``) to the sum of those whose edge ends
+    at i (``dst``). It adds into every grad what the chain of two scatters
+    and an ``add``, the MLP and the rescale's nodes adds, in their order."""
+    n = len(V.data)
+    src, dst = (i if isinstance(i, Incidence) else Incidence(i, n) for i in (src, dst))
+
+    def inputs():
+        sums = np.zeros((2, n, E.data.shape[1]))
+        src.add_rows(sums[0], E.data)
+        dst.add_rows(sums[1], E.data)
+        return np.concatenate([sums[0] + sums[1], V.data], axis=1), None
+
+    def inputs_vjp(g, _):
+        d = E.data.shape[1]
+        V.grad += g[:, d:]
+        E.grad += g[:, :d][src.index]
+        E.grad += g[:, :d][dst.index]
+
+    return _mlp_node([E, V], layers, inputs, inputs_vjp, eps)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -265,48 +347,22 @@ def reshape(a: Tensor, shape) -> Tensor:
     return Tensor(a.data.reshape(shape), (a,), backward)
 
 
+def unstack(a: Tensor) -> list:
+    """The rows of ``a`` (axis 0), each a node of its own."""
+    def row(b):
+        def backward(g):
+            a.grad[b] += g
+
+        return Tensor(a.data[b], (a,), backward)
+
+    return [row(b) for b in range(len(a.data))]
+
+
 def tsum(a: Tensor) -> Tensor:
     def backward(g):
         a.grad += g
 
     return Tensor(a.data.sum(), (a,), backward)
-
-
-def _integer_index(index) -> np.ndarray:
-    """``index`` as an array of its own integer dtype, without a copy.
-
-    Raises TypeError on any other dtype, which numpy would truncate or read as
-    a mask."""
-    index = np.asarray(index)
-    if not np.issubdtype(index.dtype, np.integer):
-        raise TypeError(f"an index must be of an integer dtype, got {index.dtype}")
-    return index
-
-
-def gather(a: Tensor, index) -> Tensor:
-    """Select rows (axis 0) of ``a`` by an integer index array with entries in
-    [0, len(a)), or by a ``linalg.Incidence`` into len(a) bins, whose
-    pattern the backward then reads instead of building it."""
-    incidence = index if isinstance(index, Incidence) else None
-    rows = index.index if incidence is not None else _integer_index(index)
-
-    def backward(g):
-        (incidence or Incidence(rows, len(a.data))).add_rows(a.grad, g)
-
-    return Tensor(a.data[rows], (a,), backward)
-
-
-def scatter_add(a: Tensor, index, size: int) -> Tensor:
-    """Sum rows of ``a`` into ``size`` bins given by an integer ``index`` (axis
-    0), or by a ``linalg.Incidence`` into ``size`` bins."""
-    incidence = index if isinstance(index, Incidence) else Incidence(_integer_index(index), size)
-    acc = np.zeros((size,) + a.data.shape[1:])
-    incidence.add_rows(acc, a.data)
-
-    def backward(g):
-        a.grad += g[incidence.index]
-
-    return Tensor(acc, (a,), backward)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:

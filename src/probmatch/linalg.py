@@ -8,10 +8,9 @@ lists the match pairs (p, q) of joint edges; ``SparseAffinity.symmetric``
 stores one weight per pair at (p, q) and at (q, p). ``FLOOR`` is the one
 probability floor of Sinkhorn, its adjoint and the probabilistic solver, and
 ``_sinkhorn_pass`` the one Sinkhorn pass: ``sinkhorn`` runs it in one loop,
-``sinkhorn_passes`` runs it keeping every pass, and ``sinkhorn_vjp``
-reverses the kept passes. Passes are kept only for ``solvers.solve_tape``,
-whose solve asks for them, and they are freed with its tape; inference
-keeps none, and ``sinkhorn_vjp`` without them runs the passes again.
+and ``sinkhorn_vjp`` runs it again keeping every pass (``sinkhorn_passes``)
+and reverses them. No solve keeps its passes: on a chunk's stack the replay
+costs what keeping them saved, and holds less.
 
 Batched solvers work on a chunk of B same-size instances at once.
 ``block_diagonal`` stacks their operators into one operator of size B * N,
@@ -167,13 +166,17 @@ class Incidence:
     ``stable_csr`` form: row i lists the positions k with index[k] = i in
     increasing order. ``add_rows`` adds rows through it in the order k, as
     numpy's unbuffered ``add.at`` does, so the result is bitwise the same at
-    a fraction of its cost. Raises ValueError unless every entry lies in
-    [0, size).
+    a fraction of its cost. Raises TypeError unless ``index`` has an integer
+    dtype, which numpy would otherwise truncate or read as a mask, and
+    ValueError unless every entry lies in [0, size).
     """
 
     __slots__ = ("index", "size", "csr")
 
-    def __init__(self, index: np.ndarray, size: int):
+    def __init__(self, index, size: int):
+        index = np.asarray(index)
+        if not np.issubdtype(index.dtype, np.integer):
+            raise TypeError(f"an index must be of an integer dtype, got {index.dtype}")
         m = index.size
         self.index, self.size = index, size
         self.csr = stable_csr(size, m, index, np.arange(m), np.ones(m))
@@ -272,8 +275,9 @@ def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarra
     the output is strictly positive and the iteration is well defined for
     inputs with zeros. A matrix stops when its largest row/column-sum
     deviation from 1 drops below ``tol``, or after ``max_iters`` passes; the
-    rest of the stack goes on without it. ``tol=0`` skips the deviation
-    check and runs exactly ``max_iters`` passes.
+    rest of the stack goes on without it. Its column sums are taken only
+    once its rows pass. ``tol=0`` skips the deviation check and runs exactly
+    ``max_iters`` passes.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -286,8 +290,9 @@ def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarra
     for it in range(max_iters):
         r = np.add.reduce(Z, axis=-1, keepdims=True)
         if tol and it:                       # the check's row sums divide this pass
-            done = np.maximum(np.abs(r - 1.0).max(axis=(1, 2)),
-                              np.abs(np.add.reduce(Z, axis=1) - 1.0).max(axis=1)) < tol
+            done = np.abs(r - 1.0).max(axis=(1, 2)) < tol
+            if done.any():                   # columns only where the rows passed
+                done[done] = np.abs(np.add.reduce(Z[done], axis=1) - 1.0).max(axis=1) < tol
             if done.any():
                 out[live[done]] = Z[done]
                 going = ~done
@@ -313,13 +318,12 @@ def sinkhorn_passes(X: np.ndarray, passes: int) -> tuple:
     return kept
 
 
-def sinkhorn_vjp(Y: np.ndarray, passes: int, G: np.ndarray, kept: tuple | None = None) -> np.ndarray:
+def sinkhorn_vjp(Y: np.ndarray, passes: int, G: np.ndarray) -> np.ndarray:
     """Gradient at Y of <G, sinkhorn(Y, passes, tol=0.0)>; 0 where Y <= FLOOR.
 
-    Y is one matrix or a stack (B, n, n). The passes are reversed from
-    ``kept``, the ``sinkhorn_passes(Y, passes)`` of the forward, or run again
-    here when it is not given; the gradient is bitwise the same."""
-    r, A, c, Z = sinkhorn_passes(Y, passes) if kept is None else kept
+    Y is one matrix or a stack (B, n, n). The passes are run again
+    (``sinkhorn_passes``) and reversed."""
+    r, A, c, Z = sinkhorn_passes(Y, passes)
     for k in range(passes - 1, -1, -1):
         G = (G - np.add.reduce(G * Z[k], axis=-2, keepdims=True)) / c[k]
         G = (G - np.add.reduce(G * A[k], axis=-1, keepdims=True)) / r[k]

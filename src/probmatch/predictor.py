@@ -7,15 +7,18 @@ affinity-bearing match pair. The decoded assignment seeds the probabilistic
 solver, whose output is supervised with a balanced cross-entropy loss against
 the ground-truth permutation. The learned operator is ``SparseAffinity.symmetric``
 over the AA-edges, weighted by the edge scores, with the assignment scores as
-its diagonal. Training runs the numpy solver as one tape node
-(``solvers.solve_tape``); inference runs the same predictor forward without a
-tape (``learned_affinity``) and the solver through ``dpgm_assignment``, one
-call per chunk that ``solvers.chunks`` cuts, as the experiment runner does.
+its diagonal. Training runs the numpy solver as one tape node per chunk
+that ``solvers.chunks`` cuts (``solvers.solve_tape``); inference runs the
+same predictor forward without a tape (``learned_affinity``) and the solver
+through ``dpgm_assignment``, one call per chunk, as the experiment runner
+does. Each update round is two tape nodes, an edge and a node update, that
+keep only their inputs (``autodiff.edge_update``, ``autodiff.node_update``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
 
 import numpy as np
@@ -68,15 +71,19 @@ def _init_mlp(store: ParamStore, name: str, widths, rng):
         store.add(f"{name}.b{k}", rng.uniform(-bound, bound, size=(dout,)))
 
 
+def _layers(store: ParamStore, name: str) -> list:
+    """The affine layers ``(name.w0, name.b0), (name.w1, name.b1), ...``."""
+    layers = []
+    while f"{name}.w{len(layers)}" in store:
+        layers.append((store[f"{name}.w{len(layers)}"], store[f"{name}.b{len(layers)}"]))
+    return layers
+
+
 def mlp_forward(store: ParamStore, name: str, *inputs) -> Tensor:
     """Affine-ReLU stack of the layers ``name.w0, name.w1, ...`` in the store
     on the inputs concatenated along axis 1, as one tape node
     (``autodiff.mlp``); an ndarray input is a constant."""
-    layers, k = [], 0
-    while f"{name}.w{k}" in store:
-        layers.append((store[f"{name}.w{k}"], store[f"{name}.b{k}"]))
-        k += 1
-    return ad.mlp(inputs, layers)
+    return ad.mlp(inputs, _layers(store, name))
 
 
 def init_params(cfg: PredictorConfig, seed: int = 0) -> ParamStore:
@@ -110,28 +117,32 @@ def encode(aa: AAGraph, store: ParamStore):
     return V, E
 
 
+# Both update layers end by dividing by the global root-mean-square value.
+# The multiplicative edge gate squares latent magnitudes at every update
+# iteration; without rescaling the recurrence explodes within a few steps and
+# the decoder sigmoids saturate. A single scalar scale keeps the update
+# equations intact and is absorbed by the next affine layer.
+_RMS_EPS = 1e-12
+
+
 def affinity_update(V: Tensor, E: Tensor, src, dst, store: ParamStore) -> Tensor:
-    """Edge update: gated product of endpoint embeddings, then an MLP.
+    """Edge update: gated product of endpoint embeddings, then an MLP, then the
+    RMS rescale, as one tape node (``autodiff.edge_update``).
 
     The product is averaged over both edge directions so the stored value is
     independent of endpoint order even with distinct M1, M2.
     """
-    A = ad.matmul(V, store["M1"])
-    B = ad.matmul(V, store["M2"])
-    fwd = ad.mul(ad.gather(A, src), ad.gather(B, dst))
-    rev = ad.mul(ad.gather(A, dst), ad.gather(B, src))
-    ebar = ad.mul(ad.add(fwd, rev), 0.5)
-    return mlp_forward(store, "tau", E, ebar)
+    return ad.edge_update(E, V, store["M1"], store["M2"], _layers(store, "tau"), src, dst,
+                          _RMS_EPS)
 
 
 def assignment_update(V: Tensor, E: Tensor, src, dst, store: ParamStore) -> Tensor:
-    """Node update: aggregate incident edge embeddings, then an MLP.
+    """Node update: aggregate incident edge embeddings, then an MLP, then the
+    RMS rescale, as one tape node (``autodiff.node_update``).
 
     Nodes with no incident AA-edges aggregate a zero vector.
     """
-    n = V.data.shape[0]
-    agg = ad.add(ad.scatter_add(E, src, n), ad.scatter_add(E, dst, n))
-    return mlp_forward(store, "kappa", agg, V)
+    return ad.node_update(E, V, _layers(store, "kappa"), src, dst, _RMS_EPS)
 
 
 def decode(V: Tensor, E: Tensor, store: ParamStore):
@@ -139,19 +150,6 @@ def decode(V: Tensor, E: Tensor, store: ParamStore):
     x = ad.sigmoid(ad.reshape(mlp_forward(store, "phi_n", V), (-1,)))
     e = ad.sigmoid(ad.reshape(mlp_forward(store, "phi_e", E), (-1,)))
     return x, e
-
-
-def _rms_rescale(t: Tensor, eps: float = 1e-12) -> Tensor:
-    """Divide by the global root-mean-square value.
-
-    The multiplicative edge gate squares latent magnitudes at every update
-    iteration; without rescaling the recurrence explodes within a few steps
-    and the decoder sigmoids saturate. A single scalar scale keeps the update
-    equations intact and is absorbed by the next affine layer.
-    """
-    if t.data.size == 0:
-        return t
-    return ad.rms_rescale(t, eps)
 
 
 def predictor_forward(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
@@ -164,8 +162,8 @@ def predictor_forward(aa: AAGraph, store: ParamStore, cfg: PredictorConfig):
     src, dst = aa.incidences
     V, E = encode(aa, store)
     for _ in range(cfg.T):
-        E = _rms_rescale(affinity_update(V, E, src, dst, store))
-        V = _rms_rescale(assignment_update(V, E, src, dst, store))
+        E = affinity_update(V, E, src, dst, store)
+        V = assignment_update(V, E, src, dst, store)
     return decode(V, E, store)
 
 
@@ -207,7 +205,7 @@ def pipeline_forward(aa: AAGraph, store: ParamStore, pcfg: PredictorConfig,
     assignment; returns the flat final assignment vector on the tape.
     Inference runs ``learned_affinity`` and ``dpgm_assignment`` instead."""
     x_scores, e_scores = predictor_forward(aa, store, pcfg)
-    return solve_tape(x_scores, e_scores, aa, scfg)
+    return solve_tape([x_scores], [e_scores], [aa], scfg)[0]
 
 
 def balanced_ce_loss(x: Tensor, x_gt: np.ndarray, cfg: LossConfig) -> Tensor:
@@ -284,6 +282,13 @@ def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
     ``target_accuracy`` is given, training stops once the monitor set (the
     first 32 training pairs) reaches it. Deterministic given ``seed``.
 
+    Each batch's consecutive pairs of one size are cut by ``solvers.chunks``,
+    as ``evaluate`` cuts them. A chunk of B pairs runs B predictor forwards
+    and one solver node (``solvers.solve_tape``), so its B tapes are held at
+    once, and one backward from the sum of the pairs' losses. That sweep
+    finishes each pair's predictor before the next pair's, so every gradient
+    and loss is bitwise what a backward per pair would give.
+
     Like the experiment runner, it first sets the process's heap policy
     (``allocator.keep_freed_heap``; glibc only, once per process): from then
     on the whole process keeps the memory it frees instead of returning it
@@ -306,13 +311,16 @@ def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
         order = rng.permutation(len(prepared))
         losses = []
         for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
+            batch = [prepared[idx] for idx in order[start:start + batch_size]]
             store.zero_grad()
-            for idx in batch:
-                aa, gt_vec = prepared[idx]
-                loss = instance_loss(aa, gt_vec, store, pcfg, scfg, lcfg)
-                loss.backward()
-                losses.append(float(loss.data))
+            for (n, _), run in groupby(batch, key=lambda item: (item[0].n1, item[0].n2)):
+                for chunk in chunks(list(run), n):
+                    scores = [predictor_forward(aa, store, pcfg) for aa, _ in chunk]
+                    xs = solve_tape(*zip(*scores), [aa for aa, _ in chunk], scfg)
+                    chunk_losses = [balanced_ce_loss(x, gt_vec, lcfg)
+                                    for x, (_, gt_vec) in zip(xs, chunk)]
+                    reduce(ad.add, chunk_losses).backward()
+                    losses += [float(loss.data) for loss in chunk_losses]
             store.adam_step(lr=lr)
         entry = {"epoch": epoch, "mean_loss": float(np.mean(losses))}
         if target_accuracy is not None:

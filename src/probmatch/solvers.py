@@ -6,7 +6,9 @@ the doubly stochastic set with Sinkhorn, and refine the affinities by the
 elementwise probability ratio between consecutive iterates, kept as a
 row-scale vector over a fixed K. Early stop fires when the squared change of
 the assignment vector drops below a threshold. ``solve_tape`` is the same
-solve as one autodiff tape node whose backward, the exact adjoint, reads its record.
+solve of a chunk as one autodiff tape node whose backward, the exact
+adjoint, reads its records; training cuts its batches with ``chunks`` and
+holds the B predictor tapes of a chunk at once, under that one node.
 
 Every solver takes a chunk, a list of same-size operators, and returns X
 (B, n1, n2) and per-instance counts; ``probabilistic_solve`` also takes one
@@ -16,7 +18,8 @@ overhead is paid once per chunk. Each instance keeps its own stopping rules
 and leaves the chunk when it stops, and its result is bitwise what it would
 be alone: norms are taken one instance at a time with ``np.dot``, and sums
 and maxima within each instance's row. ``chunks`` is the one rule that cuts
-instances into chunks, for the experiment runner and ``predictor.evaluate``.
+instances into chunks, for the experiment runner, ``predictor.evaluate`` and
+``predictor.train``.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, unstack
 from .linalg import (FLOOR, SparseAffinity, binary_score, block_diagonal, hungarian,
-                     perm_matrix, sinkhorn, sinkhorn_passes, sinkhorn_vjp, spmv)
+                     perm_matrix, sinkhorn, sinkhorn_vjp, spmv)
 
 
 @dataclass
@@ -52,16 +55,13 @@ class SolveTrace:
 
     ``assignments[t]`` is X_t, ``products[t]`` K x_t and ``scales[t]`` the scale s_t
     that multiplied it; the last iterate is not propagated, so ``iterations`` counts
-    the scales. ``passes[t]``, kept only when the solve is asked to, holds the
-    passes of iteration t's Sinkhorn as ``linalg.sinkhorn_passes`` gives them. The
-    arrays are not copies (in a chunk's solve, views into the chunk's arrays):
+    the scales. The arrays are not copies (in a chunk's solve, views into the chunk's arrays):
     callers must not write into them. Binary scores and objectives (against the
     original K) are worked out when read."""
 
     assignments: list = field(default_factory=list)
     products: list = field(default_factory=list)
     scales: list = field(default_factory=list)
-    passes: list = field(default_factory=list)
     stop_reason: str = "max_iters"
     last_delta_sq: float = float("nan")
 
@@ -93,8 +93,7 @@ class SolveTrace:
         return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None,
-                        keep_passes: bool = False):
+def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None):
     """Iterative probabilistic QAP solver.
 
     K is one square operator, with X_init of shape (n1, n2), or a chunk of B
@@ -109,8 +108,7 @@ def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None,
     live instances' operators are stacked anew; the final K x of every
     instance is one product of the whole stack. Raises ValueError before any
     work on a non-square operator, a chunk of different sizes or a start of
-    the wrong shape. With ``keep_passes`` each trace also keeps every
-    Sinkhorn pass (``SolveTrace.passes``), for ``solve_tape``'s backward.
+    the wrong shape.
     """
     cfg = cfg or SolverConfig()
     one = isinstance(K, SparseAffinity)
@@ -150,14 +148,7 @@ def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None,
         for b, X_t, Kx_t, s_t in zip(live.tolist(), X, Kx, scale):
             traces[b].record(X_t, Kx_t)
             traces[b].scales.append(s_t)
-        Y = (scale * Kx).reshape(-1, n1, n2)
-        if keep_passes:
-            kept = sinkhorn_passes(Y, cfg.sinkhorn_iters)
-            for i, b in enumerate(live.tolist()):
-                traces[b].passes.append(tuple(a[:, i] for a in kept))
-            X_new = kept[-1][-1]
-        else:
-            X_new = sinkhorn(Y, cfg.sinkhorn_iters, tol=0.0)
+        X_new = sinkhorn((scale * Kx).reshape(-1, n1, n2), cfg.sinkhorn_iters, tol=0.0)
         x_new = X_new.reshape(live.size, N)
         delta_sq = ((x_new - x) ** 2).sum(axis=1)    # bitwise the 1-D sum of each row
         scale = scale * (x_new / np.maximum(x, FLOOR))
@@ -181,43 +172,66 @@ def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None,
     return out, traces
 
 
-def solve_tape(x: Tensor, e: Tensor, aa, cfg: SolverConfig) -> Tensor:
-    """``probabilistic_solve`` as one autodiff tape node; returns the flat final X.
+def solve_tape(xs, es, aas, cfg: SolverConfig) -> list:
+    """``probabilistic_solve`` of a chunk as one autodiff tape node; returns
+    each instance's flat final X as a row of that node (``autodiff.unstack``).
 
-    ``x`` (flat) is both the initial assignment and K's unary diagonal, and
-    ``e[t]`` is K's entry at (p, q) and at (q, p) for the t-th edge (p, q) of
-    the AA graph ``aa`` (``AAGraph.operators``). The backward is the exact
-    adjoint of the iterations the solve ran; it reads x_t, K x_t, s_t and
-    each Sinkhorn pass from the solve's record. Only this solve keeps the
-    passes (about 230 KB at n = 8); the record goes with the tape.
+    For instance b, ``xs[b]`` (flat) is both the initial assignment and K's
+    unary diagonal, and ``es[b][t]`` is K's entry at (p, q) and at (q, p) for
+    the t-th edge (p, q) of the AA graph ``aas[b]`` (``AAGraph.operators``);
+    the graphs must be of one size. The backward is the exact adjoint of the
+    iterations each instance ran, over the stacked iterates of the instances
+    still live at each one, as the solve ran them: it reads x_t, K x_t and
+    s_t from the records and runs each Sinkhorn's passes again. Every
+    instance's grads are bitwise what its solve alone would give. An
+    instance with a zero operator has no iteration to differentiate, and
+    the backward raises.
     """
-    shape = (aa.n1, aa.n2)
-    K, K_T = aa.operators(x.data, e.data)
-    X, trace = probabilistic_solve(K, x.data.reshape(shape), cfg, keep_passes=True)
+    B, n1, n2 = len(xs), aas[0].n1, aas[0].n2
+    N = n1 * n2
+    ops = [aa.operators(x.data, e.data) for x, e, aa in zip(xs, es, aas)]
+    X0 = np.stack([x.data for x in xs])
+    X, traces = probabilistic_solve([K for K, _ in ops], X0.reshape(B, n1, n2), cfg)
 
-    def backward(g):
-        if not trace.iterations:
+    def backward(G):
+        its = np.array([trace.iterations for trace in traces])
+        if not its.all():
             raise RuntimeError("a zero-operator solve has no iteration to differentiate")
-        xs = [X_t.ravel() for X_t in trace.assignments]
-        g_s = np.zeros(K.size)
-        g_vals = np.zeros(K.vals.size)           # per directed entry of K
-        for x_t, x_next, s, Kx, kept in reversed(list(zip(xs, xs[1:], trace.scales,
-                                                          trace.products, trace.passes))):
+        xs_t, Kx_t, s_t = (np.zeros((its.max() + 1, B, N)) for _ in range(3))
+        for b, trace in enumerate(traces):
+            xs_t[:its[b] + 1, b] = np.reshape(trace.assignments, (-1, N))
+            Kx_t[:its[b], b] = trace.products[:-1]
+            s_t[:its[b], b] = trace.scales
+        ends = np.cumsum([0] + [K.vals.size for K, _ in ops])
+        g_x = np.stack([x.grad for x in xs])        # each x.grad, added to in its order
+        g_vals = np.zeros(ends[-1])                  # per directed entry of each K
+        g, g_s = G.copy(), np.zeros((B, N))
+        live = np.zeros(0, dtype=np.intp)
+        for t in range(its.max() - 1, -1, -1):
+            if np.count_nonzero(its > t) != live.size:     # instances join as t falls
+                live = np.flatnonzero(its > t)
+                K = block_diagonal([ops[b][0] for b in live])
+                K_T = block_diagonal([ops[b][1] for b in live])
+                entries = np.concatenate([np.arange(ends[b], ends[b + 1]) for b in live])
+            x_t, x_next, s, Kx = xs_t[t, live], xs_t[t + 1, live], s_t[t, live], Kx_t[t, live]
+            g_l, g_s_l = g[live], g_s[live]
             den = np.maximum(x_t, FLOOR)        # s_{t+1} = s * (x_next / den)
-            g = g + g_s * s / den
-            g_prev = -g_s * s * x_next / (den * den) * (x_t > FLOOR)
-            g_y = sinkhorn_vjp((s * Kx).reshape(shape), cfg.sinkhorn_iters,
-                               g.reshape(shape), kept).ravel()   # x_next = sinkhorn(s * Kx)
-            g_s = g_s * (x_next / den) + g_y * Kx
+            g_l = g_l + g_s_l * s / den
+            g_prev = -g_s_l * s * x_next / (den * den) * (x_t > FLOOR)
+            g_y = sinkhorn_vjp((s * Kx).reshape(-1, n1, n2), cfg.sinkhorn_iters,
+                               g_l.reshape(-1, n1, n2)).reshape(-1, N)   # x_next = sinkhorn(s * Kx)
+            g_s[live] = g_s_l * (x_next / den) + g_y * Kx
             g_Kx = g_y * s
-            x.grad += g_Kx * x_t                 # x as K's unary diagonal
-            g_vals += g_Kx[K.rows] * x_t[K.cols]
-            g = g_prev + spmv(K_T, g_Kx)
-        x.grad += g * (x.data > FLOOR)           # x as the initial assignment
-        for half in np.split(g_vals, 2):         # the (p, q), then the (q, p) entries
-            e.grad += half
+            g_x[live] += g_Kx * x_t              # x as K's unary diagonal
+            g_vals[entries] += g_Kx.ravel()[K.rows] * x_t.ravel()[K.cols]
+            g[live] = g_prev + spmv(K_T, g_Kx.ravel()).reshape(-1, N)
+        g_x += g * (X0 > FLOOR)                  # x as the initial assignment
+        for x, e, g_x_b, start, stop in zip(xs, es, g_x, ends, ends[1:]):
+            x.grad[...] = g_x_b
+            for half in np.split(g_vals[start:stop], 2):   # the (p, q), then the (q, p) entries
+                e.grad += half
 
-    return Tensor(X.ravel(), (x, e), backward)
+    return unstack(Tensor(X.reshape(B, N), [t for pair in zip(xs, es) for t in pair], backward))
 
 
 # Largest chunk, in assignment entries B * n^2, that the batched solvers get.

@@ -13,10 +13,14 @@ from probmatch.graphs import (
     FEATURE_DIM,
     AAGraph,
     AttributedGraph,
+    build_aa_graph,
     graph_from_points,
     synthesize_pair,
 )
-from probmatch.linalg import FLOOR, SparseAffinity, perm_matrix, sinkhorn, spmv
+from probmatch.linalg import (FLOOR, Incidence, SparseAffinity, perm_matrix, sinkhorn,
+                              sinkhorn_vjp, spmv)
+from probmatch.predictor import init_params, instance_loss
+from probmatch.solvers import probabilistic_solve
 
 
 def random_pairs(rng, n1, n2, density=0.3):
@@ -264,7 +268,8 @@ def reference_backward(root):
 
 # ---------------------------------------------------------------------------
 # Fine tape compositions of the fused autodiff nodes. Each op below is a tape
-# node as the autodiff module once had it; the fused node must be bitwise the
+# node as the autodiff module once had it (``tape_matmul``, ``tape_gather``
+# and ``tape_scatter_add`` among them); the fused node must be bitwise the
 # chain of them.
 
 def _wrap(x):
@@ -308,28 +313,93 @@ def _sqrt(a):
     return Tensor(s, (a,), backward)
 
 
+def tape_matmul(a, b):
+    x, y = ad._data(a), ad._data(b)
+
+    def backward(g):
+        if isinstance(a, Tensor):
+            a.grad += g @ y.T
+        if isinstance(b, Tensor):
+            b.grad += x.T @ g
+
+    return Tensor(x @ y, ad._tensors(a, b), backward)
+
+
+def _integer_index(index):
+    index = np.asarray(index)
+    if not np.issubdtype(index.dtype, np.integer):
+        raise TypeError(f"an index must be of an integer dtype, got {index.dtype}")
+    return index
+
+
+def tape_gather(a, index):
+    """Rows (axis 0) of ``a`` by an integer index with entries in [0, len(a)),
+    or by a ``linalg.Incidence`` into len(a) bins; the backward sums the
+    rows of the grad through the incidence matrix."""
+    incidence = index if isinstance(index, Incidence) else None
+    rows = index.index if incidence is not None else _integer_index(index)
+
+    def backward(g):
+        (incidence or Incidence(rows, len(a.data))).add_rows(a.grad, g)
+
+    return Tensor(a.data[rows], (a,), backward)
+
+
+def tape_scatter_add(a, index, size):
+    """Rows of ``a`` summed into ``size`` bins by an integer index (axis 0),
+    or by a ``linalg.Incidence`` into ``size`` bins."""
+    incidence = index if isinstance(index, Incidence) else Incidence(index, size)
+    acc = np.zeros((size,) + a.data.shape[1:])
+    incidence.add_rows(acc, a.data)
+
+    def backward(g):
+        a.grad += g[incidence.index]
+
+    return Tensor(acc, (a,), backward)
+
+
 def reference_mlp(inputs, layers):
     """``autodiff.mlp`` as its fine chain: a concatenation of the inputs
     (none for one), then ``matmul`` and ``add`` per layer with a ReLU node
     between each two."""
     x = _wrap(inputs[0]) if len(inputs) == 1 else _concat(inputs, axis=1)
     for k, (w, b) in enumerate(layers):
-        x = ad.add(ad.matmul(x, w), b)
+        x = ad.add(tape_matmul(x, w), b)
         if k < len(layers) - 1:
             x = _relu(x)
     return x
 
 
 def reference_rms_rescale(t, eps):
-    """``autodiff.rms_rescale`` as its fine chain of mul, tsum, div, add and
-    sqrt nodes."""
+    """The RMS rescale ``t / sqrt(sum(t * t) / t.size + eps)`` as its fine
+    chain of mul, tsum, div, add and sqrt nodes; an empty t as it is."""
+    if not t.data.size:
+        return t
     ms = _div(ad.tsum(ad.mul(t, t)), t.data.size)
     return _div(t, _sqrt(ad.add(ms, eps)))
 
 
+def reference_edge_update(E, V, M1, M2, layers, src, dst, eps):
+    """``autodiff.edge_update`` as its fine chain: the gate's two matmuls,
+    four gathers, three muls and an add, then the MLP and the rescale."""
+    A, B = tape_matmul(V, M1), tape_matmul(V, M2)
+    fwd = ad.mul(tape_gather(A, src), tape_gather(B, dst))
+    rev = ad.mul(tape_gather(A, dst), tape_gather(B, src))
+    ebar = ad.mul(ad.add(fwd, rev), 0.5)
+    return reference_rms_rescale(reference_mlp([E, ebar], layers), eps)
+
+
+def reference_node_update(E, V, layers, src, dst, eps):
+    """``autodiff.node_update`` as its fine chain: two scatters and an add,
+    then the MLP and the rescale."""
+    n = V.data.shape[0]
+    agg = ad.add(tape_scatter_add(E, src, n), tape_scatter_add(E, dst, n))
+    return reference_rms_rescale(reference_mlp([agg, V], layers), eps)
+
+
 def reference_sinkhorn_vjp(Y, passes, G):
-    """Sinkhorn's adjoint on one matrix, replaying the passes into a list
-    with ``ndarray.sum`` and reversing them."""
+    """Sinkhorn's adjoint on one matrix, running the passes into a list with
+    ``ndarray.sum`` and reversing them."""
     steps, Z = [], np.maximum(Y, FLOOR)
     for _ in range(passes):
         r = Z.sum(axis=1, keepdims=True)
@@ -341,3 +411,56 @@ def reference_sinkhorn_vjp(Y, passes, G):
         G = (G - (G * Z).sum(axis=0, keepdims=True)) / c
         G = (G - (G * A).sum(axis=1, keepdims=True)) / r
     return G * (Y > FLOOR)
+
+
+def reference_solve_tape(x, e, aa, cfg):
+    """``solvers.solve_tape`` of one instance as the single-pair node it was
+    before it took a chunk: its own solve, and a backward that adds into
+    x.grad once per iteration."""
+    shape = (aa.n1, aa.n2)
+    K, K_T = aa.operators(x.data, e.data)
+    X, trace = probabilistic_solve(K, x.data.reshape(shape), cfg)
+
+    def backward(g):
+        xs = [X_t.ravel() for X_t in trace.assignments]
+        g_s = np.zeros(K.size)
+        g_vals = np.zeros(K.vals.size)
+        for x_t, x_next, s, Kx in reversed(list(zip(xs, xs[1:], trace.scales, trace.products))):
+            den = np.maximum(x_t, FLOOR)
+            g = g + g_s * s / den
+            g_prev = -g_s * s * x_next / (den * den) * (x_t > FLOOR)
+            g_y = sinkhorn_vjp((s * Kx).reshape(shape), cfg.sinkhorn_iters,
+                               g.reshape(shape)).ravel()
+            g_s = g_s * (x_next / den) + g_y * Kx
+            g_Kx = g_y * s
+            x.grad += g_Kx * x_t
+            g_vals += g_Kx[K.rows] * x_t[K.cols]
+            g = g_prev + spmv(K_T, g_Kx)
+        x.grad += g * (x.data > FLOOR)
+        for half in np.split(g_vals, 2):
+            e.grad += half
+
+    return Tensor(X.ravel(), (x, e), backward)
+
+
+def reference_train(pairs, pcfg, scfg, lcfg, epochs, lr=1e-3, batch_size=8, seed=0):
+    """``predictor.train`` without a target accuracy, one pair at a time: a
+    forward and a backward per pair, each pair's solve alone, the loop
+    training ran before it solved a chunk in one node."""
+    store = init_params(pcfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    prepared = [(build_aa_graph(pair.g1, pair.g2), perm_matrix(pair.ground_truth).ravel())
+                for pair in pairs]
+    metrics = []
+    for epoch in range(epochs):
+        order = rng.permutation(len(prepared))
+        losses = []
+        for start in range(0, len(order), batch_size):
+            store.zero_grad()
+            for idx in order[start:start + batch_size]:
+                loss = instance_loss(*prepared[idx], store, pcfg, scfg, lcfg)
+                loss.backward()
+                losses.append(float(loss.data))
+            store.adam_step(lr=lr)
+        metrics.append({"epoch": epoch, "mean_loss": float(np.mean(losses))})
+    return store, metrics

@@ -2,19 +2,22 @@ import io
 import json
 import tracemalloc
 import zipfile
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from conftest import (reference_backward, reference_gather_backward, reference_mlp,
-                      reference_rms_rescale, reference_scatter_add)
+from conftest import (reference_backward, reference_edge_update, reference_gather_backward,
+                      reference_mlp, reference_node_update, reference_scatter_add, tape_gather,
+                      tape_matmul, tape_scatter_add)
 
 import probmatch.autodiff as ad
 from probmatch.autodiff import ParamStore, Tensor
 from probmatch.graphs import build_aa_graph, synthesize_pair
 from probmatch.linalg import perm_matrix
-from probmatch.predictor import LossConfig, PredictorConfig, init_params, instance_loss
-from probmatch.solvers import SolverConfig
+from probmatch.predictor import (LossConfig, PredictorConfig, balanced_ce_loss, init_params,
+                                  instance_loss, predictor_forward)
+from probmatch.solvers import SolverConfig, solve_tape
 
 
 def _fd_grad(f, x, step=1e-6):
@@ -56,7 +59,7 @@ def test_matmul_grad():
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
     ta, tb = Tensor(a.copy()), Tensor(b.copy())
-    loss = ad.tsum(ad.matmul(ta, tb))
+    loss = ad.tsum(tape_matmul(ta, tb))
     loss.backward()
     assert np.allclose(ta.grad, np.ones((3, 2)) @ b.T, atol=1e-12)
     assert np.allclose(tb.grad, a.T @ np.ones((3, 2)), atol=1e-12)
@@ -84,17 +87,20 @@ def test_reshape_sum_grads():
     assert np.allclose(ta.grad, 2.0)
 
 
+# The gather and scatter nodes below are the fine chain's (conftest), which sum
+# rows through ``linalg.Incidence`` as the update-layer nodes do.
+
 def test_gather_scatter_grads():
     x = Tensor(np.array([1.0, 2.0, 3.0]))
     idx = np.array([0, 2, 2, 1])
-    g = ad.gather(x, idx)
+    g = tape_gather(x, idx)
     assert np.array_equal(g.data, [1, 3, 3, 2])
     loss = ad.tsum(ad.mul(g, np.array([1.0, 10.0, 100.0, 1000.0])))
     loss.backward()
     assert np.array_equal(x.grad, [1.0, 1000.0, 110.0])
 
     y = Tensor(np.array([1.0, 2.0, 3.0, 4.0]))
-    s = ad.scatter_add(y, np.array([1, 0, 1, 2]), 3)
+    s = tape_scatter_add(y, np.array([1, 0, 1, 2]), 3)
     assert np.array_equal(s.data, [2.0, 4.0, 4.0])
     loss = ad.tsum(ad.mul(s, np.array([1.0, 10.0, 100.0])))
     loss.backward()
@@ -121,7 +127,7 @@ def _rows(rng, m, tail):
 def test_scatter_add_forward_is_bitwise_add_at(case, tail):
     index, size = _INDEX_CASES[case]
     values = _rows(np.random.default_rng(5), index.size, tail)
-    out = ad.scatter_add(Tensor(values), index, size).data
+    out = tape_scatter_add(Tensor(values), index, size).data
     assert out.shape == (size,) + tail
     assert np.array_equal(out, reference_scatter_add(values, index, size))
 
@@ -135,19 +141,19 @@ def test_gather_backward_accumulates_bitwise_as_add_at(case, tail):
     start = _rows(rng, size, tail)          # a non-zero grad to accumulate onto
     a.grad = start.copy()
     weights = _rows(rng, index.size, tail)
-    ad.tsum(ad.mul(ad.gather(a, index), weights)).backward()
+    ad.tsum(ad.mul(tape_gather(a, index), weights)).backward()
     assert np.array_equal(a.grad, reference_gather_backward(start, index, weights))
 
 
 def test_gather_and_scatter_reject_indices_out_of_range():
     a = Tensor(np.ones((3, 2)))
     with pytest.raises(ValueError, match="lie in"):
-        ad.scatter_add(a, np.array([0, 3, 1]), 3)
+        tape_scatter_add(a, np.array([0, 3, 1]), 3)
     with pytest.raises(ValueError, match="lie in"):
-        ad.scatter_add(a, np.array([0, -1, 1]), 3)
+        tape_scatter_add(a, np.array([0, -1, 1]), 3)
     with pytest.raises(ValueError, match="rows of shape"):
-        ad.scatter_add(a, np.array([0, 1]), 3)
-    loss = ad.tsum(ad.gather(a, np.array([0, -1])))
+        tape_scatter_add(a, np.array([0, 1]), 3)
+    loss = ad.tsum(tape_gather(a, np.array([0, -1])))
     with pytest.raises(ValueError, match="lie in"):
         loss.backward()
 
@@ -157,9 +163,11 @@ def test_gather_and_scatter_reject_a_non_integer_index():
     a = Tensor(np.ones((3, 2)))
     for index in (np.array([0.7, 2.9]), [0.0, 1.0], np.array([True, False, True])):
         with pytest.raises(TypeError, match="integer"):
-            ad.gather(a, index)
+            tape_gather(a, index)
         with pytest.raises(TypeError, match="integer"):
-            ad.scatter_add(a, index, 3)
+            tape_scatter_add(a, index, 3)
+        with pytest.raises(TypeError, match="integer"):
+            ad.node_update(a, Tensor(np.ones((3, 1))), [], index, index, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +210,36 @@ def test_mlp_node_is_bitwise_its_fine_chain(depth, constant):
     _fused_and_fine(run)
 
 
-def test_rms_rescale_node_is_bitwise_its_fine_chain():
+@pytest.mark.parametrize("m", [0, 1, 40], ids=["no-edges", "one-edge", "many-edges"])
+@pytest.mark.parametrize("update", ["edge", "node"])
+def test_update_node_is_bitwise_its_fine_chain(update, m):
+    # m edges between 9 nodes, their ends repeated and unsorted; V and E have
+    # a consumer besides the update, and every leaf starts from a nonzero
+    # grad, as V and E do in a training tape's sweep
     def run(fused):
-        rng = np.random.default_rng(11)
-        t = Tensor(rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-3, 4, size=(7, 5)))
-        t.grad = rng.normal(size=t.data.shape)
-        y = (ad.rms_rescale if fused else reference_rms_rescale)(t, 1e-12)
-        ad.add(ad.tsum(ad.mul(y, rng.normal(size=y.data.shape))),
-               ad.tsum(ad.mul(t, t))).backward()
-        return y, [t]
+        rng = np.random.default_rng(m)
+        n, d_V, d_E = 9, 4, 3
+        V = Tensor(rng.normal(size=(n, d_V)) * 10.0 ** rng.integers(-2, 3, size=(n, d_V)))
+        E = Tensor(rng.normal(size=(m, d_E)))
+        src, dst = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+        M1, M2 = Tensor(rng.normal(size=(d_V, d_V))), Tensor(rng.normal(size=(d_V, d_V)))
+        widths = [d_E + d_V, 5, d_E if update == "edge" else d_V]
+        layers = [(Tensor(rng.normal(size=(din, dout))), Tensor(rng.normal(size=dout)))
+                  for din, dout in zip(widths, widths[1:])]
+        leaves = [V, E, M1, M2] + [t for layer in layers for t in layer]
+        for t in leaves:
+            t.grad = rng.normal(size=t.data.shape)
+        if update == "edge":
+            node = ad.edge_update if fused else reference_edge_update
+            y = node(E, V, M1, M2, layers, src, dst, 1e-12)
+        else:
+            node = ad.node_update if fused else reference_node_update
+            y = node(E, V, layers, src, dst, 1e-12)
+        loss = ad.add(ad.add(ad.tsum(ad.mul(y, rng.normal(size=y.data.shape))),
+                             ad.tsum(ad.mul(V, rng.normal(size=(n, d_V))))),
+                      ad.tsum(ad.mul(E, E)))
+        loss.backward()
+        return y, leaves
 
     _fused_and_fine(run)
 
@@ -222,10 +251,11 @@ def _every_op(t: Tensor, u: Tensor) -> list:
     """One result of each operation, on positive 2x2 inputs."""
     idx = np.array([1, 0, 1])
     w, b = Tensor(np.concatenate([t.data, u.data])), Tensor(u.data[0])
-    return [ad.add(t, u), ad.mul(t, u), ad.matmul(t, u), ad.mlp([t, u], [(w, b), (u, b)]),
-            ad.rms_rescale(t, 1e-12), ad.sigmoid(t), ad.log(t),
-            ad.reshape(t, (4,)), ad.tsum(t), ad.gather(t, idx),
-            ad.scatter_add(ad.gather(t, idx), idx, 2), ad.clip(t, 0.5, 1.5)]
+    layers = [(w, b), (u, b)]
+    return [ad.add(t, u), ad.mul(t, u), ad.mlp([t, u], layers),
+            ad.edge_update(ad.reshape(t, (2, 2)), u, t, u, layers, idx[:2], idx[1:], 1e-12),
+            ad.node_update(u, t, layers, idx[:2], idx[1:], 1e-12), ad.sigmoid(t), ad.log(t),
+            ad.reshape(t, (4,)), *ad.unstack(t), ad.tsum(t), ad.clip(t, 0.5, 1.5)]
 
 
 def test_no_grad_ops_record_no_tape_and_compute_the_same_values():
@@ -316,13 +346,16 @@ def test_a_training_pair_records_at_most_120_tape_nodes():
     # Nodes other than the parameters on one n = 8, T = 5 pair's tape. It held
     # 252 before the fused nodes: 32 constants and 220 operations, among them
     # five per MLP (14 MLPs), six per RMS rescale (10) and a concatenation
-    # per update layer (10). It holds 104 operations now and no constant, and
-    # each gets one grad buffer in the sweep.
+    # per update layer (10); then 104, with one node per MLP and per RMS
+    # rescale. It holds 30 operations now and no constant: 4 MLPs, 10 update
+    # layers (an edge and a node update per round), 2 reshapes and 2
+    # sigmoids, the solver node and its row, and the loss's 10. Each gets
+    # one grad buffer in the sweep.
     aa, gt, store, pcfg, scfg, lcfg = _training_pair()
     params = {id(store[name]) for name in store.names()}
     nodes = [t for t in _tape(instance_loss(aa, gt, store, pcfg, scfg, lcfg))
              if id(t) not in params]
-    assert len(nodes) <= 120, len(nodes)
+    assert len(nodes) == 30, len(nodes)
     assert all(t._backward is not None for t in nodes)    # no constant is a node
 
 
@@ -337,7 +370,7 @@ def test_backward_frees_every_intermediate_node_and_leaves_keep_their_grads():
     inner = [t for t in nodes if t._backward is not None]
     leaves = [t for t in nodes if t._backward is None]
     params = [store[n] for n in store.names()]
-    assert len(inner) > 30 and set(map(id, params)) <= set(map(id, leaves))
+    assert len(inner) == 22 and set(map(id, params)) <= set(map(id, leaves))
     loss.backward()
     assert np.array_equal(store.grad_vector(), kept)
     for t in inner:
@@ -363,8 +396,11 @@ def test_a_second_backward_raises_and_leaves_the_grads_unchanged():
 
 
 def test_a_training_pair_holds_no_tape_after_backward():
-    # Keeping the tape and every grad buffer until the loss is dropped holds
-    # about 2.0x the forward's tape after backward, at a peak of 2.0x.
+    # Before the update layers kept only their inputs, the tape was 11.3 MB,
+    # 3.5 KB stayed after backward and the backward peaked at 11.5 MB (bounds
+    # 0.01x and 1.5x the tape). Now the tape is 1.08 MB, 2.6 KB stays, and
+    # the peak, 3.0 MB, is mostly one update node's intermediates, computed
+    # again in its backward.
     args = _training_pair()
     instance_loss(*args).backward()          # warm any lazily built state
     store = args[2]
@@ -379,9 +415,40 @@ def test_a_training_pair_holds_no_tape_after_backward():
         held, peak = (v - base for v in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert tape > 5e6
-    assert held < 0.01 * tape, (held, tape)
-    assert peak < 1.5 * tape, (peak, tape)
+    assert 5e5 < tape < 1.5e6, tape
+    assert held < 2e4, held
+    assert peak < 4e6, peak
+
+
+def test_a_chunk_of_eight_training_pairs_holds_less_than_11_mb_of_tape():
+    # the eight tapes a training chunk holds at n = 8 under one solver node,
+    # against 11.3 MB for one pair's tape before the update layers kept only
+    # their inputs (7.7 MB now, peaking at 9.2 MB in the backward)
+    pcfg, scfg, lcfg = PredictorConfig(d_V=32, d_E=32, T=5), SolverConfig(), LossConfig()
+    store = init_params(pcfg, seed=0)
+    pairs = [synthesize_pair(8, 0.03, seed=10000 + k) for k in range(8)]
+    aas = [build_aa_graph(pair.g1, pair.g2) for pair in pairs]
+    gts = [perm_matrix(pair.ground_truth).ravel() for pair in pairs]
+
+    def chunk_loss():
+        xs = solve_tape(*zip(*(predictor_forward(aa, store, pcfg) for aa in aas)), aas, scfg)
+        return reduce(ad.add, [balanced_ce_loss(x, gt, lcfg) for x, gt in zip(xs, gts)])
+
+    chunk_loss().backward()                  # warm any lazily built state
+    store.zero_grad()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = chunk_loss()
+        tape = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        held, peak = (v - base for v in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert 4e6 < tape < 11e6, tape
+    assert held < 2e4, held
+    assert peak < 11.5e6, peak
 
 
 # ---------------------------------------------------------------------------

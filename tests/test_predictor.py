@@ -1,11 +1,13 @@
 import sys
+from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import aa_graph_of_pairs, random_pairs, reference_spmv
+from conftest import (aa_graph_of_pairs, random_pairs, reference_solve_tape, reference_spmv,
+                      reference_train, tape_matmul)
 
 import probmatch.allocator as allocator
 import probmatch.autodiff as ad
@@ -36,6 +38,11 @@ from probmatch.predictor import (
 from probmatch.solvers import SolverConfig, probabilistic_solve
 
 TINY = PredictorConfig(d_V=4, d_E=4, T=2)
+
+
+def _rescaled(h):
+    """h divided by its root-mean-square value, as both update layers end."""
+    return h / np.sqrt((h * h).sum() / h.size + 1e-12)
 
 
 def _tiny_instance(n=3, seed=0, noise=0.02):
@@ -109,7 +116,7 @@ def test_affinity_update_single_edge_hand_oracle():
     ebar = 0.5 * (A[0] * B[1] + A[1] * B[0])
     x = np.concatenate([E.data[0], ebar])[None, :]
     h = np.maximum(x @ store["tau.w0"].data + store["tau.b0"].data, 0.0)
-    expected = h @ store["tau.w1"].data + store["tau.b1"].data
+    expected = _rescaled(h @ store["tau.w1"].data + store["tau.b1"].data)
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -137,9 +144,10 @@ def test_assignment_update_isolated_and_single_edge_aggregates():
         h = np.maximum(x @ store["kappa.w0"].data + store["kappa.b0"].data, 0.0)
         return h @ store["kappa.w1"].data + store["kappa.b1"].data
 
-    assert np.allclose(out.data[2], kappa(np.zeros(4), V.data[2]), atol=1e-12)
-    assert np.allclose(out.data[0], kappa(E.data[0], V.data[0]), atol=1e-12)
-    assert np.allclose(out.data[1], kappa(E.data[0], V.data[1]), atol=1e-12)
+    expected = _rescaled(np.concatenate([kappa(E.data[0], V.data[0]),
+                                         kappa(E.data[0], V.data[1]),
+                                         kappa(np.zeros(4), V.data[2])]))
+    assert np.allclose(out.data, expected, atol=1e-12)
 
 
 def test_assignment_update_matches_explicit_loop():
@@ -155,7 +163,7 @@ def test_assignment_update_matches_explicit_loop():
         agg[dst[k]] += E.data[k]
     x = np.concatenate([agg, V.data], axis=1)
     h = np.maximum(x @ store["kappa.w0"].data + store["kappa.b0"].data, 0.0)
-    expected = h @ store["kappa.w1"].data + store["kappa.b1"].data
+    expected = _rescaled(h @ store["kappa.w1"].data + store["kappa.b1"].data)
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -257,11 +265,13 @@ def test_learned_affinity_builds_no_tape(monkeypatch):
 
     monkeypatch.setattr(Tensor, "__init__", recording_init)
     learned_affinity(aa, store, pcfg)
-    assert len(made) > 50
+    # 2 encoders, 10 update layers (T = 5) and the decoders' 2 MLPs, 2
+    # reshapes and 2 sigmoids
+    assert len(made) == 18
     assert all(t._parents == () and t._backward is None for t in made)
     made.clear()
     predictor_forward(aa, store, pcfg)      # the recorder does see a tape
-    assert sum(t._backward is not None for t in made) > 50
+    assert sum(t._backward is not None for t in made) == 18
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +285,7 @@ def test_solve_tape_forward_matches_numpy_solver():
     X_np, _ = probabilistic_solve(K, X_init, scfg)
 
     x_scores, e_scores = predictor_forward(aa, store, TINY)
-    X_tape = solve_tape(x_scores, e_scores, aa, scfg)
+    X_tape, = solve_tape([x_scores], [e_scores], [aa], scfg)
     assert np.array_equal(X_tape.data, X_np.ravel())
 
 
@@ -296,7 +306,7 @@ def test_solve_tape_gradient_matches_finite_differences(stop_eta):
             w = rng.normal(size=n * n)
 
             def loss(x_in, e_in):
-                return ad.tsum(ad.mul(solve_tape(x_in, e_in, aa, cfg), w))
+                return ad.tsum(ad.mul(solve_tape([x_in], [e_in], [aa], cfg)[0], w))
 
             tx, te = Tensor(x.copy()), Tensor(e.copy())
             loss(tx, te).backward()
@@ -330,7 +340,7 @@ def test_solve_tape_backward_products_are_bitwise_the_triplet_kernel(monkeypatch
         _, p, q, e = random_pairs(rng, n, n)
         x = Tensor(rng.uniform(0.05, 1.0, size=n * n))
         e = Tensor(e * rng.uniform(0.5, 1.5, size=e.size))
-        X = solve_tape(x, e, aa_graph_of_pairs(n, n, p, q), SolverConfig())
+        X, = solve_tape([x], [e], [aa_graph_of_pairs(n, n, p, q)], SolverConfig())
         _, trace = probabilistic_solve(SparseAffinity.symmetric(n, n, x.data, p, q, e.data),
                                        x.data.reshape(n, n), SolverConfig())
         operators.clear()
@@ -343,10 +353,68 @@ def test_solve_tape_backward_products_are_bitwise_the_triplet_kernel(monkeypatch
                    for r, c in operators)
 
 
+def _solve_tape_pool(n=6, size=12):
+    """``(x, e, aa)`` of solver instances at n whose solves stop after 4 to 10
+    iterations under ``stop_eta=1e-2``."""
+    rng = np.random.default_rng(23)
+    pool = []
+    for _ in range(size):
+        _, p, q, e = random_pairs(rng, n, n, density=rng.choice([0.05, 0.3]))
+        pool.append((rng.uniform(0.05, 1.0, size=n * n) ** rng.choice([1, 4, 16]),
+                     e * rng.uniform(0.5, 1.5, size=e.size), aa_graph_of_pairs(n, n, p, q)))
+    return pool
+
+
+@pytest.mark.parametrize("B", [1, 3, 8])
+def test_chunked_solve_tape_is_bitwise_each_instance_alone(B):
+    # against each instance's single-pair node: the chunk's instances stop at
+    # different iterations, and every leaf starts from a nonzero grad, which
+    # the backward adds onto in order
+    cfg = SolverConfig(stop_eta=1e-2)
+    pool = _solve_tape_pool()
+    rng = np.random.default_rng(B)
+    order = rng.permutation(len(pool))[:B]
+    weights = [rng.normal(size=36) for _ in order]
+    starts = [(rng.normal(size=36), rng.normal(size=pool[i][1].size)) for i in order]
+
+    def leaves(i, start):
+        x, e = Tensor(pool[i][0].copy()), Tensor(pool[i][1].copy())
+        x.grad, e.grad = start[0].copy(), start[1].copy()
+        return x, e
+
+    alone = []
+    for i, w, start in zip(order, weights, starts):
+        x, e = leaves(i, start)
+        X = reference_solve_tape(x, e, pool[i][2], cfg)
+        ad.tsum(ad.mul(X, w)).backward()
+        _, trace = probabilistic_solve(SparseAffinity.symmetric(6, 6, x.data, *pool[i][2].edges.T,
+                                                                e.data), x.data.reshape(6, 6), cfg)
+        alone.append((X.data, x.grad, e.grad, trace.iterations))
+    if B == 8:
+        assert len({iterations for *_, iterations in alone}) > 2
+    xs, es = zip(*(leaves(i, start) for i, start in zip(order, starts)))
+    Xs = solve_tape(xs, es, [pool[i][2] for i in order], cfg)
+    reduce(ad.add, [ad.tsum(ad.mul(X, w)) for X, w in zip(Xs, weights)]).backward()
+    for X, x, e, (X_alone, g_x, g_e, _) in zip(Xs, xs, es, alone):
+        assert np.array_equal(X.data, X_alone)
+        assert np.array_equal(x.grad, g_x) and np.array_equal(e.grad, g_e)
+
+
+def test_chunked_solve_tape_backward_rejects_a_zero_operator_instance():
+    (x, e, aa), = _solve_tape_pool(size=1)
+    empty = np.zeros(0, dtype=np.int64)
+    Xs = solve_tape([Tensor(x), Tensor(np.zeros(36))], [Tensor(e), Tensor(np.zeros(0))],
+                    [aa, aa_graph_of_pairs(6, 6, empty, empty)], SolverConfig())
+    assert np.allclose(Xs[1].data, 1.0 / 6)
+    with pytest.raises(RuntimeError, match="zero-operator"):
+        ad.add(ad.tsum(Xs[0]), ad.tsum(Xs[1])).backward()
+
+
 def test_solve_tape_backward_rejects_zero_operator_solve():
     x = Tensor(np.zeros(4))
     empty = np.zeros(0, dtype=np.int64)
-    X = solve_tape(x, Tensor(np.zeros(0)), aa_graph_of_pairs(2, 2, empty, empty), SolverConfig())
+    X, = solve_tape([x], [Tensor(np.zeros(0))], [aa_graph_of_pairs(2, 2, empty, empty)],
+                    SolverConfig())
     assert np.allclose(X.data, 0.5)
     with pytest.raises(RuntimeError):
         ad.tsum(X).backward()
@@ -404,7 +472,7 @@ def test_linear_model_gradient_is_exact():
     w = store.add("w", rng.normal(size=(4, 3)))
     x = rng.normal(size=(2, 4))
     store.zero_grad()
-    ad.tsum(ad.matmul(Tensor(x), w)).backward()
+    ad.tsum(tape_matmul(Tensor(x), w)).backward()
     g_ad = store.grad_vector()
 
     step = 1e-5
@@ -508,6 +576,50 @@ def _training_digest():
     store, metrics = train(pairs, PredictorConfig(d_V=4, d_E=4, T=1), SolverConfig(max_iters=3),
                            LossConfig(), epochs=2, batch_size=2)
     return [m["mean_loss"] for m in metrics], store.get_vector().tobytes()
+
+
+def _chunk_sizes(monkeypatch):
+    """The chunk sizes ``train`` passes to the solver node, as it calls it."""
+    sizes = []
+
+    def counted(xs, *args):
+        sizes.append(len(xs))
+        return solve_tape(xs, *args)
+
+    monkeypatch.setattr(predictor_module, "solve_tape", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("case", ["train-n8", "mixed-sizes", "short-last-batch"])
+def test_training_in_chunks_is_bitwise_one_backward_per_pair(monkeypatch, case):
+    # train-n8: the benchmark's pairs and settings, 8 pairs per chunk; mixed
+    # sizes: one batch of n = 6, 6, 7, 6, 5, 7, 6, 6 in shuffled order, cut
+    # into runs and, under 80 chunk entries, into chunks of at most 2; a
+    # short last batch: 10 pairs in batches of 4, 4 and 2
+    if case == "train-n8":
+        pairs = [synthesize_pair(8, 0.03, seed=10000 + k) for k in range(64)]
+        pcfg, epochs, batch_size = PredictorConfig(d_V=32, d_E=32, T=5), 3, 8
+    elif case == "mixed-sizes":
+        pairs = [synthesize_pair(n, 0.03, seed=400 + k)
+                 for k, n in enumerate([6, 6, 7, 6, 5, 7, 6, 6])]
+        pcfg, epochs, batch_size = PredictorConfig(d_V=8, d_E=8, T=2), 3, 8
+        monkeypatch.setattr(solvers_module, "_CHUNK_ENTRIES", 80)
+    else:
+        pairs = [synthesize_pair(5, 0.03, seed=500 + k) for k in range(10)]
+        pcfg, epochs, batch_size = PredictorConfig(d_V=8, d_E=8, T=2), 2, 4
+    args = (pairs, pcfg, SolverConfig(), LossConfig())
+    store_ref, metrics_ref = reference_train(*args, epochs=epochs, batch_size=batch_size)
+    sizes = _chunk_sizes(monkeypatch)
+    store, metrics = train(*args, epochs=epochs, batch_size=batch_size)
+    assert metrics == metrics_ref
+    assert store.get_vector().tobytes() == store_ref.get_vector().tobytes()
+    assert sum(sizes) == len(pairs) * epochs
+    if case == "train-n8":
+        assert set(sizes) == {8}
+    elif case == "mixed-sizes":
+        assert set(sizes) == {1, 2}
+    else:
+        assert sizes == [4, 4, 2] * epochs
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the policy is set on Linux only")

@@ -19,7 +19,7 @@ from probmatch.affinity import assemble_affinity, objective
 from probmatch.autodiff import Tensor
 from probmatch.graphs import synthesize_pair
 from probmatch.linalg import (FLOOR, SparseAffinity, binary_score, hungarian, perm_matrix,
-                              sinkhorn, sinkhorn_passes, spmv)
+                              sinkhorn, spmv)
 from probmatch.predictor import dpgm_assignment
 from probmatch.solvers import (
     SolverConfig,
@@ -179,7 +179,7 @@ def test_a_solve_computes_no_score_and_the_record_works_them_out_when_read(monke
     probabilistic_solve(K, X0)
     dpgm_assignment([K], X0[None], SolverConfig(), "full")
     unary, p, q, w = random_pairs(rng, 6, 6)
-    X = solve_tape(Tensor(unary), Tensor(w), aa_graph_of_pairs(6, 6, p, q), SolverConfig())
+    X, = solve_tape([Tensor(unary)], [Tensor(w)], [aa_graph_of_pairs(6, 6, p, q)], SolverConfig())
     ad.tsum(ad.mul(X, rng.normal(size=36))).backward()
     monkeypatch.undo()
     for K, X0 in _recorded_solves():
@@ -463,22 +463,6 @@ def test_batched_probabilistic_solve_equals_each_instance_alone(B):
             assert np.abs(X[b] - X_ref).max() < 1e-10
             assert traces[b].iterations == len(deltas)
             assert traces[b].stop_reason == stop_ref
-
-
-def test_kept_passes_change_no_solve_and_are_each_instance_s_own():
-    # a chunk whose instances stop after 0 to 10 iterations: each trace keeps
-    # its own passes, views into the chunk's stacks as the live set shrinks
-    pool = _dpgm_pool()
-    Ks, X0 = [K for K, _ in pool], np.stack([X for _, X in pool])
-    X, traces = probabilistic_solve(Ks, X0)
-    X_kept, traces_kept = probabilistic_solve(Ks, X0, keep_passes=True)
-    assert np.array_equal(X_kept, X)
-    for trace, trace_kept in zip(traces, traces_kept):
-        assert _same_record(trace_kept, trace) and not trace.passes
-        assert len(trace_kept.passes) == trace_kept.iterations
-        for s, Kx, passes in zip(trace_kept.scales, trace_kept.products, trace_kept.passes):
-            own = sinkhorn_passes((s * Kx).reshape(8, 8), SolverConfig().sinkhorn_iters)
-            assert all(np.array_equal(a, b) for a, b in zip(passes, own))
 
 
 def test_batched_probabilistic_solve_stays_bitwise_at_n100():
