@@ -435,8 +435,10 @@ class ParamStore:
         t = self._adam_t
         for name in self.names():
             p = self._params[name]
-            m = self._adam_m.setdefault(name, np.zeros_like(p.data))
-            v = self._adam_v.setdefault(name, np.zeros_like(p.data))
+            if name not in self._adam_m:
+                self._adam_m[name] = np.zeros_like(p.data)
+                self._adam_v[name] = np.zeros_like(p.data)
+            m, v = self._adam_m[name], self._adam_v[name]
             m += (1 - beta1) * (p.grad - m)
             v += (1 - beta2) * (p.grad ** 2 - v)
             m_hat = m / (1 - beta1 ** t)

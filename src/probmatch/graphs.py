@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .linalg import Incidence, SparseAffinity, csr_order, index_dtype
+from .linalg import Incidence, index_dtype
 
 _N_DIST_BINS = 4
 _N_ANGLE_BINS = 4
@@ -85,10 +85,10 @@ class AAGraph:
     match index is p = i * n2 + a. An AA-edge exists iff both underlying graph
     edges exist.
 
-    What only depends on the edges is built on first use, or by
-    ``build_patterns``, and kept: the incidences of the edges' ends
-    (``incidences``) and the pattern of the learned operator
-    (``operators``). ``edges`` must not change after that.
+    The incidences of the edges' ends (``incidences``), which every predictor
+    forward and backward reads, are built on first use and kept; ``edges``
+    must not change after that. The learned operator over the edges is built
+    by ``SparseAffinity.symmetric`` and sorts its own CSR view.
     """
 
     n1: int
@@ -102,35 +102,6 @@ class AAGraph:
         """``(src, dst)``: the ``linalg.Incidence`` of the edges' first and
         second ends into the n1 * n2 matches."""
         return tuple(Incidence(self.edges[:, k], self.n1 * self.n2) for k in (0, 1))
-
-    @cached_property
-    def _operator_pattern(self) -> tuple:
-        """K's triplet rows and cols in ``SparseAffinity.symmetric``'s layout,
-        and the ``csr_order`` of K and of its transpose."""
-        p, q = self.edges.T
-        rows, cols = np.concatenate([p, q]), np.concatenate([q, p])
-        size = self.n1 * self.n2
-        return rows, cols, csr_order(size, size, rows, cols), csr_order(size, size, cols, rows)
-
-    def build_patterns(self):
-        """Build what ``incidences`` and ``operators`` keep now, not on first
-        use. Training builds them for its whole set before the first step:
-        built on first use, each graph's patterns land among that step's
-        freed tape, and train-n8's peak resident size rose by up to 5 MB."""
-        _ = self.incidences, self._operator_pattern
-
-    def operators(self, unary: np.ndarray, weights: np.ndarray) -> tuple:
-        """``(K, K_T)``: ``SparseAffinity.symmetric(n1, n2, unary, p, q,
-        weights)`` over the edges (p, q), and its transpose, whose triplets
-        are K's with rows and cols swapped. Each one's CSR view is taken from
-        the kept order, bitwise what sorting would give."""
-        rows, cols, order, order_T = self._operator_pattern
-        vals = np.concatenate([weights, weights])
-        K = SparseAffinity(self.n1, self.n2, unary, rows, cols, vals)
-        K_T = SparseAffinity(self.n1, self.n2, unary, cols, rows, vals)
-        K.use_csr_order(order)
-        K_T.use_csr_order(order_T)
-        return K, K_T
 
 
 def delaunay_adjacency(points: np.ndarray) -> tuple[np.ndarray, bool]:

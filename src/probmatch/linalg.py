@@ -99,13 +99,6 @@ class SparseAffinity:
         return cls(n1, n2, unary, np.concatenate([p, q]), np.concatenate([q, p]),
                    np.concatenate([weights, weights]))
 
-    def use_csr_order(self, order: tuple):
-        """Take the CSR view from ``order``, the ``csr_order`` of these rows and
-        cols, instead of sorting: its data is ``vals[order]``, bitwise what
-        ``stable_csr`` gives."""
-        indptr, indices, perm = order
-        self._csr = ((self.rows, self.cols, self.vals), (indptr, indices, self.vals[perm]))
-
     def copy(self) -> "SparseAffinity":
         return SparseAffinity(self.n1, self.n2, self.unary.copy(),
                               self.rows.copy(), self.cols.copy(), self.vals.copy())
@@ -148,15 +141,6 @@ def stable_csr(n_row: int, n_col: int, rows, cols, vals) -> tuple:
     _sparsetools.coo_tocsr(n_row, n_col, nnz, rows.astype(index, copy=False),
                            cols.astype(index, copy=False), vals, indptr, indices, data)
     return indptr, indices, data
-
-
-def csr_order(n_row: int, n_col: int, rows, cols) -> tuple:
-    """``(indptr, indices, order)`` with ``stable_csr(n_row, n_col, rows, cols,
-    vals)`` equal to ``(indptr, indices, vals[order])`` for every ``vals``:
-    the stable sort done once for a pattern whose values change."""
-    nnz = np.size(rows)
-    indptr, indices, order = stable_csr(n_row, n_col, rows, cols, np.arange(nnz, dtype=np.float64))
-    return indptr, indices, order.astype(index_dtype(nnz))
 
 
 class Incidence:

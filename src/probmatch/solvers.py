@@ -178,20 +178,24 @@ def solve_tape(xs, es, aas, cfg: SolverConfig) -> list:
 
     For instance b, ``xs[b]`` (flat) is both the initial assignment and K's
     unary diagonal, and ``es[b][t]`` is K's entry at (p, q) and at (q, p) for
-    the t-th edge (p, q) of the AA graph ``aas[b]`` (``AAGraph.operators``);
-    the graphs must be of one size. The backward is the exact adjoint of the
-    iterations each instance ran, over the stacked iterates of the instances
-    still live at each one, as the solve ran them: it reads x_t, K x_t and
-    s_t from the records and runs each Sinkhorn's passes again. Every
-    instance's grads are bitwise what its solve alone would give. An
-    instance with a zero operator has no iteration to differentiate, and
-    the backward raises.
+    the t-th edge (p, q) of the AA graph ``aas[b]``; the graphs must be of
+    one size. K is ``SparseAffinity.symmetric`` over the edges, and K^T,
+    which only the backward reads, is built there in the transpose's layout.
+    Each sorts its CSR view on its first product; a chunk of two or more
+    multiplies only the stacks of its live operators. The backward is the
+    exact adjoint of the iterations each instance ran, over the stacked
+    iterates of the instances still live at each one, as the solve ran
+    them: it reads x_t, K x_t and s_t from the records and runs each
+    Sinkhorn's passes again. Every instance's grads are bitwise what its
+    solve alone would give. An instance with a zero operator has no
+    iteration to differentiate, and the backward raises.
     """
     B, n1, n2 = len(xs), aas[0].n1, aas[0].n2
     N = n1 * n2
-    ops = [aa.operators(x.data, e.data) for x, e, aa in zip(xs, es, aas)]
+    Ks = [SparseAffinity.symmetric(n1, n2, x.data, *aa.edges.T, e.data)
+          for x, e, aa in zip(xs, es, aas)]
     X0 = np.stack([x.data for x in xs])
-    X, traces = probabilistic_solve([K for K, _ in ops], X0.reshape(B, n1, n2), cfg)
+    X, traces = probabilistic_solve(Ks, X0.reshape(B, n1, n2), cfg)
 
     def backward(G):
         its = np.array([trace.iterations for trace in traces])
@@ -202,7 +206,9 @@ def solve_tape(xs, es, aas, cfg: SolverConfig) -> list:
             xs_t[:its[b] + 1, b] = np.reshape(trace.assignments, (-1, N))
             Kx_t[:its[b], b] = trace.products[:-1]
             s_t[:its[b], b] = trace.scales
-        ends = np.cumsum([0] + [K.vals.size for K, _ in ops])
+        K_Ts = [SparseAffinity.symmetric(n1, n2, x.data, *aa.edges.T[::-1], e.data)
+                for x, e, aa in zip(xs, es, aas)]    # (q, p): the transpose's layout
+        ends = np.cumsum([0] + [K.vals.size for K in Ks])
         g_x = np.stack([x.grad for x in xs])        # each x.grad, added to in its order
         g_vals = np.zeros(ends[-1])                  # per directed entry of each K
         g, g_s = G.copy(), np.zeros((B, N))
@@ -210,8 +216,8 @@ def solve_tape(xs, es, aas, cfg: SolverConfig) -> list:
         for t in range(its.max() - 1, -1, -1):
             if np.count_nonzero(its > t) != live.size:     # instances join as t falls
                 live = np.flatnonzero(its > t)
-                K = block_diagonal([ops[b][0] for b in live])
-                K_T = block_diagonal([ops[b][1] for b in live])
+                K = block_diagonal([Ks[b] for b in live])
+                K_T = block_diagonal([K_Ts[b] for b in live])
                 entries = np.concatenate([np.arange(ends[b], ends[b + 1]) for b in live])
             x_t, x_next, s, Kx = xs_t[t, live], xs_t[t + 1, live], s_t[t, live], Kx_t[t, live]
             g_l, g_s_l = g[live], g_s[live]

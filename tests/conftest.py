@@ -417,8 +417,9 @@ def reference_solve_tape(x, e, aa, cfg):
     """``solvers.solve_tape`` of one instance as the single-pair node it was
     before it took a chunk: its own solve, and a backward that adds into
     x.grad once per iteration."""
-    shape = (aa.n1, aa.n2)
-    K, K_T = aa.operators(x.data, e.data)
+    shape, (p, q) = (aa.n1, aa.n2), aa.edges.T
+    K = SparseAffinity.symmetric(aa.n1, aa.n2, x.data, p, q, e.data)
+    K_T = SparseAffinity.symmetric(aa.n1, aa.n2, x.data, q, p, e.data)
     X, trace = probabilistic_solve(K, x.data.reshape(shape), cfg)
 
     def backward(g):

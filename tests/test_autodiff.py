@@ -481,6 +481,23 @@ def test_adam_step_decreases_simple_quadratic():
     assert abs(p.data[0]) < 0.5
 
 
+def test_adam_step_builds_its_moments_once(monkeypatch):
+    # two moments per parameter on the first step, none on a later one
+    store = init_params(PredictorConfig(), seed=0)
+    zeros_like, calls = np.zeros_like, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return zeros_like(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros_like", counted)
+    store.adam_step()
+    assert len(calls) == 2 * len(store.names())
+    calls.clear()
+    store.adam_step()
+    assert calls == []
+
+
 def test_checkpoint_round_trip(tmp_path):
     store = ParamStore()
     rng = np.random.default_rng(4)

@@ -289,11 +289,11 @@ def test_runner_solves_each_dpgm_chunk_in_one_call(monkeypatch):
     calls.clear()
     compare_solvers(cfg)
     assert calls == [12]
-    # a chunk of one goes in as the operator itself
+    # a chunk of one goes in as a chunk, like any other
     calls.clear()
     monkeypatch.setattr(solvers_module, "_CHUNK_ENTRIES", 25)
     run_experiment(cfg)
-    assert calls == [None] * 12
+    assert calls == [1] * 12
 
 
 def test_workers_equal_serial_across_a_chunk_boundary():

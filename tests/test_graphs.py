@@ -12,6 +12,8 @@ from conftest import (
     reference_edge_pairs,
     reference_geometric_features,
 )
+
+import probmatch.graphs as graphs
 from probmatch.graphs import (
     _LOG_DIST_RANGE,
     FEATURE_DIM,
@@ -26,7 +28,7 @@ from probmatch.graphs import (
     save_pair,
     synthesize_pair,
 )
-from probmatch.linalg import SparseAffinity, _csr_view, stable_csr
+from probmatch.linalg import Incidence, stable_csr
 
 
 def _complete_graph(points):
@@ -294,10 +296,8 @@ def test_aa_graph_is_bitwise_the_fancy_index_oracle():
         assert aa.edge_attrs.flags.c_contiguous, name
 
 
-def test_aa_graph_keeps_the_incidences_and_operator_orders_of_a_fresh_sort():
-    # the kept patterns against a fresh stable_csr of each index and of K's
-    # and K^T's triplets; the operators' triplets against the symmetric layout
-    rng = np.random.default_rng(8)
+def test_aa_graph_keeps_the_incidences_of_a_fresh_sort():
+    # the kept incidences against a fresh stable_csr of each index
     for name, g1, g2 in builder_graph_pairs():
         aa = build_aa_graph(g1, g2)
         N, m = g1.n * g2.n, len(aa.edges)
@@ -306,27 +306,20 @@ def test_aa_graph_keeps_the_incidences_and_operator_orders_of_a_fresh_sort():
             assert inc.size == N and np.array_equal(inc.index, column), name
             for a, b in zip(inc.csr, stable_csr(N, m, column, np.arange(m), np.ones(m))):
                 _assert_bitwise(a, b, name)
-        unary, weights = rng.uniform(size=N), rng.uniform(size=m)
-        K, K_T = aa.operators(unary, weights)
-        expected = SparseAffinity.symmetric(g1.n, g2.n, unary, *aa.edges.T, weights)
-        for M, rows, cols in ((K, expected.rows, expected.cols), (K_T, expected.cols, expected.rows)):
-            _assert_bitwise(M.rows, rows, name)
-            _assert_bitwise(M.cols, cols, name)
-            _assert_bitwise(M.vals, expected.vals, name)
-            assert M.unary is unary, name
-            for a, b in zip(_csr_view(M), stable_csr(N, N, rows, cols, expected.vals)):
-                _assert_bitwise(a, b, name)
-        assert aa.incidences[0] is src and aa.operators(unary, weights)[0].rows is K.rows, name
 
 
-def test_aa_graph_builds_its_patterns_once():
+def test_aa_graph_builds_its_incidences_once(monkeypatch):
+    built = []
+
+    def counted(index, size):
+        built.append(size)
+        return Incidence(index, size)
+
+    monkeypatch.setattr(graphs, "Incidence", counted)
     pair = synthesize_pair(6, 0.03, seed=4)
     aa = build_aa_graph(pair.g1, pair.g2)
-    aa.build_patterns()
-    kept = (aa.incidences, aa._operator_pattern)
-    K, _ = aa.operators(np.ones(36), np.ones(len(aa.edges)))
-    assert aa.incidences is kept[0] and aa._operator_pattern is kept[1]
-    assert K.rows is kept[1][0] and K.cols is kept[1][1]
+    kept = aa.incidences
+    assert aa.incidences is kept and built == [36, 36]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ import probmatch.predictor as predictor_module
 import probmatch.solvers as solvers_module
 from probmatch.autodiff import ParamStore, Tensor
 from probmatch.graphs import AA_EDGE_DIM, FEATURE_DIM, build_aa_graph, synthesize_pair
-from probmatch.linalg import SparseAffinity, perm_matrix
+from probmatch.linalg import SparseAffinity, _csr_view, perm_matrix, stable_csr
 from probmatch.predictor import (
     ABLATIONS,
     LossConfig,
@@ -353,6 +354,38 @@ def test_solve_tape_backward_products_are_bitwise_the_triplet_kernel(monkeypatch
                    for r, c in operators)
 
 
+@pytest.mark.parametrize("B", [1, 3])
+def test_solve_tape_builds_the_symmetric_operator_and_its_transpose(monkeypatch, B):
+    # every operator the node stacks: K in symmetric's layout over the AA
+    # edges and K^T in the transpose's, one of each per instance, each with
+    # the CSR view of a fresh stable_csr of those triplets
+    stacked = {}
+    block_diagonal = solvers_module.block_diagonal
+
+    def spy(Ks):
+        Ks = list(Ks)
+        stacked.update((id(K), K) for K in Ks)
+        return block_diagonal(Ks)
+
+    monkeypatch.setattr(solvers_module, "block_diagonal", spy)
+    pool = [instance for instance in _solve_tape_pool() if len(instance[2].edges)][:B]
+    xs, es = [Tensor(x) for x, _, _ in pool], [Tensor(e) for _, e, _ in pool]
+    Xs = solve_tape(xs, es, [aa for *_, aa in pool], SolverConfig())
+    reduce(ad.add, [ad.tsum(X) for X in Xs]).backward()
+    layouts = []
+    for M in stacked.values():
+        b = next(b for b, x in enumerate(xs) if M.unary is x.data)
+        p, q = pool[b][2].edges.T
+        K = SparseAffinity.symmetric(6, 6, xs[b].data, p, q, es[b].data)
+        transposed = not np.array_equal(M.rows, K.rows)
+        rows, cols = (K.cols, K.rows) if transposed else (K.rows, K.cols)
+        for got, want in zip((M.rows, M.cols, M.vals, *_csr_view(M)),
+                             (rows, cols, K.vals, *stable_csr(36, 36, rows, cols, K.vals))):
+            assert got.dtype == want.dtype and np.array_equal(got, want), (b, transposed)
+        layouts.append((b, transposed))
+    assert sorted(layouts) == [(b, t) for b in range(B) for t in (False, True)]
+
+
 def _solve_tape_pool(n=6, size=12):
     """``(x, e, aa)`` of solver instances at n whose solves stop after 4 to 10
     iterations under ``stop_eta=1e-2``."""
@@ -620,6 +653,34 @@ def test_training_in_chunks_is_bitwise_one_backward_per_pair(monkeypatch, case):
         assert set(sizes) == {1, 2}
     else:
         assert sizes == [4, 4, 2] * epochs
+
+
+def test_training_keeps_at_most_32_bytes_per_aa_edge_for_each_pair(monkeypatch):
+    # on the train-n8 pairs: train builds each AA graph's incidences before
+    # the first step and keeps nothing else on the graph, and the incidences
+    # hold 27-29 bytes per AA edge (tracemalloc). Kept CSR orders of K and
+    # K^T took that to 78-82.
+    pairs = [synthesize_pair(8, 0.03, seed=10000 + k) for k in range(64)]
+    built = []
+
+    def recorded(g1, g2):
+        built.append(build_aa_graph(g1, g2))
+        return built[-1]
+
+    monkeypatch.setattr(predictor_module, "build_aa_graph", recorded)
+    train(pairs, PredictorConfig(), SolverConfig(), LossConfig(), epochs=0)
+    fields = {"n1", "n2", "node_attrs", "edges", "edge_attrs"}
+    assert len(built) == len(pairs)
+    assert all(vars(aa).keys() == fields | {"incidences"} for aa in built)
+    for pair in pairs:
+        aa = build_aa_graph(pair.g1, pair.g2)
+        tracemalloc.start()
+        try:
+            aa.incidences
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 32 * len(aa.edges), (pair.meta["seed"], kept / len(aa.edges))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the policy is set on Linux only")
