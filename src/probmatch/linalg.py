@@ -8,9 +8,9 @@ lists the match pairs (p, q) of joint edges; ``SparseAffinity.symmetric``
 stores one weight per pair at (p, q) and at (q, p). ``FLOOR`` is the one
 probability floor of Sinkhorn, its adjoint and the probabilistic solver, and
 ``_sinkhorn_pass`` the one Sinkhorn pass: ``sinkhorn`` runs it in one loop,
-and ``sinkhorn_vjp`` runs it again keeping every pass (``sinkhorn_passes``)
-and reverses them. No solve keeps its passes: on a chunk's stack the replay
-costs what keeping them saved, and holds less.
+and ``sinkhorn_vjp`` runs it again, keeps every pass and reverses them. No
+solve keeps its passes: on a chunk's stack the replay costs what keeping them
+saved, and holds less.
 
 Batched solvers work on a chunk of B same-size instances at once.
 ``block_diagonal`` stacks their operators into one operator of size B * N,
@@ -92,9 +92,7 @@ class SparseAffinity:
     def symmetric(cls, n1, n2, unary, p, q, weights) -> "SparseAffinity":
         """K with ``weights[t]`` stored at (p[t], q[t]) and at (q[t], p[t]).
 
-        The triplets list every (p, q) entry in order, then every (q, p)
-        entry; ``symmetric(n1, n2, unary, q, p, weights)`` is therefore the
-        transpose's layout of the same entries.
+        The triplets list every (p, q) entry in order, then every (q, p) entry.
         """
         return cls(n1, n2, unary, np.concatenate([p, q]), np.concatenate([q, p]),
                    np.concatenate([weights, weights]))
@@ -240,15 +238,14 @@ def block_diagonal(Ks) -> SparseAffinity:
                           np.concatenate([K.vals for K in Ks]))
 
 
-def _sinkhorn_pass(Z: np.ndarray, r: np.ndarray, A=None, c=None, out=None):
+def _sinkhorn_pass(Z: np.ndarray, r: np.ndarray):
     """One pass on Z with row sums r: ``(A, c, Z')``, A = Z / r and Z' = A / c.
 
     Rows reduce over axis -1 and columns over axis -2, so Z is one matrix or
-    a stack (B, n, n). Given buffers ``A``, ``c`` and ``out``, the pass writes
-    into them; the values are the same."""
-    A = np.divide(Z, r, out=A)
-    c = np.add.reduce(A, axis=-2, keepdims=True, out=c)
-    return A, c, np.divide(A, c, out=out)
+    a stack (B, n, n)."""
+    A = Z / r
+    c = np.add.reduce(A, axis=-2, keepdims=True)
+    return A, c, A / c
 
 
 def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarray:
@@ -288,29 +285,19 @@ def sinkhorn(X: np.ndarray, max_iters: int = 20, tol: float = 1e-9) -> np.ndarra
     return Y
 
 
-def sinkhorn_passes(X: np.ndarray, passes: int) -> tuple:
-    """``sinkhorn(X, passes, tol=0.0)`` keeping every pass: ``(r, A, c, Z)``,
-    each stacked over the passes on a new leading axis, so pass k divided
-    ``max(X, FLOOR)`` (k = 0) or ``Z[k - 1]`` by its row sums ``r[k]`` into
-    ``A[k]`` and that by its column sums ``c[k]`` into ``Z[k]``. ``Z[-1]`` is
-    bitwise ``sinkhorn``'s output. X is one matrix or a stack (B, n, n)."""
-    Z = np.maximum(X, FLOOR)
-    rows, cols = Z.shape[:-1] + (1,), Z.shape[:-2] + (1, Z.shape[-1])
-    kept = tuple(np.empty((passes,) + shape) for shape in (rows, Z.shape, cols, Z.shape))
-    for r, A, c, out in zip(*kept):
-        _, _, Z = _sinkhorn_pass(Z, np.add.reduce(Z, axis=-1, keepdims=True, out=r), A, c, out)
-    return kept
-
-
 def sinkhorn_vjp(Y: np.ndarray, passes: int, G: np.ndarray) -> np.ndarray:
     """Gradient at Y of <G, sinkhorn(Y, passes, tol=0.0)>; 0 where Y <= FLOOR.
 
-    Y is one matrix or a stack (B, n, n). The passes are run again
-    (``sinkhorn_passes``) and reversed."""
-    r, A, c, Z = sinkhorn_passes(Y, passes)
-    for k in range(passes - 1, -1, -1):
-        G = (G - np.add.reduce(G * Z[k], axis=-2, keepdims=True)) / c[k]
-        G = (G - np.add.reduce(G * A[k], axis=-1, keepdims=True)) / r[k]
+    Y is one matrix or a stack (B, n, n). The passes are run again, kept
+    and reversed."""
+    Z, kept = np.maximum(Y, FLOOR), []
+    for _ in range(passes):
+        r = np.add.reduce(Z, axis=-1, keepdims=True)
+        A, c, Z = _sinkhorn_pass(Z, r)
+        kept.append((r, A, c, Z))
+    for r, A, c, Z in reversed(kept):
+        G = (G - np.add.reduce(G * Z, axis=-2, keepdims=True)) / c
+        G = (G - np.add.reduce(G * A, axis=-1, keepdims=True)) / r
     return G * (Y > FLOOR)
 
 

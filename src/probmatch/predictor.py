@@ -257,9 +257,12 @@ def evaluate(pairs, store: ParamStore, pcfg: PredictorConfig,
     experiment runner's numpy inference: consecutive pairs of one size are cut
     by ``solvers.chunks``, and each chunk's ``learned_affinity`` operators are
     solved by one ``dpgm_assignment`` call under ``ablation``. Each pair's
-    accuracy is bitwise what it would be alone."""
+    accuracy is bitwise what it would be alone. Raises ValueError before any
+    work on an empty ``pairs`` or an unknown ``ablation``."""
     if not pairs:
         raise ValueError("pairs must not be empty")
+    if ablation not in ABLATIONS:
+        raise ValueError(f"unknown ablation {ablation!r}")
     accs = []
     for (n, _), run in groupby(pairs, key=lambda pair: (pair.g1.n, pair.g2.n)):
         for chunk in chunks(list(run), n):
@@ -294,9 +297,17 @@ def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
     (``allocator.keep_freed_heap``; glibc only, once per process): from then
     on the whole process keeps the memory it frees instead of returning it
     to the kernel, and later steps reuse it instead of faulting it in again.
+    Raises ValueError before any work on an empty ``pairs``, a ``batch_size``
+    below 1 or an ``lr`` that is not finite and positive.
     """
     if not pairs:
         raise ValueError("pairs must not be empty")
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    if not lr > 0:
+        raise ValueError("lr must be positive")
+    if not lr < np.inf:
+        raise ValueError("lr must be finite")
     keep_freed_heap()
     store = init_params(pcfg, seed=seed)
     rng = np.random.default_rng(seed + 1)

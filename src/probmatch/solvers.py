@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .affinity import objective
 from .autodiff import Tensor, unstack
 from .linalg import (FLOOR, SparseAffinity, binary_score, block_diagonal, hungarian,
                      perm_matrix, sinkhorn, sinkhorn_vjp, spmv)
@@ -55,10 +56,12 @@ class SolveTrace:
 
     ``assignments[t]`` is X_t, ``products[t]`` K x_t and ``scales[t]`` the scale s_t
     that multiplied it; the last iterate is not propagated, so ``iterations`` counts
-    the scales. The arrays are not copies (in a chunk's solve, views into the chunk's arrays):
-    callers must not write into them. Binary scores and objectives (against the
-    original K) are worked out when read."""
+    the products and scales, and ``assignments`` holds one more. The arrays are not
+    copies (in a chunk's solve, views into the chunk's arrays): callers must not
+    write into them. Binary scores and objectives x_t . K x_t, against the solve's
+    ``operator``, are worked out when read."""
 
+    operator: SparseAffinity | None = field(default=None, repr=False)
     assignments: list = field(default_factory=list)
     products: list = field(default_factory=list)
     scales: list = field(default_factory=list)
@@ -75,11 +78,12 @@ class SolveTrace:
 
     @property
     def objectives(self) -> list:
-        return [float(np.dot(X.ravel(), Kx)) for X, Kx in zip(self.assignments, self.products)]
+        return [objective(self.operator, X.ravel()) for X in self.assignments]
 
-    def record(self, X: np.ndarray, Kx: np.ndarray):
+    def record(self, X: np.ndarray, Kx: np.ndarray, s: np.ndarray):
         self.assignments.append(X)
         self.products.append(Kx)
+        self.scales.append(s)
 
     def to_json(self) -> str:
         doc = {
@@ -104,11 +108,11 @@ def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None):
     by ``FLOOR`` so Sinkhorn and the refinement ratios are well defined.
     Refining row p of K by ratio_p is (diag(r) K) x = r * (K x), so K stays
     fixed and ``scale``, the running product of the ratios, multiplies each
-    propagation K x. An instance that stops early leaves the chunk, and the
-    live instances' operators are stacked anew; the final K x of every
-    instance is one product of the whole stack. Raises ValueError before any
-    work on a non-square operator, a chunk of different sizes or a start of
-    the wrong shape.
+    propagation K x, one product per iteration; the final iterate is not
+    propagated. An instance that stops early leaves the chunk, and the live
+    instances' operators are stacked anew. Raises ValueError before any work
+    on a non-square operator, a chunk of different sizes or a start of the
+    wrong shape.
     """
     cfg = cfg or SolverConfig()
     one = isinstance(K, SparseAffinity)
@@ -121,7 +125,7 @@ def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None):
         raise ValueError(f"X_init must have shape {shape}, got {np.shape(X_init)}")
     N = n1 * n2
     X = np.maximum(np.asarray(X_init, dtype=np.float64), FLOOR).reshape(B, n1, n2)
-    traces = [SolveTrace() for _ in range(B)]
+    traces = [SolveTrace(K_b) for K_b in Ks]
     out = np.empty((B, n1, n2))     # each instance's final iterate
     live = np.array([b for b, K_b in enumerate(Ks) if K_b.unary.any() or K_b.vals.any()],
                     dtype=np.intp)
@@ -146,8 +150,7 @@ def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None):
         x = X.reshape(live.size, N)
         Kx = spmv(stack, x.ravel()).reshape(live.size, N)
         for b, X_t, Kx_t, s_t in zip(live.tolist(), X, Kx, scale):
-            traces[b].record(X_t, Kx_t)
-            traces[b].scales.append(s_t)
+            traces[b].record(X_t, Kx_t, s_t)
         X_new = sinkhorn((scale * Kx).reshape(-1, n1, n2), cfg.sinkhorn_iters, tol=0.0)
         x_new = X_new.reshape(live.size, N)
         delta_sq = ((x_new - x) ** 2).sum(axis=1)    # bitwise the 1-D sum of each row
@@ -164,9 +167,8 @@ def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None):
     out[live] = X
     for b, d in zip(live, delta_sq):
         traces[b].last_delta_sq = float(d)
-    Kx = spmv(stacked, out.ravel()).reshape(B, N)    # every final K x in one product
-    for b, trace in enumerate(traces):
-        trace.record(out[b], Kx[b])
+    for trace, X_b in zip(traces, out):
+        trace.assignments.append(X_b)
     if one:
         return traces[0].assignments[-1], traces[0]
     return out, traces
@@ -179,16 +181,15 @@ def solve_tape(xs, es, aas, cfg: SolverConfig) -> list:
     For instance b, ``xs[b]`` (flat) is both the initial assignment and K's
     unary diagonal, and ``es[b][t]`` is K's entry at (p, q) and at (q, p) for
     the t-th edge (p, q) of the AA graph ``aas[b]``; the graphs must be of
-    one size. K is ``SparseAffinity.symmetric`` over the edges, and K^T,
-    which only the backward reads, is built there in the transpose's layout.
-    Each sorts its CSR view on its first product; a chunk of two or more
-    multiplies only the stacks of its live operators. The backward is the
-    exact adjoint of the iterations each instance ran, over the stacked
-    iterates of the instances still live at each one, as the solve ran
-    them: it reads x_t, K x_t and s_t from the records and runs each
-    Sinkhorn's passes again. Every instance's grads are bitwise what its
-    solve alone would give. An instance with a zero operator has no
-    iteration to differentiate, and the backward raises.
+    one size. K is ``SparseAffinity.symmetric`` over the edges. The backward
+    is the exact adjoint of the iterations each instance ran, over the
+    stacked iterates of the instances still live at each one, as the solve
+    ran them: it reads x_t, K x_t and s_t from the records and runs each
+    Sinkhorn's passes again. Its only products are with K^T, one per
+    iteration: the stack of the live operators with rows and cols swapped,
+    made anew when the live set changes. Every instance's grads are bitwise
+    what its solve alone would give. An instance with a zero operator has
+    no iteration to differentiate, and the backward raises.
     """
     B, n1, n2 = len(xs), aas[0].n1, aas[0].n2
     N = n1 * n2
@@ -204,10 +205,8 @@ def solve_tape(xs, es, aas, cfg: SolverConfig) -> list:
         xs_t, Kx_t, s_t = (np.zeros((its.max() + 1, B, N)) for _ in range(3))
         for b, trace in enumerate(traces):
             xs_t[:its[b] + 1, b] = np.reshape(trace.assignments, (-1, N))
-            Kx_t[:its[b], b] = trace.products[:-1]
+            Kx_t[:its[b], b] = trace.products
             s_t[:its[b], b] = trace.scales
-        K_Ts = [SparseAffinity.symmetric(n1, n2, x.data, *aa.edges.T[::-1], e.data)
-                for x, e, aa in zip(xs, es, aas)]    # (q, p): the transpose's layout
         ends = np.cumsum([0] + [K.vals.size for K in Ks])
         g_x = np.stack([x.grad for x in xs])        # each x.grad, added to in its order
         g_vals = np.zeros(ends[-1])                  # per directed entry of each K
@@ -217,7 +216,7 @@ def solve_tape(xs, es, aas, cfg: SolverConfig) -> list:
             if np.count_nonzero(its > t) != live.size:     # instances join as t falls
                 live = np.flatnonzero(its > t)
                 K = block_diagonal([Ks[b] for b in live])
-                K_T = block_diagonal([K_Ts[b] for b in live])
+                K_T = SparseAffinity(K.n1, K.n2, K.unary, K.cols, K.rows, K.vals)
                 entries = np.concatenate([np.arange(ends[b], ends[b + 1]) for b in live])
             x_t, x_next, s, Kx = xs_t[t, live], xs_t[t + 1, live], s_t[t, live], Kx_t[t, live]
             g_l, g_s_l = g[live], g_s[live]
@@ -251,7 +250,9 @@ def chunks(items: list, n: int, workers: int = 1) -> list:
     """``items`` of size n cut into consecutive chunks: the fewest that keep
     each within ``_CHUNK_ENTRIES`` assignment entries (B * n^2, but at least
     one instance) and give each of ``workers`` one, cut as evenly as they
-    can be."""
+    can be. No items make no chunk."""
+    if not items:
+        return []
     most = max(1, min(_CHUNK_ENTRIES // n ** 2, -(-len(items) // workers)))
     count = -(-len(items) // most)
     size = -(-len(items) // count)

@@ -403,11 +403,12 @@ def test_runner_without_mallopt_gives_the_same_rows(monkeypatch, libc):
 @pytest.mark.parametrize("n, instances, workers, size", [
     (8, 100, 1, 25), (8, 100, 2, 25), (8, 32, 1, 32), (8, 33, 1, 17), (16, 100, 1, 8),
     (45, 100, 1, 1), (46, 100, 1, 1), (100, 20, 1, 1), (5, 6, 4, 2), (8, 1, 4, 1),
+    (8, 0, 1, 0),
 ])
 def test_chunk_size_follows_n_and_workers(n, instances, workers, size):
     items = list(range(instances))
     cut = chunks(items, n, workers)
-    assert len(cut[0]) == size
+    assert (len(cut[0]) if cut else 0) == size and all(cut)
     assert [i for chunk in cut for i in chunk] == items
 
 

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (int64_copy, random_sparse_affinity, reference_sinkhorn,
                       reference_sinkhorn_vjp, reference_spmv)
+from probmatch import linalg as linalg_module
 from probmatch.affinity import assemble_affinity
 from probmatch.graphs import FEATURE_DIM, AttributedGraph, build_aa_graph, synthesize_pair
 from probmatch.linalg import (
@@ -20,7 +21,6 @@ from probmatch.linalg import (
     l21_norm,
     perm_matrix,
     sinkhorn,
-    sinkhorn_passes,
     sinkhorn_vjp,
     spmv,
 )
@@ -399,29 +399,47 @@ def _sinkhorn_inputs(rng, shape):
     return Y
 
 
+def _kept_passes(monkeypatch, Y, passes, G):
+    """``sinkhorn_vjp(Y, passes, G)`` and the (r, A, c, Z) of every pass it
+    ran through ``_sinkhorn_pass``."""
+    kept, run = [], linalg_module._sinkhorn_pass
+
+    def spy(Z, r):
+        A, c, Z = run(Z, r)
+        kept.append((r, A, c, Z))
+        return A, c, Z
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg_module, "_sinkhorn_pass", spy)
+        return sinkhorn_vjp(Y, passes, G), kept
+
+
 @pytest.mark.parametrize("passes", [1, 20])
 @pytest.mark.parametrize("n", [3, 8, 21])
-def test_kept_pass_sinkhorn_vjp_is_bitwise_the_replay(n, passes):
+def test_kept_pass_sinkhorn_vjp_is_bitwise_the_replay(monkeypatch, n, passes):
     rng = np.random.default_rng(n + passes)
     for _ in range(3):
         Y, G = _sinkhorn_inputs(rng, (n, n)), rng.normal(size=(n, n))
-        kept = sinkhorn_passes(Y, passes)
-        assert np.array_equal(kept[3][-1], sinkhorn(Y, passes, tol=0.0))
-        assert np.array_equal(sinkhorn_vjp(Y, passes, G), reference_sinkhorn_vjp(Y, passes, G))
+        grad, kept = _kept_passes(monkeypatch, Y, passes, G)
+        assert len(kept) == passes
+        assert np.array_equal(kept[-1][3], sinkhorn(Y, passes, tol=0.0))
+        assert np.array_equal(grad, reference_sinkhorn_vjp(Y, passes, G))
 
 
 @pytest.mark.parametrize("B", [1, 5])
-def test_kept_pass_sinkhorn_vjp_on_a_stack_is_each_matrix_alone(B):
+def test_kept_pass_sinkhorn_vjp_on_a_stack_is_each_matrix_alone(monkeypatch, B):
     rng = np.random.default_rng(40 + B)
     Y, G = _sinkhorn_inputs(rng, (B, 8, 8)), rng.normal(size=(B, 8, 8))
-    kept = sinkhorn_passes(Y, 20)
-    assert [a.shape for a in kept] == [(20, B, 8, 1), (20, B, 8, 8), (20, B, 1, 8), (20, B, 8, 8)]
-    assert np.array_equal(kept[3][-1], sinkhorn(Y, 20, tol=0.0))
-    grad = sinkhorn_vjp(Y, 20, G)
+    grad, kept = _kept_passes(monkeypatch, Y, 20, G)
+    assert len(kept) == 20
+    assert all([a.shape for a in k] == [(B, 8, 1), (B, 8, 8), (B, 1, 8), (B, 8, 8)] for k in kept)
+    assert np.array_equal(kept[-1][3], sinkhorn(Y, 20, tol=0.0))
     for b in range(B):
         assert np.array_equal(grad[b], reference_sinkhorn_vjp(Y[b], 20, G[b]))
-        assert np.array_equal(sinkhorn_vjp(Y[b], 20, G[b]), grad[b])
-        assert all(np.array_equal(a[:, b], own) for a, own in zip(kept, sinkhorn_passes(Y[b], 20)))
+        own_grad, own = _kept_passes(monkeypatch, Y[b], 20, G[b])
+        assert np.array_equal(own_grad, grad[b])
+        assert all(np.array_equal(a[b], a_own)
+                   for k, k_own in zip(kept, own) for a, a_own in zip(k, k_own))
 
 
 @pytest.mark.parametrize("passes", [1, 2, 20])

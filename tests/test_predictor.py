@@ -356,34 +356,52 @@ def test_solve_tape_backward_products_are_bitwise_the_triplet_kernel(monkeypatch
 
 @pytest.mark.parametrize("B", [1, 3])
 def test_solve_tape_builds_the_symmetric_operator_and_its_transpose(monkeypatch, B):
-    # every operator the node stacks: K in symmetric's layout over the AA
-    # edges and K^T in the transpose's, one of each per instance, each with
-    # the CSR view of a fresh stable_csr of those triplets
-    stacked = {}
-    block_diagonal = solvers_module.block_diagonal
+    # the node stacks only K, in symmetric's layout over the AA edges. The
+    # forward multiplies by the stack of the live operators, and the backward
+    # only by its transpose: those triplets with rows and cols swapped, one
+    # operator per change of the live set, with the CSR view of a fresh
+    # stable_csr of its triplets
+    stacked, products = [], []
+    block_diagonal, spmv = solvers_module.block_diagonal, solvers_module.spmv
 
-    def spy(Ks):
+    def stack_spy(Ks):
         Ks = list(Ks)
-        stacked.update((id(K), K) for K in Ks)
+        stacked.extend(Ks)
         return block_diagonal(Ks)
 
-    monkeypatch.setattr(solvers_module, "block_diagonal", spy)
+    def product_spy(K, x):
+        products.append(K)
+        return spmv(K, x)
+
+    monkeypatch.setattr(solvers_module, "block_diagonal", stack_spy)
+    monkeypatch.setattr(solvers_module, "spmv", product_spy)
+    cfg = SolverConfig(stop_eta=1e-2)
     pool = [instance for instance in _solve_tape_pool() if len(instance[2].edges)][:B]
     xs, es = [Tensor(x) for x, _, _ in pool], [Tensor(e) for _, e, _ in pool]
-    Xs = solve_tape(xs, es, [aa for *_, aa in pool], SolverConfig())
+    Ks = [SparseAffinity.symmetric(6, 6, x.data, *aa.edges.T, e.data)
+          for x, e, (*_, aa) in zip(xs, es, pool)]
+    Xs = solve_tape(xs, es, [aa for *_, aa in pool], cfg)
+    forward, products = products, []
     reduce(ad.add, [ad.tsum(X) for X in Xs]).backward()
-    layouts = []
-    for M in stacked.values():
-        b = next(b for b, x in enumerate(xs) if M.unary is x.data)
-        p, q = pool[b][2].edges.T
-        K = SparseAffinity.symmetric(6, 6, xs[b].data, p, q, es[b].data)
-        transposed = not np.array_equal(M.rows, K.rows)
-        rows, cols = (K.cols, K.rows) if transposed else (K.rows, K.cols)
-        for got, want in zip((M.rows, M.cols, M.vals, *_csr_view(M)),
-                             (rows, cols, K.vals, *stable_csr(36, 36, rows, cols, K.vals))):
-            assert got.dtype == want.dtype and np.array_equal(got, want), (b, transposed)
-        layouts.append((b, transposed))
-    assert sorted(layouts) == [(b, t) for b in range(B) for t in (False, True)]
+    monkeypatch.undo()
+    for M in stacked:
+        K = Ks[next(b for b, x in enumerate(xs) if M.unary is x.data)]
+        assert all(got.dtype == want.dtype and np.array_equal(got, want)
+                   for got, want in zip((M.rows, M.cols, M.vals), (K.rows, K.cols, K.vals)))
+    its = np.array([trace.iterations for trace in probabilistic_solve(
+        Ks, np.stack([x.data for x in xs]).reshape(B, 6, 6), cfg)[1]])
+    assert len(forward) == len(products) == its.max() and (B == 1 or len(set(its)) > 1)
+    for t, F, M in zip(range(its.max()), forward, products[::-1]):
+        live = np.flatnonzero(its > t)
+        stack = block_diagonal([Ks[b] for b in live])
+        assert np.array_equal(F.unary, stack.unary) and np.array_equal(M.unary, stack.unary)
+        for got, want in zip((F.rows, F.cols, F.vals, M.rows, M.cols, M.vals,
+                              *_csr_view(M)),
+                             (stack.rows, stack.cols, stack.vals, stack.cols, stack.rows,
+                              stack.vals, *stable_csr(stack.size, stack.size, stack.cols,
+                                                      stack.rows, stack.vals))):
+            assert got.dtype == want.dtype and np.array_equal(got, want), t
+    assert len({id(M) for M in products}) == len(set(its))
 
 
 def _solve_tape_pool(n=6, size=12):
@@ -742,6 +760,33 @@ def test_empty_pair_list_raises_before_any_work(monkeypatch):
         evaluate([], store, TINY, SolverConfig())
     with pytest.raises(ValueError, match="^pairs must not be empty"):
         train([], TINY, SolverConfig(), LossConfig(), epochs=1, target_accuracy=0.5)
+    assert not calls
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"lr": float("nan")}, "lr must be positive"), ({"lr": -1.0}, "lr must be positive"),
+    ({"lr": 0.0}, "lr must be positive"), ({"lr": float("inf")}, "lr must be finite"),
+    ({"batch_size": 0}, "batch_size must be at least 1"),
+], ids=["nan_lr", "negative_lr", "zero_lr", "infinite_lr", "zero_batch_size"])
+def test_bad_training_arguments_are_rejected_before_any_work(monkeypatch, kwargs, message):
+    # ExperimentConfig's messages, before the heap policy, the parameters or
+    # any AA graph
+    calls = []
+    for name in ("keep_freed_heap", "init_params", "build_aa_graph"):
+        monkeypatch.setattr(predictor_module, name, lambda *args, **kw: calls.append(1))
+    pairs = [synthesize_pair(4, 0.02, seed=200)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train(pairs, TINY, SolverConfig(), LossConfig(), epochs=1, **kwargs)
+    assert not calls
+
+
+def test_evaluate_rejects_an_unknown_ablation_before_any_work(monkeypatch):
+    calls = []
+    for name in ("build_aa_graph", "learned_affinity", "dpgm_assignment"):
+        monkeypatch.setattr(predictor_module, name, lambda *args, **kw: calls.append(1))
+    pairs = [synthesize_pair(4, 0.02, seed=200 + s) for s in range(3)]
+    with pytest.raises(ValueError, match="^unknown ablation 'nope'$"):
+        evaluate(pairs, init_params(TINY, seed=19), TINY, SolverConfig(), "nope")
     assert not calls
 
 

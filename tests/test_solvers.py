@@ -158,8 +158,8 @@ def test_trace_keeps_the_products_and_scales_the_solve_computed():
             _, trace = probabilistic_solve(K, X0, cfg)
             stops.append(trace.stop_reason)
             xs = [X.ravel() for X in trace.assignments]
-            assert trace.iterations == len(trace.scales) == len(xs) - 1 >= 1
-            assert len(trace.products) == len(xs)
+            assert trace.operator is K
+            assert trace.iterations == len(trace.scales) == len(trace.products) == len(xs) - 1 >= 1
             for x_t, Kx in zip(xs, trace.products):
                 assert np.array_equal(Kx, spmv(K, x_t))
             scale = np.ones(K.size)
@@ -169,11 +169,36 @@ def test_trace_keeps_the_products_and_scales_the_solve_computed():
     assert stops == ["max_iters", "early_stop"] * 6
 
 
+@pytest.mark.parametrize("B", [1, 8, 33])
+def test_a_solve_makes_one_product_per_iteration_and_none_after_its_loop(monkeypatch, B):
+    # a chunk's iteration is one product of its live stack; the last iterate
+    # of each instance is not propagated
+    pool = _dpgm_pool()
+    order = np.random.default_rng(B).permutation(33)[:B] % len(pool)
+    products = []
+
+    def counted(K, x):
+        products.append(K.n1 // 8)
+        return spmv(K, x)
+
+    monkeypatch.setattr(solvers_module, "spmv", counted)
+    for K, X0 in pool:
+        products.clear()
+        _, trace = probabilistic_solve(K, X0)
+        assert products == [1] * trace.iterations
+    products.clear()
+    _, traces = probabilistic_solve([pool[i][0] for i in order],
+                                    np.stack([pool[i][1] for i in order]))
+    its = np.array([trace.iterations for trace in traces])
+    assert products == [np.count_nonzero(its > t) for t in range(its.max())]
+
+
 def test_a_solve_computes_no_score_and_the_record_works_them_out_when_read(monkeypatch):
-    def no_score(X):
-        raise AssertionError("a solve computed a binary score")
+    def no_score(*args):
+        raise AssertionError("a solve computed a binary score or an objective")
 
     monkeypatch.setattr(solvers_module, "binary_score", no_score)
+    monkeypatch.setattr(solvers_module, "objective", no_score)
     rng = np.random.default_rng(3)
     K, X0 = next(_recorded_solves())
     probabilistic_solve(K, X0)
@@ -439,7 +464,7 @@ def _same_record(a, b):
     return (a.stop_reason == b.stop_reason and a.last_delta_sq == b.last_delta_sq
             and all(len(x) == len(y) and all(np.array_equal(u, v) for u, v in zip(x, y))
                     for x, y in ((a.assignments, b.assignments), (a.products, b.products),
-                                 (a.scales, b.scales))))
+                                 (a.scales, b.scales), (a.objectives, b.objectives))))
 
 
 @pytest.mark.parametrize("B", [1, 8, 33])
@@ -457,6 +482,7 @@ def test_batched_probabilistic_solve_equals_each_instance_alone(B):
     for b, i in enumerate(order):
         X_alone, trace_alone = alone[i]
         assert np.array_equal(X[b], X_alone)
+        assert traces[b].operator is trace_alone.operator is pool[i][0]
         assert _same_record(traces[b], trace_alone)
         if trace_alone.iterations:
             X_ref, deltas, stop_ref = reference_probabilistic_solve(*pool[i])
