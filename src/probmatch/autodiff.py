@@ -324,8 +324,8 @@ def node_update(E: Tensor, V: Tensor, layers, src, dst, eps: float) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    z = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0, z) / (1.0 + z)
 
     def backward(g):
         a.grad += g * s * (1.0 - s)

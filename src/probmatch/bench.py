@@ -55,6 +55,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """Every option of an experiment, checked when built (``ConfigError``).
+
+    ``workers`` bounds the processes the runner starts; the default, None,
+    uses every usable CPU, and 1 solves every chunk in the calling process.
+    Rows are the same for every value."""
+
     # dataset
     n: int = 8
     noise_levels: tuple = (0.03,)
@@ -80,13 +86,13 @@ class ExperimentConfig:
     loss_cfg: LossConfig = field(default_factory=LossConfig)
     # execution
     out_dir: str = "runs"
-    workers: int = 1
+    workers: int | None = None
 
     def __post_init__(self):
         self.noise_levels = tuple(self.noise_levels)
         for name, least in (("n", 3), ("instances", 1), ("workers", 1), ("batch_size", 1),
                             ("train_instances", 1), ("epochs", 1), ("seed", 0)):
-            if getattr(self, name) < least:
+            if (value := getattr(self, name)) is not None and value < least:
                 raise ConfigError(f"{name} must be at least {least}")
         # seed ranges: training pairs, then each noise level's test instances
         for name, most in (("train_instances", _TEST_SEED_BASE - _TRAIN_SEED_BASE),
@@ -281,19 +287,26 @@ def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     ordered by instance index regardless of worker completion order.
 
     The split is cut by ``solvers.chunks`` into chunks of consecutive instances
-    for min(``cfg.workers``, usable CPUs) processes, each chunk one task; a pool
-    starts only for two or more of both. A row's ``wall_ms`` is the time spent
-    building its own K and X_init, plus an equal share of the time its solver
-    took to solve and discretise the whole chunk.
+    for min(``cfg.workers``, usable CPUs) processes (every usable CPU when
+    ``cfg.workers`` is None), each chunk one task; a pool starts only for two
+    or more of both, and is shut down before this returns. Under the
+    ``spawn`` or ``forkserver`` start method a calling script needs an
+    ``if __name__ == "__main__"`` guard. A row's ``wall_ms``, timed in the
+    process that solved it, is the time spent building its own K and X_init,
+    plus an equal share of the time its solver took to solve and discretise
+    the whole chunk.
 
     First it keeps the memory it frees for the next instance (glibc only;
-    ``allocator.keep_freed_heap``): later instances take no page faults, and
-    the resident size stays at its peak between instances."""
+    ``allocator.keep_freed_heap``; forked workers inherit the policy): later
+    instances take no page faults, and the resident size of the process that
+    solves them, with a pool a worker and not the caller, stays at its peak
+    between instances."""
     keep_freed_heap()
     store = load_store(cfg)
     split = test_split(cfg)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    procs = min(cfg.workers, cpus or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()) or 1
+    procs = min(cfg.workers or cpus, cpus)
     tasks = [(cfg, chunk, store, solvers) for chunk in chunks(split, cfg.n, procs)]
     if procs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(procs, len(tasks))) as pool:

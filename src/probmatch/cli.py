@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--affinity-source", dest="affinity_source", choices=AFFINITY_SOURCES)
     p.add_argument("--ablation", choices=ABLATIONS)
     p.add_argument("--checkpoint")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="most processes to solve in (default: every usable CPU)")
 
     p = sub.add_parser("train", help="train the predictor and evaluate it")
     _add_common(p)

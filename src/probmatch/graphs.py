@@ -100,8 +100,9 @@ class AAGraph:
     @cached_property
     def incidences(self) -> tuple:
         """``(src, dst)``: the ``linalg.Incidence`` of the edges' first and
-        second ends into the n1 * n2 matches."""
-        return tuple(Incidence(self.edges[:, k], self.n1 * self.n2) for k in (0, 1))
+        second ends into the n1 * n2 matches, sharing one all-ones data array."""
+        src = Incidence(self.edges[:, 0], self.n1 * self.n2)
+        return src, Incidence(self.edges[:, 1], self.n1 * self.n2, shares=src)
 
 
 def delaunay_adjacency(points: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -148,20 +148,28 @@ class Incidence:
     ``stable_csr`` form: row i lists the positions k with index[k] = i in
     increasing order. ``add_rows`` adds rows through it in the order k, as
     numpy's unbuffered ``add.at`` does, so the result is bitwise the same at
-    a fraction of its cost. Raises TypeError unless ``index`` has an integer
-    dtype, which numpy would otherwise truncate or read as a mask, and
-    ValueError unless every entry lies in [0, size).
+    a fraction of its cost. The matrix's data is all ones; given ``shares``,
+    an incidence of as many entries, it keeps that one's data instead of its
+    own, as the two ends of one edge list do. Raises TypeError unless
+    ``index`` has an integer dtype, which numpy would otherwise truncate or
+    read as a mask, and ValueError unless every entry lies in [0, size) and
+    ``shares`` has as many entries.
     """
 
     __slots__ = ("index", "size", "csr")
 
-    def __init__(self, index, size: int):
+    def __init__(self, index, size: int, shares: Incidence | None = None):
         index = np.asarray(index)
         if not np.issubdtype(index.dtype, np.integer):
             raise TypeError(f"an index must be of an integer dtype, got {index.dtype}")
         m = index.size
+        if shares is not None and shares.index.size != m:
+            raise ValueError(f"expected an incidence of {m} entries to share, "
+                             f"got {shares.index.size}")
+        ones = np.ones(m) if shares is None else shares.csr[2]
         self.index, self.size = index, size
-        self.csr = stable_csr(size, m, index, np.arange(m), np.ones(m))
+        indptr, indices, _ = stable_csr(size, m, index, np.arange(m), ones)
+        self.csr = (indptr, indices, ones)
 
     def add_rows(self, out: np.ndarray, rows: np.ndarray):
         """``out[index[k]] += rows[k]`` for k = 0, 1, ..., in place."""

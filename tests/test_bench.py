@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -69,6 +70,7 @@ def test_config_validation():
     dict(noise_levels=(0.01, 0.01)),
     dict(workers=0),
     dict(batch_size=0),
+    dict(workers=-1),
 ])
 def test_bad_sizes_rejected(overrides):
     with pytest.raises(ConfigError):
@@ -109,12 +111,19 @@ def test_bad_sizes_rejected(overrides):
     (dict(noise_levels=(0.01, 2e-7, 2.0000001e-7)),
      "noise_levels must have distinct labels at 6 significant digits, "
      "got noise=0.01, noise=2e-07, noise=2e-07"),
+    (dict(workers=-1), "workers must be at least 1"),
 ])
 def test_config_rules_run_at_construction_and_on_replace(overrides, message):
     with pytest.raises(ConfigError, match=f"^{message}"):
         _tiny_cfg(**overrides)
     with pytest.raises(ConfigError, match=f"^{message}"):
         dataclasses.replace(_tiny_cfg(), **overrides)
+
+
+def test_workers_default_to_none_and_accept_none():
+    assert ExperimentConfig().workers is None
+    assert _tiny_cfg(workers=None).workers is None
+    assert dataclasses.replace(_tiny_cfg(workers=2), workers=None).workers is None
 
 
 def test_config_stores_noise_levels_as_a_tuple():
@@ -217,7 +226,7 @@ def test_chunked_rows_equal_per_instance_solves(tmp_path, monkeypatch):
     monkeypatch.setattr(solvers_module, "_CHUNK_ENTRIES", 75)
     for source in AFFINITY_SOURCES:
         cfg = _tiny_cfg(noise_levels=(0.02, 0.1), instances=4, affinity_source=source,
-                        checkpoint=_untrained_checkpoint(tmp_path))
+                        checkpoint=_untrained_checkpoint(tmp_path), workers=1)
         assert [len(c) for c in chunks(list(range(8)), cfg.n, cfg.workers)] == [3, 3, 2]
         store = bench.load_store(cfg)
         expected = {s: [] for s in SOLVERS}
@@ -260,7 +269,8 @@ def test_chunked_dpgm_rows_equal_per_instance_solves(tmp_path, monkeypatch):
     for source, ablation in (("handcrafted", "full"), ("learned", "full"),
                              ("learned", "tia"), ("learned", "wps")):
         cfg = _tiny_cfg(noise_levels=(0.01, 0.1), instances=4, affinity_source=source,
-                        ablation=ablation, checkpoint=checkpoint, solver_cfg=SolverConfig())
+                        ablation=ablation, checkpoint=checkpoint, solver_cfg=SolverConfig(),
+                        workers=1)
         store = bench.load_store(cfg)
         expected = []
         for index, noise, seed in bench.test_split(cfg):
@@ -283,7 +293,7 @@ def test_chunked_dpgm_rows_equal_per_instance_solves(tmp_path, monkeypatch):
 
 def test_runner_solves_each_dpgm_chunk_in_one_call(monkeypatch):
     calls = _counting_solve(monkeypatch)
-    cfg = _tiny_cfg(noise_levels=(0.02, 0.05), instances=6)
+    cfg = _tiny_cfg(noise_levels=(0.02, 0.05), instances=6, workers=1)
     run_experiment(cfg)
     assert calls == [12]
     calls.clear()
@@ -336,6 +346,10 @@ def _serial_pool(monkeypatch, cpus):
     (10 ** 6, 2, 4, [2]),   # two chunks, however many workers are allowed
     (3, 8, 2, [2]),         # no more processes than CPUs
     (4, 1, 4, []),          # one chunk runs in this process
+    (None, 8, 2, [2]),      # by default, every CPU ...
+    (None, 8, 4, [4]),
+    (None, 3, 4, [3]),      # ... but no more processes than chunks
+    (None, 8, 1, []),       # one CPU runs in this process
 ])
 def test_pool_is_sized_by_the_cpus_and_the_chunks(monkeypatch, workers, instances, cpus,
                                                   pools):
@@ -347,10 +361,30 @@ def test_pool_is_sized_by_the_cpus_and_the_chunks(monkeypatch, workers, instance
     assert _rows_without_wall_time(rows) == _rows_without_wall_time(serial)
 
 
+def test_default_run_leaves_no_process_and_the_rows_of_a_serial_run(monkeypatch):
+    sizes = []
+
+    class RecordedPool(bench.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordedPool)
+    cfg = _tiny_cfg(noise_levels=(0.02, 0.1), instances=4)
+    rows, table = run_experiment(cfg).rows_csv(), compare_solvers(cfg)
+    assert not multiprocessing.active_children()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    procs = len(chunks(bench.test_split(cfg), cfg.n, cpus))
+    assert sizes == ([] if procs == 1 else [procs] * 2)
+    for workers in (1, 2):
+        serial = dataclasses.replace(cfg, workers=workers)
+        assert (run_experiment(serial).rows_csv(), compare_solvers(serial)) == (rows, table)
+
+
 _SECOND_RUN_FAULTS = """
 import resource
 from probmatch.bench import ExperimentConfig, run_experiment
-cfg = ExperimentConfig(n=60, instances=4, seed=0)
+cfg = ExperimentConfig(n=60, instances=4, seed=0, workers=1)
 run_experiment(cfg)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run_experiment(cfg)
@@ -481,7 +515,7 @@ def test_compare_solvers_builds_each_instance_once(tmp_path, monkeypatch):
                         counting("learned_affinity", bench.learned_affinity))
     monkeypatch.setattr(ParamStore, "load", counting("load", ParamStore.load))
     cfg = _tiny_cfg(instances=3, noise_levels=(0.0, 0.03), affinity_source="learned",
-                    checkpoint=_untrained_checkpoint(tmp_path))
+                    checkpoint=_untrained_checkpoint(tmp_path), workers=1)
     table = compare_solvers(cfg)
     assert len(table.strip().splitlines()) == 1 + len(SOLVERS)
     assert calls == {"synthesize_pair": 6, "learned_affinity": 6, "load": 1}

@@ -144,6 +144,15 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 4   # header + 3 (flag overrode file)
 
 
+@pytest.mark.parametrize("workers", [None, 2])
+def test_config_workers_is_echoed_in_the_summary(tmp_path, capsys, workers):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 5, "instances": 2, "workers": workers}))
+    code, _ = _run(capsys, ["bench", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert f'"workers": {json.dumps(workers)}' in (tmp_path / "report_summary.json").read_text()
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"grid_size": 9}))
@@ -267,6 +276,8 @@ def test_bad_training_config_exits_with_one_line_before_work(tmp_path, capsys, m
      "train_instances must be at most 10000, so seed ranges stay disjoint"),
     ("compare", {"noise_levels": [0.3, 0.30000001]},
      "noise_levels must have distinct labels at 6 significant digits, got noise=0.3, noise=0.3"),
+    ("bench", {"workers": 0}, "workers must be at least 1"),
+    ("compare", {"workers": -1}, "workers must be at least 1"),
 ])
 def test_bad_config_value_exits_with_one_line_before_work(tmp_path, capsys, monkeypatch,
                                                          command, values, message):
@@ -318,7 +329,7 @@ def test_gen_writes_the_pairs_bench_evaluates(tmp_path, capsys, monkeypatch):
         return pair
 
     monkeypatch.setattr(bench, "synthesize_pair", recording_synthesize_pair)
-    assert main(["bench"] + argv) == 0
+    assert main(["bench", "--workers", "1"] + argv) == 0
     assert len(evaluated) == len(written) == 6
     for got, want in zip(evaluated, written):
         assert np.array_equal(got.g1.points, want.g1.points)

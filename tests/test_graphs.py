@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,15 +312,58 @@ def test_aa_graph_keeps_the_incidences_of_a_fresh_sort():
 def test_aa_graph_builds_its_incidences_once(monkeypatch):
     built = []
 
-    def counted(index, size):
+    def counted(index, size, **kwargs):
         built.append(size)
-        return Incidence(index, size)
+        return Incidence(index, size, **kwargs)
 
     monkeypatch.setattr(graphs, "Incidence", counted)
     pair = synthesize_pair(6, 0.03, seed=4)
     aa = build_aa_graph(pair.g1, pair.g2)
     kept = aa.incidences
     assert aa.incidences is kept and built == [36, 36]
+
+
+def _array_bytes_kept(build):
+    """Bytes of numpy data that ``build()`` allocates and keeps, by
+    tracemalloc, with what it returns."""
+    only_arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only_arrays)
+        kept = build()
+        after = tracemalloc.take_snapshot().filter_traces(only_arrays)
+    finally:
+        tracemalloc.stop()
+    return sum(stat.size_diff for stat in after.compare_to(before, "filename")), kept
+
+
+@pytest.mark.parametrize("n, seed", [(5, 2), (8, 5), (20, 1)])
+def test_aa_graph_incidences_share_one_data_array(n, seed):
+    # both ends' 0/1 incidences keep one all-ones array: 8 bytes less per
+    # edge than two incidences built apart, and the same sums
+    pair = synthesize_pair(n, 0.03, seed=seed)
+    aa = build_aa_graph(pair.g1, pair.g2)
+    N, m = n * n, len(aa.edges)
+    apart_bytes, apart = _array_bytes_kept(
+        lambda: [Incidence(aa.edges[:, k], N) for k in (0, 1)])
+    shared_bytes, (src, dst) = _array_bytes_kept(lambda: aa.incidences)
+    assert apart_bytes - shared_bytes == 8 * m
+    assert dst.csr[2] is src.csr[2]
+    rows = np.random.default_rng(seed).normal(size=(m, 3))
+    for inc, alone, column in zip((src, dst), apart, aa.edges.T):
+        got, want, reference = np.zeros((3, N, 3))
+        inc.add_rows(got, rows)
+        alone.add_rows(want, rows)
+        np.add.at(reference, column, rows)
+        _assert_bitwise(got, want, "shared data")
+        _assert_bitwise(got, reference, "add.at")
+
+
+def test_an_incidence_shares_only_data_of_its_own_length():
+    # the native kernel would read the shorter array past its end
+    src = Incidence(np.array([0, 1, 2]), 4)
+    with pytest.raises(ValueError, match="expected an incidence of 2 entries to share, got 3"):
+        Incidence(np.array([3, 0]), 4, shares=src)
 
 
 # ---------------------------------------------------------------------------

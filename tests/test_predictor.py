@@ -323,6 +323,45 @@ def test_solve_tape_gradient_matches_finite_differences(stop_eta):
     assert stops == ({"max_iters"} if stop_eta == 1e-300 else {"early_stop", "max_iters"})
 
 
+def test_solve_tape_gradient_of_a_chunk_that_stops_at_different_iterations():
+    # instances leave the chunk at different iterations, so the backward's
+    # live set grows as t falls; every squared change the solve compares
+    # with stop_eta lies at least 1.5 times from it, so the perturbed solves
+    # stop where this one did
+    rng = np.random.default_rng(25)
+    n, B, step = 5, 4, 1e-6
+    cfg = SolverConfig(stop_eta=1e-2)
+    insts = []
+    for _ in range(B):
+        _, p, q, e = random_pairs(rng, n, n)
+        x = rng.uniform(0.05, 1.0, size=n * n)
+        insts.append((x, e * rng.uniform(0.5, 1.5, size=e.size), aa_graph_of_pairs(n, n, p, q)))
+    xs, es, aas = (list(v) for v in zip(*insts))
+    ws = rng.normal(size=(B, n * n))
+
+    def loss(x_in, e_in):
+        outs = solve_tape(x_in, e_in, aas, cfg)
+        return reduce(ad.add, [ad.tsum(ad.mul(X_b, w)) for X_b, w in zip(outs, ws)])
+
+    txs, tes = [Tensor(x.copy()) for x in xs], [Tensor(e.copy()) for e in es]
+    loss(txs, tes).backward()
+    dxs, des = [rng.normal(size=x.size) for x in xs], [rng.normal(size=e.size) for e in es]
+    plus, minus = (loss([Tensor(x + sign * step * d) for x, d in zip(xs, dxs)],
+                        [Tensor(e + sign * step * d) for e, d in zip(es, des)]).data
+                   for sign in (1, -1))
+    fd = (plus - minus) / (2.0 * step)
+    g = sum(t.grad @ d for t, d in zip(txs + tes, dxs + des))
+    assert abs(g - fd) <= 1e-6 * max(abs(g), abs(fd)), (g, fd)
+
+    Ks = [SparseAffinity.symmetric(n, n, x, *aa.edges.T, e) for x, e, aa in zip(xs, es, aas)]
+    _, traces = probabilistic_solve(Ks, np.stack(xs).reshape(B, n, n), cfg)
+    assert len({trace.iterations for trace in traces}) >= 2
+    for trace in traces:
+        A = trace.assignments
+        for d in (((A[t + 1] - A[t]) ** 2).sum() for t in range(trace.iterations)):
+            assert not cfg.stop_eta / 1.5 < d < cfg.stop_eta * 1.5, d
+
+
 def test_solve_tape_backward_products_are_bitwise_the_triplet_kernel(monkeypatch):
     # the backward multiplies by K and by its transpose, whose triplets are
     # K's with rows and cols swapped, through a view of its own
