@@ -16,7 +16,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
 import os
+import sys
+import threading
 import time
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
@@ -57,8 +60,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Every option of an experiment, checked when built (``ConfigError``).
 
-    ``workers`` bounds the processes the runner starts; the default, None,
-    uses every usable CPU, and 1 solves every chunk in the calling process.
+    ``workers`` bounds the processes the runner starts, and 1 solves every
+    chunk in the calling process; the default, None, is ``_default_workers``.
     Rows are the same for every value."""
 
     # dataset
@@ -281,20 +284,44 @@ def _stats(rows: list) -> dict:
     }
 
 
+# The default pool's least work, in assignment entries (instances * n^2).
+# Two processes paid 1.5x or more from here on (bench and compare, n = 8 to
+# 100, 2 cores); below it a run can be slower pooled than serial (0.6x for
+# 50 instances at n = 8): forking and joining two workers cost about 12 ms,
+# and each of two processes on 2 cores solved a chunk 1.3-1.6x slower than
+# one process alone.
+_POOL_ENTRIES = 100_000
+
+
+def _default_workers(cfg: ExperimentConfig, split: list) -> int:
+    """The bound on the runner's processes when ``cfg.workers`` is None.
+
+    Two for the handcrafted source on Linux with at least ``_POOL_ENTRIES``
+    to solve: the most that were measured, where they were measured to pay;
+    there the workers fork, and solve with one thread each. One otherwise:
+    the learned source's forked workers keep the BLAS threads they inherit
+    and crowd the CPUs, a spawned worker imports the calling script again,
+    and a fork while another Python thread runs can leave the child holding
+    a lock that no thread will release."""
+    forks = sys.platform == "linux" and threading.active_count() == 1
+    pays = cfg.affinity_source == "handcrafted" and len(split) * cfg.n ** 2 >= _POOL_ENTRIES
+    return 2 if forks and pays else 1
+
+
 def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     """Load the checkpoint, then generate and build each test instance once and
     solve it with every solver in ``solvers``. Returns each solver's rows,
     ordered by instance index regardless of worker completion order.
 
     The split is cut by ``solvers.chunks`` into chunks of consecutive instances
-    for min(``cfg.workers``, usable CPUs) processes (every usable CPU when
+    for min(``cfg.workers``, usable CPUs) processes (``_default_workers`` when
     ``cfg.workers`` is None), each chunk one task; a pool starts only for two
-    or more of both, and is shut down before this returns. Under the
-    ``spawn`` or ``forkserver`` start method a calling script needs an
-    ``if __name__ == "__main__"`` guard. A row's ``wall_ms``, timed in the
-    process that solved it, is the time spent building its own K and X_init,
-    plus an equal share of the time its solver took to solve and discretise
-    the whole chunk.
+    or more of both, and is shut down before this returns. On Linux the
+    workers fork; elsewhere they start by the platform's default method, and
+    under ``spawn`` a calling script needs an ``if __name__ == "__main__"``
+    guard. A row's ``wall_ms``, timed in the process that solved it, is the
+    time spent building its own K and X_init, plus an equal share of the time
+    its solver took to solve and discretise the whole chunk.
 
     First it keeps the memory it frees for the next instance (glibc only;
     ``allocator.keep_freed_heap``; forked workers inherit the policy): later
@@ -306,10 +333,11 @@ def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     split = test_split(cfg)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count()) or 1
-    procs = min(cfg.workers or cpus, cpus)
+    procs = min(cfg.workers or _default_workers(cfg, split), cpus)
     tasks = [(cfg, chunk, store, solvers) for chunk in chunks(split, cfg.n, procs)]
     if procs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(procs, len(tasks))) as pool:
+        fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+        with ProcessPoolExecutor(max_workers=min(procs, len(tasks)), mp_context=fork) as pool:
             per_chunk = list(pool.map(_run_chunk, *zip(*tasks)))
     else:
         per_chunk = [_run_chunk(*t) for t in tasks]

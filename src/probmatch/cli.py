@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation", choices=ABLATIONS)
     p.add_argument("--checkpoint")
     p.add_argument("--workers", type=int,
-                   help="most processes to solve in (default: every usable CPU)")
+                   help="most processes to solve in (default: 1, or 2 for a handcrafted "
+                        "run of at least 100,000 assignment entries on Linux)")
 
     p = sub.add_parser("train", help="train the predictor and evaluate it")
     _add_common(p)

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -324,7 +325,7 @@ def _serial_pool(monkeypatch, cpus):
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -346,9 +347,9 @@ def _serial_pool(monkeypatch, cpus):
     (10 ** 6, 2, 4, [2]),   # two chunks, however many workers are allowed
     (3, 8, 2, [2]),         # no more processes than CPUs
     (4, 1, 4, []),          # one chunk runs in this process
-    (None, 8, 2, [2]),      # by default, every CPU ...
-    (None, 8, 4, [4]),
-    (None, 3, 4, [3]),      # ... but no more processes than chunks
+    (None, 8, 2, [2]),      # by default, two processes on Linux ...
+    (None, 8, 4, [2]),      # ... however many CPUs there are
+    (None, 1, 4, []),       # ... but no more processes than chunks
     (None, 8, 1, []),       # one CPU runs in this process
 ])
 def test_pool_is_sized_by_the_cpus_and_the_chunks(monkeypatch, workers, instances, cpus,
@@ -356,29 +357,123 @@ def test_pool_is_sized_by_the_cpus_and_the_chunks(monkeypatch, workers, instance
     cfg = _tiny_cfg(noise_levels=(0.02,), instances=instances, workers=workers)
     serial = bench._run(dataclasses.replace(cfg, workers=1), SOLVERS)
     sizes = _serial_pool(monkeypatch, cpus)
+    monkeypatch.setattr(bench, "_POOL_ENTRIES", 0)   # any run has work enough
     rows = bench._run(cfg, SOLVERS)
-    assert sizes == pools
+    assert sizes == (pools if workers or sys.platform == "linux" else [])
     assert _rows_without_wall_time(rows) == _rows_without_wall_time(serial)
 
 
+def test_default_pool_needs_work_enough_and_a_given_bound_does_not(monkeypatch):
+    cfg = _tiny_cfg(noise_levels=(0.02,), instances=8)   # 8 * 5^2 = 200 entries
+    sizes = _serial_pool(monkeypatch, 4)
+    monkeypatch.setattr(bench, "_POOL_ENTRIES", 201)
+    bench._run(cfg, SOLVERS)
+    assert sizes == []
+    bench._run(dataclasses.replace(cfg, workers=3), SOLVERS)
+    assert sizes == [3]
+
+
+def test_learned_source_solves_in_this_process_by_default(monkeypatch, tmp_path):
+    # its forked workers would keep the BLAS threads they inherit
+    cfg = _tiny_cfg(noise_levels=(0.02,), instances=8, affinity_source="learned",
+                    checkpoint=_untrained_checkpoint(tmp_path))
+    sizes = _serial_pool(monkeypatch, 4)
+    monkeypatch.setattr(bench, "_POOL_ENTRIES", 0)
+    bench._run(cfg, SOLVERS)
+    assert sizes == []
+    bench._run(dataclasses.replace(cfg, workers=4), SOLVERS)
+    assert sizes == [4]
+
+
+@pytest.mark.parametrize("platform_name, source, instances, thread, bound", [
+    ("linux", "handcrafted", 4000, False, 2),  # 4000 * 5^2 = _POOL_ENTRIES
+    ("linux", "handcrafted", 3999, False, 1),
+    ("linux", "learned", 4000, False, 1),
+    ("linux", "handcrafted", 4000, True, 1),
+    ("darwin", "handcrafted", 4000, False, 1), ("win32", "handcrafted", 4000, False, 1),
+])
+def test_default_workers_follow_the_work_the_source_the_platform_and_the_threads(
+        monkeypatch, platform_name, source, instances, thread, bound):
+    cfg = _tiny_cfg(affinity_source=source, checkpoint="unread.ckpt")
+    monkeypatch.setattr(bench.sys, "platform", platform_name)
+    release = threading.Event()
+    held = threading.Thread(target=release.wait, daemon=True)
+    if thread:
+        held.start()
+    try:
+        assert bench._default_workers(cfg, [None] * instances) == bound
+    finally:
+        release.set()
+        if thread:
+            held.join(timeout=10)
+    assert not held.is_alive()
+
+
 def test_default_run_leaves_no_process_and_the_rows_of_a_serial_run(monkeypatch):
-    sizes = []
+    pools = []
 
     class RecordedPool(bench.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
+        def __init__(self, max_workers, mp_context=None):
+            pools.append((max_workers, mp_context))
+            super().__init__(max_workers, mp_context)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(bench, "_POOL_ENTRIES", 0)
     cfg = _tiny_cfg(noise_levels=(0.02, 0.1), instances=4)
     rows, table = run_experiment(cfg).rows_csv(), compare_solvers(cfg)
     assert not multiprocessing.active_children()
+    split = bench.test_split(cfg)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    procs = len(chunks(bench.test_split(cfg), cfg.n, cpus))
-    assert sizes == ([] if procs == 1 else [procs] * 2)
+    procs = min(bench._default_workers(cfg, split), cpus)
+    tasks = len(chunks(split, cfg.n, procs))
+    assert [size for size, _ in pools] == ([] if procs == 1 else [min(procs, tasks)] * 2)
+    if sys.platform == "linux":
+        assert all(context.get_start_method() == "fork" for _, context in pools)
     for workers in (1, 2):
         serial = dataclasses.replace(cfg, workers=workers)
         assert (run_experiment(serial).rows_csv(), compare_solvers(serial)) == (rows, table)
+
+
+_FORK_THREADS = """
+import os
+import probmatch.bench as bench
+
+def threads():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("Threads:"))
+
+at_fork, fork = [], os.fork
+
+def counted_fork():
+    pid = fork()
+    if pid:
+        at_fork.append(threads())
+    return pid
+
+os.fork = counted_fork
+os.sched_getaffinity = lambda pid: {0, 1}
+bench._POOL_ENTRIES = 0
+before = threads()
+cfg = bench.ExperimentConfig(n=5, noise_levels=(0.02,), instances=4)
+rows = bench.run_experiment(cfg).rows_csv()
+assert rows == bench.run_experiment(bench.replace(cfg, workers=1)).rows_csv()
+print(before, at_fork)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the runner forks on Linux only")
+def test_default_pool_forks_with_warnings_as_errors_while_blas_has_threads():
+    # Python 3.12+ warns when it forks a process with more than one OS thread;
+    # OpenBLAS's fork handler stops its threads first, so the parent forks
+    # each worker alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-W", "error", "-c", _FORK_THREADS], env=env,
+                         check=True, capture_output=True, text=True, timeout=300).stdout
+    before, at_fork = out.split(" ", 1)
+    if int(before) == 1:
+        pytest.skip("this numpy's BLAS starts no threads at import")
+    assert at_fork.strip() == "[1, 1]"
 
 
 _SECOND_RUN_FAULTS = """
