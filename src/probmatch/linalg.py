@@ -101,17 +101,6 @@ class SparseAffinity:
         return SparseAffinity(self.n1, self.n2, self.unary.copy(),
                               self.rows.copy(), self.cols.copy(), self.vals.copy())
 
-    def to_dense(self) -> np.ndarray:
-        size = self.size
-        # int64, since int32 would wrap from size**2 >= 2**31
-        off = np.bincount(self.rows.astype(np.int64) * size + self.cols, weights=self.vals,
-                          minlength=size * size)
-        return np.diag(self.unary) + off.reshape(size, size)
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        dense = self.to_dense()
-        return bool(np.all(np.abs(dense - dense.T) <= tol))
-
 
 def stable_csr(n_row: int, n_col: int, rows, cols, vals) -> tuple:
     """(indptr, indices, data) of the triplets as an n_row x n_col CSR matrix.

@@ -7,8 +7,8 @@ affinity-bearing match pair. The decoded assignment seeds the probabilistic
 solver, whose output is supervised with a balanced cross-entropy loss against
 the ground-truth permutation. The learned operator is ``SparseAffinity.symmetric``
 over the AA-edges, weighted by the edge scores, with the assignment scores as
-its diagonal. Training runs the numpy solver as one tape node per chunk
-that ``solvers.chunks`` cuts (``solvers.solve_tape``); inference runs the
+its diagonal. Training builds each chunk's losses, the chunks cut by
+``solvers.chunks``, in one function (``chunk_losses``); inference runs the
 same predictor forward without a tape (``learned_affinity``) and the solver
 through ``dpgm_assignment``, one call per chunk, as the experiment runner
 does. Each update round is two tape nodes, an edge and a node update, that
@@ -198,9 +198,9 @@ def dpgm_assignment(Ks, X_init: np.ndarray, scfg: SolverConfig, ablation: str):
 
 def pipeline_forward(aa: AAGraph, store: ParamStore, pcfg: PredictorConfig,
                      scfg: SolverConfig) -> Tensor:
-    """Training forward: the predictor, then the solver node from the decoded
-    assignment; returns the flat final assignment vector on the tape.
-    Inference runs ``learned_affinity`` and ``dpgm_assignment`` instead."""
+    """One pair's predictor, then the solver node from the decoded assignment;
+    returns the flat final assignment vector on the tape. Training runs
+    ``chunk_losses``, inference ``learned_affinity`` and ``dpgm_assignment``."""
     x_scores, e_scores = predictor_forward(aa, store, pcfg)
     return solve_tape([x_scores], [e_scores], [aa], scfg)[0]
 
@@ -218,10 +218,24 @@ def balanced_ce_loss(x: Tensor, x_gt: np.ndarray, cfg: LossConfig) -> Tensor:
     return ad.mul(ad.tsum(ad.add(pos, neg)), -1.0)
 
 
+def chunk_losses(chunk, store: ParamStore, pcfg: PredictorConfig, scfg: SolverConfig,
+                 lcfg: LossConfig) -> list[Tensor]:
+    """The training loss of each ``(aa, gt_vec)`` pair of a chunk of one size.
+
+    Runs the pairs' predictor forwards, one solver node for the chunk
+    (``solvers.solve_tape``) and each pair's ``balanced_ce_loss``. A backward
+    from the losses' sum finishes each pair's predictor before the next
+    pair's, so every gradient is bitwise what a backward per pair would give.
+    """
+    scores = [predictor_forward(aa, store, pcfg) for aa, _ in chunk]
+    xs = solve_tape(*zip(*scores), [aa for aa, _ in chunk], scfg)
+    return [balanced_ce_loss(x, gt_vec, lcfg) for x, (_, gt_vec) in zip(xs, chunk)]
+
+
 def instance_loss(aa: AAGraph, gt_vec: np.ndarray, store: ParamStore,
                   pcfg: PredictorConfig, scfg: SolverConfig, lcfg: LossConfig) -> Tensor:
-    x = pipeline_forward(aa, store, pcfg, scfg)
-    return balanced_ce_loss(x, gt_vec, lcfg)
+    """``chunk_losses`` of a chunk of one: the loss ``train`` descends."""
+    return chunk_losses([(aa, gt_vec)], store, pcfg, scfg, lcfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +297,8 @@ def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
     first 32 training pairs) reaches it. Deterministic given ``seed``.
 
     Each batch's consecutive pairs of one size are cut by ``solvers.chunks``,
-    as ``evaluate`` cuts them. A chunk of B pairs runs B predictor forwards
-    and one solver node (``solvers.solve_tape``), so its B tapes are held at
-    once, and one backward from the sum of the pairs' losses. That sweep
-    finishes each pair's predictor before the next pair's, so every gradient
-    and loss is bitwise what a backward per pair would give. Each pair's AA
+    as ``evaluate`` cuts them, and one backward runs from the sum of each
+    chunk's ``chunk_losses``, whose B tapes are held at once. Each pair's AA
     graph and its incidences (``AAGraph.incidences``) are built for the
     whole set before the first step: built on first use, they land among a
     step's freed tapes, and train-n8's peak resident size rose by up to
@@ -327,12 +338,9 @@ def train(pairs: list[GraphPair], pcfg: PredictorConfig, scfg: SolverConfig,
             store.zero_grad()
             for (n, _), run in groupby(batch, key=lambda item: (item[0].n1, item[0].n2)):
                 for chunk in chunks(list(run), n):
-                    scores = [predictor_forward(aa, store, pcfg) for aa, _ in chunk]
-                    xs = solve_tape(*zip(*scores), [aa for aa, _ in chunk], scfg)
-                    chunk_losses = [balanced_ce_loss(x, gt_vec, lcfg)
-                                    for x, (_, gt_vec) in zip(xs, chunk)]
-                    reduce(ad.add, chunk_losses).backward()
-                    losses += [float(loss.data) for loss in chunk_losses]
+                    pair_losses = chunk_losses(chunk, store, pcfg, scfg, lcfg)
+                    reduce(ad.add, pair_losses).backward()
+                    losses += [float(loss.data) for loss in pair_losses]
             store.adam_step(lr=lr)
         entry = {"epoch": epoch, "mean_loss": float(np.mean(losses))}
         if target_accuracy is not None:

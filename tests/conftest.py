@@ -19,8 +19,8 @@ from probmatch.graphs import (
 )
 from probmatch.linalg import (FLOOR, Incidence, SparseAffinity, perm_matrix, sinkhorn,
                               sinkhorn_vjp, spmv)
-from probmatch.predictor import init_params, instance_loss
-from probmatch.solvers import probabilistic_solve
+from probmatch.predictor import balanced_ce_loss, init_params, predictor_forward
+from probmatch.solvers import probabilistic_solve, solve_tape
 
 
 def random_pairs(rng, n1, n2, density=0.3):
@@ -49,6 +49,21 @@ def aa_graph_of_pairs(n1, n2, p, q):
 def random_sparse_affinity(rng, n1, n2, density=0.3):
     """Random symmetric nonnegative operator with unary diagonal."""
     return SparseAffinity.symmetric(n1, n2, *random_pairs(rng, n1, n2, density))
+
+
+def to_dense(K):
+    """The dense matrix of a ``SparseAffinity``: its unary diagonal plus every
+    off-diagonal triplet, repeated entries summed."""
+    size = K.size
+    # int64, since int32 would wrap from size**2 >= 2**31
+    off = np.bincount(K.rows.astype(np.int64) * size + K.cols, weights=K.vals,
+                      minlength=size * size)
+    return np.diag(K.unary) + off.reshape(size, size)
+
+
+def is_symmetric(K, tol=0.0):
+    dense = to_dense(K)
+    return bool(np.all(np.abs(dense - dense.T) <= tol))
 
 
 def int64_copy(K):
@@ -445,9 +460,10 @@ def reference_solve_tape(x, e, aa, cfg):
 
 
 def reference_train(pairs, pcfg, scfg, lcfg, epochs, lr=1e-3, batch_size=8, seed=0):
-    """``predictor.train`` without a target accuracy, one pair at a time: a
-    forward and a backward per pair, each pair's solve alone, the loop
-    training ran before it solved a chunk in one node."""
+    """``predictor.train`` without a target accuracy, one pair at a time and
+    built apart from ``predictor.chunk_losses``: a forward and a backward per
+    pair, each pair's solve alone, the loop training ran before it solved a
+    chunk in one node."""
     store = init_params(pcfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     prepared = [(build_aa_graph(pair.g1, pair.g2), perm_matrix(pair.ground_truth).ravel())
@@ -459,7 +475,9 @@ def reference_train(pairs, pcfg, scfg, lcfg, epochs, lr=1e-3, batch_size=8, seed
         for start in range(0, len(order), batch_size):
             store.zero_grad()
             for idx in order[start:start + batch_size]:
-                loss = instance_loss(*prepared[idx], store, pcfg, scfg, lcfg)
+                aa, gt_vec = prepared[idx]
+                x, e = predictor_forward(aa, store, pcfg)
+                loss = balanced_ce_loss(solve_tape([x], [e], [aa], scfg)[0], gt_vec, lcfg)
                 loss.backward()
                 losses.append(float(loss.data))
             store.adam_step(lr=lr)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import builder_graph_pairs, random_sparse_affinity, reference_edge_pairs
+from conftest import (builder_graph_pairs, is_symmetric, random_sparse_affinity,
+                      reference_edge_pairs, to_dense)
 from probmatch.affinity import AffinityConfig, assemble_affinity, objective
 from probmatch.graphs import FEATURE_DIM, AttributedGraph, synthesize_pair
 from probmatch.linalg import SparseAffinity, perm_matrix
@@ -46,7 +47,7 @@ def test_config_rejects_nonpositive_bandwidths():
 def test_identical_graphs_matching_edges_score_one():
     pair = synthesize_pair(5, 0.0, seed=2, translation_max=0.0)
     K = assemble_affinity(pair.g1, pair.g1)
-    dense = K.to_dense()
+    dense = to_dense(K)
     n = 5
     for i in range(n):
         for j in range(n):
@@ -70,7 +71,7 @@ def test_assembly_matches_naive_loop_oracle():
     pair = synthesize_pair(3, 0.02, seed=5)
     cfg = AffinityConfig()
     K = assemble_affinity(pair.g1, pair.g2, cfg)
-    assert np.allclose(K.to_dense(), _naive_affinity(pair.g1, pair.g2, cfg),
+    assert np.allclose(to_dense(K), _naive_affinity(pair.g1, pair.g2, cfg),
                        atol=1e-12)
 
 
@@ -102,7 +103,7 @@ def test_values_in_unit_interval_and_symmetric():
     for seed in range(5):
         pair = synthesize_pair(6, 0.05, rotation_max=0.2, seed=seed)
         K = assemble_affinity(pair.g1, pair.g2)
-        assert K.is_symmetric(tol=1e-12)
+        assert is_symmetric(K, tol=1e-12)
         assert np.all(K.unary >= 0) and np.all(K.unary <= 1)
         assert np.all(K.vals >= 0) and np.all(K.vals <= 1)
 
@@ -125,7 +126,7 @@ def test_objective_matches_dense_quadratic_form():
     rng = np.random.default_rng(8)
     K = random_sparse_affinity(rng, 3, 3, density=0.3)
     x = rng.uniform(0, 1, size=9)
-    dense = K.to_dense()
+    dense = to_dense(K)
     assert objective(K, x) == pytest.approx(x @ dense @ x, abs=1e-12)
 
 

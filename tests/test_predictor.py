@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (aa_graph_of_pairs, random_pairs, reference_solve_tape, reference_spmv,
-                      reference_train, tape_matmul)
+from conftest import (aa_graph_of_pairs, is_symmetric, random_pairs, reference_solve_tape,
+                      reference_spmv, reference_train, tape_matmul, to_dense)
 
 import probmatch.allocator as allocator
 import probmatch.autodiff as ad
@@ -24,6 +24,7 @@ from probmatch.predictor import (
     affinity_update,
     assignment_update,
     balanced_ce_loss,
+    chunk_losses,
     decode,
     dpgm_assignment,
     encode,
@@ -184,8 +185,8 @@ def test_learned_affinity_is_symmetric_with_assignment_diagonal():
     _, aa, _ = _tiny_instance(n=4, seed=12)
     store = init_params(TINY, seed=12)
     K, X_init = learned_affinity(aa, store, TINY)
-    assert K.is_symmetric(tol=1e-12)
-    assert np.allclose(np.diag(K.to_dense()).reshape(4, 4), X_init)
+    assert is_symmetric(K, tol=1e-12)
+    assert np.allclose(np.diag(to_dense(K)).reshape(4, 4), X_init)
 
 
 def test_predictor_forward_permutation_equivariant():
@@ -583,27 +584,34 @@ def test_linear_model_gradient_is_exact():
     assert rel.max() < 1e-9
 
 
-def test_instance_loss_gradient_at_the_training_settings_matches_central_differences():
+@pytest.mark.parametrize("chunk_size", [1, 4])
+def test_instance_loss_gradient_at_the_training_settings_matches_central_differences(chunk_size):
     # The composed checks elsewhere run at n = 3, d = 4, T = 2; this one runs
     # at the settings training uses (n = 8, d = 32, T = 5, the default solver),
     # where every update round and all ten solver iterations take part. Over
     # these eight pairs the relative error was at most 7.8e-8 at step 1e-6
-    # (step 1e-5 reached 7.9e-7, from the clip and ReLU kinks).
+    # (step 1e-5 reached 7.9e-7, from the clip and ReLU kinks). The pairs run
+    # as 8 chunks of one, each ``instance_loss``, and as 2 chunks of 4, the
+    # sum of each chunk's losses: the gradient ``train`` applies at B > 1.
     pcfg, step = PredictorConfig(d_V=32, d_E=32, T=5), 1e-6
-    for seed in range(8):
-        _, aa, gt_vec = _tiny_instance(n=8, seed=10000 + seed, noise=0.03)
+    pairs = [_tiny_instance(n=8, seed=10000 + seed, noise=0.03)[1:] for seed in range(8)]
+    for seed in range(0, len(pairs), chunk_size):
         store = init_params(pcfg, seed=seed)
-        args = (aa, gt_vec, store, pcfg, SolverConfig(), LossConfig())
+        chunk = pairs[seed:seed + chunk_size]
+
+        def loss():
+            return reduce(ad.add, chunk_losses(chunk, store, pcfg, SolverConfig(), LossConfig()))
+
         store.zero_grad()
-        instance_loss(*args).backward()
+        loss().backward()
         theta = store.get_vector()
         u = np.random.default_rng(seed).standard_normal(theta.size)
         u /= np.linalg.norm(u)
         g = float(store.grad_vector() @ u)
         store.set_vector(theta + step * u)
-        plus = float(instance_loss(*args).data)
+        plus = float(loss().data)
         store.set_vector(theta - step * u)
-        minus = float(instance_loss(*args).data)
+        minus = float(loss().data)
         fd = (plus - minus) / (2.0 * step)
         assert abs(g - fd) <= 1e-6 * max(abs(g), abs(fd)), (seed, g, fd)
 
