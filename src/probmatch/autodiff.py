@@ -373,6 +373,8 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 CHECKPOINT_VERSION = 1
+# the date of every checkpoint entry: the zip format's earliest
+_CHECKPOINT_DATE = (1980, 1, 1, 0, 0, 0)
 
 
 class ParamStore:
@@ -446,17 +448,25 @@ class ParamStore:
             p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
     def save(self, path):
-        """Versioned checkpoint: a zip of raw arrays plus a JSON manifest."""
+        """Versioned checkpoint: a zip of raw arrays plus a JSON manifest.
+        Every entry carries the same fixed date, so equal parameters make
+        equal bytes whenever they are saved."""
         manifest = {
             "version": CHECKPOINT_VERSION,
             "params": {n: list(self._params[n].data.shape) for n in self.names()},
         }
+
+        def entry(name):
+            info = zipfile.ZipInfo(name, date_time=_CHECKPOINT_DATE)
+            info.external_attr = 0o600 << 16   # rw-------, as writestr gives a name
+            return info
+
         with zipfile.ZipFile(path, "w") as zf:
-            zf.writestr("manifest.json", json.dumps(manifest, indent=1, sort_keys=True))
+            zf.writestr(entry("manifest.json"), json.dumps(manifest, indent=1, sort_keys=True))
             for n in self.names():
                 buf = BytesIO()
                 np.save(buf, self._params[n].data)
-                zf.writestr(f"arrays/{n}.npy", buf.getvalue())
+                zf.writestr(entry(f"arrays/{n}.npy"), buf.getvalue())
 
     def load(self, path):
         """Load values into existing slots. Every array is read and checked

@@ -13,7 +13,9 @@ never leak test instances into training.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import io
 import json
 import multiprocessing
@@ -61,8 +63,10 @@ class ExperimentConfig:
     """Every option of an experiment, checked when built (``ConfigError``).
 
     ``workers`` bounds the processes the runner starts, and 1 solves every
-    chunk in the calling process; the default, None, is ``_default_workers``.
-    Rows are the same for every value."""
+    chunk in the calling process; the default, None, is ``_default_workers``,
+    which pools a large enough run of either source on Linux. While a pool
+    runs, the process's OpenBLAS libraries run one thread each. Rows are the
+    same for every value."""
 
     # dataset
     n: int = 8
@@ -284,28 +288,94 @@ def _stats(rows: list) -> dict:
     }
 
 
-# The default pool's least work, in assignment entries (instances * n^2).
-# Two processes paid 1.5x or more from here on (bench and compare, n = 8 to
-# 100, 2 cores); below it a run can be slower pooled than serial (0.6x for
-# 50 instances at n = 8): forking and joining two workers cost about 12 ms,
-# and each of two processes on 2 cores solved a chunk 1.3-1.6x slower than
-# one process alone.
+# The default pool's least work for the handcrafted source, in assignment
+# entries (instances * n^2). Two processes paid 1.5x or more from here on
+# (bench and compare, n = 8 to 100, 2 cores); below it a run can be slower
+# pooled than serial (0.6x for 50 instances at n = 8): forking and joining
+# two workers cost about 12 ms, and each of two processes on 2 cores solved
+# a chunk 1.3-1.6x slower than one process alone.
 _POOL_ENTRIES = 100_000
+# The least work for the learned source, whose predictor makes each entry
+# dearer. Learned dpgm through ``run_experiment`` on 2 cores, two processes
+# against one, one BLAS thread in each (two sets, medians of 15 and 21):
+# n = 8 with 10 instances (640 entries) 0.93-0.99x, 25 (1,600) 1.20-1.28x,
+# 50 (3,200) 1.50-1.53x, 100 (6,400) 1.48-1.64x; n = 20 with 8 (3,200)
+# 1.25-1.26x, 10 (4,000) 1.38-1.44x. With two BLAS threads on the serial
+# side, the default without ``OPENBLAS_NUM_THREADS``, the pool paid 1.31x
+# at 640 entries and 1.65-1.99x from 3,200.
+_LEARNED_POOL_ENTRIES = 3_200
+
+# OpenBLAS's thread-count functions, (get, set), as exported by numpy's
+# scipy-openblas64, scipy's scipy-openblas and a plain OpenBLAS build.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_threads() -> list:
+    """``(get, set)`` of the thread count of each OpenBLAS library mapped
+    into this process (found through ``/proc/self/maps``, so on Linux only);
+    empty where none is found, as under another BLAS."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n") for line in f
+                            if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREADS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                found.append((get, set_))
+                break
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS in this process at one thread, and give each its
+    own count back on exit, also when the body raises. Workers forked inside
+    start with one thread each, as under ``OPENBLAS_NUM_THREADS=1``: the
+    predictor's small matrix products gain nothing from BLAS threads, whose
+    spinning would crowd the CPUs the workers solve on."""
+    blas = _openblas_threads()
+    counts = [get() for get, _ in blas]
+    for _, set_ in blas:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(blas, counts):
+            set_(count)
 
 
 def _default_workers(cfg: ExperimentConfig, split: list) -> int:
     """The bound on the runner's processes when ``cfg.workers`` is None.
 
-    Two for the handcrafted source on Linux with at least ``_POOL_ENTRIES``
-    to solve: the most that were measured, where they were measured to pay;
-    there the workers fork, and solve with one thread each. One otherwise:
-    the learned source's forked workers keep the BLAS threads they inherit
-    and crowd the CPUs, a spawned worker imports the calling script again,
-    and a fork while another Python thread runs can leave the child holding
-    a lock that no thread will release."""
-    forks = sys.platform == "linux" and threading.active_count() == 1
-    pays = cfg.affinity_source == "handcrafted" and len(split) * cfg.n ** 2 >= _POOL_ENTRIES
-    return 2 if forks and pays else 1
+    Two on Linux for a handcrafted run of at least ``_POOL_ENTRIES``, or a
+    learned run of at least ``_LEARNED_POOL_ENTRIES``, to solve: the most that
+    were measured, where they were measured to pay. There the workers fork,
+    and ``_run`` holds BLAS at one thread across the pool. One otherwise: for
+    the learned source where no OpenBLAS thread setter is found, since its
+    workers would keep the BLAS threads they inherit and crowd the CPUs; when
+    a spawned worker would import the calling script again; and while another
+    Python thread runs, since a fork can leave the child holding a lock that
+    no thread will release."""
+    if not (sys.platform == "linux" and threading.active_count() == 1):
+        return 1
+    entries = len(split) * cfg.n ** 2
+    if cfg.affinity_source == "handcrafted":
+        return 2 if entries >= _POOL_ENTRIES else 1
+    return 2 if entries >= _LEARNED_POOL_ENTRIES and _openblas_threads() else 1
 
 
 def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
@@ -319,9 +389,12 @@ def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     or more of both, and is shut down before this returns. On Linux the
     workers fork; elsewhere they start by the platform's default method, and
     under ``spawn`` a calling script needs an ``if __name__ == "__main__"``
-    guard. A row's ``wall_ms``, timed in the process that solved it, is the
-    time spent building its own K and X_init, plus an equal share of the time
-    its solver took to solve and discretise the whole chunk.
+    guard. For the life of a pool, and only then, every OpenBLAS in the
+    process runs one thread (``_one_blas_thread``), so forked workers start
+    with one; the caller's counts come back once the pool has shut down, also
+    when a chunk raises. A row's ``wall_ms``, timed in the process that
+    solved it, is the time spent building its own K and X_init, plus an equal
+    share of the time its solver took to solve and discretise the whole chunk.
 
     First it keeps the memory it frees for the next instance (glibc only;
     ``allocator.keep_freed_heap``; forked workers inherit the policy): later
@@ -337,7 +410,8 @@ def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     tasks = [(cfg, chunk, store, solvers) for chunk in chunks(split, cfg.n, procs)]
     if procs > 1 and len(tasks) > 1:
         fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        with ProcessPoolExecutor(max_workers=min(procs, len(tasks)), mp_context=fork) as pool:
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=min(procs, len(tasks)),
+                                                     mp_context=fork) as pool:
             per_chunk = list(pool.map(_run_chunk, *zip(*tasks)))
     else:
         per_chunk = [_run_chunk(*t) for t in tasks]

@@ -73,8 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ablation", choices=ABLATIONS)
     p.add_argument("--checkpoint")
     p.add_argument("--workers", type=int,
-                   help="most processes to solve in (default: 1, or 2 for a handcrafted "
-                        "run of at least 100,000 assignment entries on Linux)")
+                   help="most processes to solve in (default: 1, or 2 on Linux for a "
+                        "handcrafted run of at least 100,000 assignment entries or a "
+                        "learned run of at least 3,200)")
 
     p = sub.add_parser("train", help="train the predictor and evaluate it")
     _add_common(p)

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 import tracemalloc
 import zipfile
 from functools import reduce
@@ -512,6 +513,18 @@ def test_checkpoint_round_trip(tmp_path):
     other.load(path)
     assert np.allclose(other["w"].data, store["w"].data)
     assert np.allclose(other["b"].data, store["b"].data)
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    store = ParamStore()
+    store.add("w", np.random.default_rng(5).normal(size=(3, 2)))
+    saved = []
+    for now in (1.0e9, 1.7e9):   # 2001 and 2023
+        monkeypatch.setattr(time, "time", lambda: now)
+        path = tmp_path / f"{now:.0f}.ckpt"
+        store.save(path)
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
 
 
 def test_checkpoint_rejects_shape_and_name_mismatch(tmp_path):

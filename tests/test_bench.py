@@ -373,29 +373,48 @@ def test_default_pool_needs_work_enough_and_a_given_bound_does_not(monkeypatch):
     assert sizes == [3]
 
 
-def test_learned_source_solves_in_this_process_by_default(monkeypatch, tmp_path):
-    # its forked workers would keep the BLAS threads they inherit
+def _fake_blas(monkeypatch, found=True):
+    """Stand in for the OpenBLAS libraries of this process: one at 2 threads
+    when ``found``, none otherwise. Returns the list of counts set."""
+    counts = []
+    blas = [(lambda: 2, counts.append)] if found else []
+    monkeypatch.setattr(bench, "_openblas_threads", lambda: blas)
+    return counts
+
+
+def test_learned_source_pools_at_its_bound_and_not_one_entry_below(monkeypatch, tmp_path):
     cfg = _tiny_cfg(noise_levels=(0.02,), instances=8, affinity_source="learned",
-                    checkpoint=_untrained_checkpoint(tmp_path))
+                    checkpoint=_untrained_checkpoint(tmp_path))   # 8 * 5^2 = 200 entries
     sizes = _serial_pool(monkeypatch, 4)
-    monkeypatch.setattr(bench, "_POOL_ENTRIES", 0)
+    counts = _fake_blas(monkeypatch)
+    monkeypatch.setattr(bench, "_LEARNED_POOL_ENTRIES", 200)
     bench._run(cfg, SOLVERS)
-    assert sizes == []
+    assert (sizes, counts) == (([2], [1, 2]) if sys.platform == "linux" else ([], []))
+    sizes.clear()
+    counts.clear()
+    monkeypatch.setattr(bench, "_LEARNED_POOL_ENTRIES", 201)
+    bench._run(cfg, SOLVERS)
+    assert sizes == [] and counts == []
     bench._run(dataclasses.replace(cfg, workers=4), SOLVERS)
-    assert sizes == [4]
+    assert sizes == [4] and counts == [1, 2]
 
 
-@pytest.mark.parametrize("platform_name, source, instances, thread, bound", [
-    ("linux", "handcrafted", 4000, False, 2),  # 4000 * 5^2 = _POOL_ENTRIES
-    ("linux", "handcrafted", 3999, False, 1),
-    ("linux", "learned", 4000, False, 1),
-    ("linux", "handcrafted", 4000, True, 1),
-    ("darwin", "handcrafted", 4000, False, 1), ("win32", "handcrafted", 4000, False, 1),
+@pytest.mark.parametrize("platform_name, source, instances, thread, blas, bound", [
+    ("linux", "handcrafted", 4000, False, True, 2),  # 4000 * 5^2 = _POOL_ENTRIES
+    ("linux", "handcrafted", 3999, False, True, 1),
+    ("linux", "handcrafted", 4000, False, False, 2),
+    ("linux", "learned", 128, False, True, 2),       # 128 * 5^2 = _LEARNED_POOL_ENTRIES
+    ("linux", "learned", 127, False, True, 1),
+    ("linux", "learned", 4000, False, False, 1),     # no OpenBLAS thread setter found
+    ("linux", "handcrafted", 4000, True, True, 1), ("linux", "learned", 4000, True, True, 1),
+    ("darwin", "handcrafted", 4000, False, True, 1), ("darwin", "learned", 4000, False, True, 1),
+    ("win32", "handcrafted", 4000, False, True, 1),
 ])
 def test_default_workers_follow_the_work_the_source_the_platform_and_the_threads(
-        monkeypatch, platform_name, source, instances, thread, bound):
+        monkeypatch, platform_name, source, instances, thread, blas, bound):
     cfg = _tiny_cfg(affinity_source=source, checkpoint="unread.ckpt")
     monkeypatch.setattr(bench.sys, "platform", platform_name)
+    _fake_blas(monkeypatch, blas)
     release = threading.Event()
     held = threading.Thread(target=release.wait, daemon=True)
     if thread:
@@ -409,7 +428,7 @@ def test_default_workers_follow_the_work_the_source_the_platform_and_the_threads
     assert not held.is_alive()
 
 
-def test_default_run_leaves_no_process_and_the_rows_of_a_serial_run(monkeypatch):
+def test_default_run_leaves_no_process_and_the_rows_of_a_serial_run(monkeypatch, tmp_path):
     pools = []
 
     class RecordedPool(bench.ProcessPoolExecutor):
@@ -419,19 +438,25 @@ def test_default_run_leaves_no_process_and_the_rows_of_a_serial_run(monkeypatch)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordedPool)
     monkeypatch.setattr(bench, "_POOL_ENTRIES", 0)
-    cfg = _tiny_cfg(noise_levels=(0.02, 0.1), instances=4)
-    rows, table = run_experiment(cfg).rows_csv(), compare_solvers(cfg)
-    assert not multiprocessing.active_children()
-    split = bench.test_split(cfg)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    procs = min(bench._default_workers(cfg, split), cpus)
-    tasks = len(chunks(split, cfg.n, procs))
-    assert [size for size, _ in pools] == ([] if procs == 1 else [min(procs, tasks)] * 2)
-    if sys.platform == "linux":
-        assert all(context.get_start_method() == "fork" for _, context in pools)
-    for workers in (1, 2):
-        serial = dataclasses.replace(cfg, workers=workers)
-        assert (run_experiment(serial).rows_csv(), compare_solvers(serial)) == (rows, table)
+    monkeypatch.setattr(bench, "_LEARNED_POOL_ENTRIES", 0)
+    checkpoint = _untrained_checkpoint(tmp_path, seed=2)
+    for source in AFFINITY_SOURCES:
+        pools.clear()
+        cfg = _tiny_cfg(noise_levels=(0.02, 0.1), instances=4, affinity_source=source,
+                        checkpoint=checkpoint)
+        rows, table = run_experiment(cfg).rows_csv(), compare_solvers(cfg)
+        assert not multiprocessing.active_children()
+        split = bench.test_split(cfg)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        procs = min(bench._default_workers(cfg, split), cpus)
+        tasks = len(chunks(split, cfg.n, procs))
+        assert [size for size, _ in pools] == ([] if procs == 1 else [min(procs, tasks)] * 2)
+        if sys.platform == "linux":
+            assert all(context.get_start_method() == "fork" for _, context in pools)
+        for workers in (1, 2):
+            serial = dataclasses.replace(cfg, workers=workers)
+            assert (run_experiment(serial).rows_csv(), compare_solvers(serial)) == (rows, table)
 
 
 _FORK_THREADS = """
@@ -474,6 +499,56 @@ def test_default_pool_forks_with_warnings_as_errors_while_blas_has_threads():
     if int(before) == 1:
         pytest.skip("this numpy's BLAS starts no threads at import")
     assert at_fork.strip() == "[1, 1]"
+
+
+_BLAS_SCOPE = """
+import json
+import os
+import probmatch.bench as bench
+
+def counts():
+    return [get() for get, _ in bench._openblas_threads()]
+
+solve = bench._run_chunk
+
+def counted_chunk(*args):
+    out = solve(*args)
+    out["dpgm"][0]["blas"] = (os.getpid(), counts())
+    return out
+
+def failing_chunk(*args):
+    raise RuntimeError("a chunk failed")
+
+os.sched_getaffinity = lambda pid: {0, 1}
+bench._POOL_ENTRIES = 0
+cfg = bench.ExperimentConfig(n=5, noise_levels=(0.02,), instances=4)
+before = counts()
+bench._run_chunk = counted_chunk
+workers = [row["blas"] for row in bench.run_experiment(cfg).rows if "blas" in row]
+after_run = counts()
+bench._run_chunk = failing_chunk
+try:
+    bench.run_experiment(cfg)
+except RuntimeError:
+    after_raise = counts()
+print(json.dumps({"caller": os.getpid(), "before": before, "workers": workers,
+                  "after_run": after_run, "after_raise": after_raise}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the runner forks on Linux only")
+def test_pool_holds_blas_at_one_thread_and_gives_the_caller_its_threads_back():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
+    out = json.loads(subprocess.run([sys.executable, "-c", _BLAS_SCOPE], env=env, check=True,
+                                    capture_output=True, text=True, timeout=300).stdout)
+    if not out["before"]:
+        pytest.skip("no OpenBLAS thread setter found")
+    if set(out["before"]) != {2}:
+        pytest.skip("this host's OpenBLAS runs fewer than 2 threads")
+    assert len(out["workers"]) == 2
+    assert all(pid != out["caller"] and set(counts) == {1} for pid, counts in out["workers"])
+    assert out["after_run"] == out["after_raise"] == out["before"]
 
 
 _SECOND_RUN_FAULTS = """
