@@ -13,15 +13,9 @@ never leak test instances into training.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
 import io
 import json
-import multiprocessing
-import os
-import sys
-import threading
 import time
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .affinity import AffinityConfig, assemble_affinity, objective
-from .allocator import keep_freed_heap
+from . import allocator
+from .allocator import keep_freed_heap, one_blas_thread, pool_context, usable_cpus
 from .graphs import build_aa_graph, synthesize_pair
 from .linalg import binary_score, perm_matrix
 from .predictor import (
@@ -64,9 +59,11 @@ class ExperimentConfig:
 
     ``workers`` bounds the processes the runner starts, and 1 solves every
     chunk in the calling process; the default, None, is ``_default_workers``,
-    which pools a large enough run of either source on Linux. While a pool
-    runs, the process's OpenBLAS libraries run one thread each. Rows are the
-    same for every value."""
+    which pools a large enough run of either source on Linux. It bounds
+    ``train_and_eval``'s training the same way (``predictor.train``, whose
+    default pools a large enough batch on Linux). While a pool runs, the
+    process's OpenBLAS libraries run one thread each. Rows, checkpoints and
+    learning curves are the same for every value."""
 
     # dataset
     n: int = 8
@@ -305,77 +302,23 @@ _POOL_ENTRIES = 100_000
 # at 640 entries and 1.65-1.99x from 3,200.
 _LEARNED_POOL_ENTRIES = 3_200
 
-# OpenBLAS's thread-count functions, (get, set), as exported by numpy's
-# scipy-openblas64, scipy's scipy-openblas and a plain OpenBLAS build.
-_OPENBLAS_THREADS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _openblas_threads() -> list:
-    """``(get, set)`` of the thread count of each OpenBLAS library mapped
-    into this process (found through ``/proc/self/maps``, so on Linux only);
-    empty where none is found, as under another BLAS."""
-    try:
-        with open("/proc/self/maps") as f:
-            paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n") for line in f
-                            if "openblas" in line.lower()})
-    except OSError:
-        return []
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREADS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                found.append((get, set_))
-                break
-    return found
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold every OpenBLAS in this process at one thread, and give each its
-    own count back on exit, also when the body raises. Workers forked inside
-    start with one thread each, as under ``OPENBLAS_NUM_THREADS=1``: the
-    predictor's small matrix products gain nothing from BLAS threads, whose
-    spinning would crowd the CPUs the workers solve on."""
-    blas = _openblas_threads()
-    counts = [get() for get, _ in blas]
-    for _, set_ in blas:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(blas, counts):
-            set_(count)
-
 
 def _default_workers(cfg: ExperimentConfig, split: list) -> int:
     """The bound on the runner's processes when ``cfg.workers`` is None.
 
-    Two on Linux for a handcrafted run of at least ``_POOL_ENTRIES``, or a
-    learned run of at least ``_LEARNED_POOL_ENTRIES``, to solve: the most that
-    were measured, where they were measured to pay. There the workers fork,
-    and ``_run`` holds BLAS at one thread across the pool. One otherwise: for
-    the learned source where no OpenBLAS thread setter is found, since its
-    workers would keep the BLAS threads they inherit and crowd the CPUs; when
-    a spawned worker would import the calling script again; and while another
-    Python thread runs, since a fork can leave the child holding a lock that
-    no thread will release."""
-    if not (sys.platform == "linux" and threading.active_count() == 1):
+    Two for a handcrafted run of at least ``_POOL_ENTRIES``, or a learned run
+    of at least ``_LEARNED_POOL_ENTRIES``, to solve, where
+    ``allocator.forks_safely``: the most that were measured, where they were
+    measured to pay. There the workers fork, and ``_run`` holds BLAS at one
+    thread across the pool. One otherwise, and for the learned source where
+    no OpenBLAS thread setter is found, since its workers would keep the BLAS
+    threads they inherit and crowd the CPUs."""
+    if not allocator.forks_safely():
         return 1
     entries = len(split) * cfg.n ** 2
     if cfg.affinity_source == "handcrafted":
         return 2 if entries >= _POOL_ENTRIES else 1
-    return 2 if entries >= _LEARNED_POOL_ENTRIES and _openblas_threads() else 1
+    return 2 if entries >= _LEARNED_POOL_ENTRIES and allocator.openblas_threads() else 1
 
 
 def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
@@ -386,15 +329,14 @@ def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     The split is cut by ``solvers.chunks`` into chunks of consecutive instances
     for min(``cfg.workers``, usable CPUs) processes (``_default_workers`` when
     ``cfg.workers`` is None), each chunk one task; a pool starts only for two
-    or more of both, and is shut down before this returns. On Linux the
-    workers fork; elsewhere they start by the platform's default method, and
-    under ``spawn`` a calling script needs an ``if __name__ == "__main__"``
-    guard. For the life of a pool, and only then, every OpenBLAS in the
-    process runs one thread (``_one_blas_thread``), so forked workers start
-    with one; the caller's counts come back once the pool has shut down, also
-    when a chunk raises. A row's ``wall_ms``, timed in the process that
-    solved it, is the time spent building its own K and X_init, plus an equal
-    share of the time its solver took to solve and discretise the whole chunk.
+    or more of both, and is shut down before this returns. The workers start
+    by ``allocator.pool_context``: they fork on Linux. For the life of a pool,
+    and only then, every OpenBLAS in the process runs one thread
+    (``allocator.one_blas_thread``), so forked workers start with one; the
+    caller's counts come back once the pool has shut down, also when a chunk
+    raises. A row's ``wall_ms``, timed in the process that solved it, is the
+    time spent building its own K and X_init, plus an equal share of the time
+    its solver took to solve and discretise the whole chunk.
 
     First it keeps the memory it frees for the next instance (glibc only;
     ``allocator.keep_freed_heap``; forked workers inherit the policy): later
@@ -404,14 +346,11 @@ def _run(cfg: ExperimentConfig, solvers: tuple) -> dict:
     keep_freed_heap()
     store = load_store(cfg)
     split = test_split(cfg)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count()) or 1
-    procs = min(cfg.workers or _default_workers(cfg, split), cpus)
+    procs = min(cfg.workers or _default_workers(cfg, split), usable_cpus())
     tasks = [(cfg, chunk, store, solvers) for chunk in chunks(split, cfg.n, procs)]
     if procs > 1 and len(tasks) > 1:
-        fork = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        with _one_blas_thread(), ProcessPoolExecutor(max_workers=min(procs, len(tasks)),
-                                                     mp_context=fork) as pool:
+        with one_blas_thread(), ProcessPoolExecutor(max_workers=min(procs, len(tasks)),
+                                                    mp_context=pool_context()) as pool:
             per_chunk = list(pool.map(_run_chunk, *zip(*tasks)))
     else:
         per_chunk = [_run_chunk(*t) for t in tasks]
@@ -461,7 +400,7 @@ def train_and_eval(cfg: ExperimentConfig):
     store, metrics = train(train_pairs, cfg.predictor_cfg, cfg.solver_cfg,
                            cfg.loss_cfg, epochs=cfg.epochs, lr=cfg.lr,
                            batch_size=cfg.batch_size, seed=cfg.seed,
-                           target_accuracy=cfg.target_accuracy)
+                           target_accuracy=cfg.target_accuracy, workers=cfg.workers)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "predictor.ckpt"

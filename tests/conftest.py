@@ -4,6 +4,7 @@ import numpy as np
 
 import probmatch.autodiff as ad
 from probmatch.affinity import objective
+from probmatch.allocator import one_blas_thread
 from probmatch.autodiff import Tensor
 from probmatch.graphs import (
     _LOG_DIST_RANGE,
@@ -463,7 +464,13 @@ def reference_train(pairs, pcfg, scfg, lcfg, epochs, lr=1e-3, batch_size=8, seed
     """``predictor.train`` without a target accuracy, one pair at a time and
     built apart from ``predictor.chunk_losses``: a forward and a backward per
     pair, each pair's solve alone, the loop training ran before it solved a
-    chunk in one node."""
+    chunk in one node. It runs at one BLAS thread, as ``train`` does, since
+    OpenBLAS's threaded matrix products round otherwise."""
+    with one_blas_thread():
+        return _reference_train(pairs, pcfg, scfg, lcfg, epochs, lr, batch_size, seed)
+
+
+def _reference_train(pairs, pcfg, scfg, lcfg, epochs, lr, batch_size, seed):
     store = init_params(pcfg, seed=seed)
     rng = np.random.default_rng(seed + 1)
     prepared = [(build_aa_graph(pair.g1, pair.g2), perm_matrix(pair.ground_truth).ravel())

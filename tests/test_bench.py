@@ -338,7 +338,7 @@ def _serial_pool(monkeypatch, cpus):
             return map(fn, *iterables)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+    monkeypatch.setattr(allocator.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     return sizes
 
@@ -378,7 +378,7 @@ def _fake_blas(monkeypatch, found=True):
     when ``found``, none otherwise. Returns the list of counts set."""
     counts = []
     blas = [(lambda: 2, counts.append)] if found else []
-    monkeypatch.setattr(bench, "_openblas_threads", lambda: blas)
+    monkeypatch.setattr(allocator, "openblas_threads", lambda: blas)
     return counts
 
 
@@ -413,7 +413,7 @@ def test_learned_source_pools_at_its_bound_and_not_one_entry_below(monkeypatch, 
 def test_default_workers_follow_the_work_the_source_the_platform_and_the_threads(
         monkeypatch, platform_name, source, instances, thread, blas, bound):
     cfg = _tiny_cfg(affinity_source=source, checkpoint="unread.ckpt")
-    monkeypatch.setattr(bench.sys, "platform", platform_name)
+    monkeypatch.setattr(allocator.sys, "platform", platform_name)
     _fake_blas(monkeypatch, blas)
     release = threading.Event()
     held = threading.Thread(target=release.wait, daemon=True)
@@ -505,9 +505,10 @@ _BLAS_SCOPE = """
 import json
 import os
 import probmatch.bench as bench
+from probmatch.allocator import openblas_threads
 
 def counts():
-    return [get() for get, _ in bench._openblas_threads()]
+    return [get() for get, _ in openblas_threads()]
 
 solve = bench._run_chunk
 

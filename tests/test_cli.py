@@ -1,12 +1,16 @@
+import hashlib
 import io
 import json
 import re
+import sys
 import zipfile
 
 import numpy as np
 import pytest
 
-from probmatch import bench, cli
+from probmatch import allocator, bench, cli
+from probmatch import predictor as predictor_module
+from probmatch.allocator import usable_cpus
 from probmatch.cli import main
 from probmatch.graphs import build_aa_graph, load_pair, synthesize_pair
 from probmatch.predictor import PredictorConfig, init_params, learned_affinity
@@ -351,6 +355,32 @@ def test_train_subcommand_tiny(tmp_path, capsys):
     assert (tmp_path / "predictor.ckpt").exists()
     assert (tmp_path / "eval_rows.csv").exists()
     assert out.startswith("index,noise,accuracy")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="training pools where workers fork")
+def test_train_writes_the_same_bytes_by_default_and_with_one_worker(tmp_path, capsys,
+                                                                    monkeypatch):
+    pools = []
+
+    class RecordedPool(predictor_module.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(predictor_module, "ProcessPoolExecutor", RecordedPool)
+    serial = tmp_path / "serial.json"
+    serial.write_text(json.dumps({"workers": 1}))
+    written = []
+    for name, flags in (("default", []), ("serial", ["--config", str(serial)])):
+        out_dir = tmp_path / name
+        code, _ = _run(capsys, ["train", "--n", "8", "--noise", "0.03", "--epochs", "2", *flags,
+                                "--out-dir", str(out_dir)])
+        assert code == 0
+        written.append((hashlib.sha256((out_dir / "predictor.ckpt").read_bytes()).hexdigest(),
+                        (out_dir / "learning_curve.csv").read_bytes()))
+    assert written[0] == written[1]
+    pooled = usable_cpus() > 1 and allocator.forks_safely() and allocator.openblas_threads()
+    assert pools == ([1] if pooled else [])
 
 
 def test_train_evaluates_the_instances_option(tmp_path, capsys):

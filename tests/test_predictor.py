@@ -1,3 +1,7 @@
+import json
+import multiprocessing
+import os
+import subprocess
 import sys
 import tracemalloc
 from functools import reduce
@@ -688,27 +692,38 @@ def _chunk_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("case", ["train-n8", "mixed-sizes", "short-last-batch"])
-def test_training_in_chunks_is_bitwise_one_backward_per_pair(monkeypatch, case):
+def _bitwise_case(monkeypatch, case):
+    """``(pairs, pcfg, epochs, batch_size)`` of a training input checked
+    against ``reference_train``."""
     # train-n8: the benchmark's pairs and settings, 8 pairs per chunk; mixed
     # sizes: one batch of n = 6, 6, 7, 6, 5, 7, 6, 6 in shuffled order, cut
     # into runs and, under 80 chunk entries, into chunks of at most 2; a
-    # short last batch: 10 pairs in batches of 4, 4 and 2
+    # short last batch: 10 pairs in batches of 4, 4 and 2; batches of 7,
+    # which two processes cut into parts of 4 and 3; batches of 1, which
+    # leave no part to a second process
     if case == "train-n8":
         pairs = [synthesize_pair(8, 0.03, seed=10000 + k) for k in range(64)]
-        pcfg, epochs, batch_size = PredictorConfig(d_V=32, d_E=32, T=5), 3, 8
-    elif case == "mixed-sizes":
+        return pairs, PredictorConfig(d_V=32, d_E=32, T=5), 3, 8
+    if case == "mixed-sizes":
+        monkeypatch.setattr(solvers_module, "_CHUNK_ENTRIES", 80)
         pairs = [synthesize_pair(n, 0.03, seed=400 + k)
                  for k, n in enumerate([6, 6, 7, 6, 5, 7, 6, 6])]
-        pcfg, epochs, batch_size = PredictorConfig(d_V=8, d_E=8, T=2), 3, 8
-        monkeypatch.setattr(solvers_module, "_CHUNK_ENTRIES", 80)
-    else:
+        return pairs, PredictorConfig(d_V=8, d_E=8, T=2), 3, 8
+    if case == "short-last-batch":
         pairs = [synthesize_pair(5, 0.03, seed=500 + k) for k in range(10)]
-        pcfg, epochs, batch_size = PredictorConfig(d_V=8, d_E=8, T=2), 2, 4
+        return pairs, PredictorConfig(d_V=8, d_E=8, T=2), 2, 4
+    pairs = [synthesize_pair(5, 0.03, seed=600 + k) for k in range(14)]
+    return pairs, PredictorConfig(d_V=8, d_E=8, T=2), 2, 7 if case == "batch-of-7" else 1
+
+
+@pytest.mark.parametrize("case", ["train-n8", "mixed-sizes", "short-last-batch"])
+def test_training_in_chunks_is_bitwise_one_backward_per_pair(monkeypatch, case):
+    # in this process (workers=1), where the solver node's calls are counted
+    pairs, pcfg, epochs, batch_size = _bitwise_case(monkeypatch, case)
     args = (pairs, pcfg, SolverConfig(), LossConfig())
     store_ref, metrics_ref = reference_train(*args, epochs=epochs, batch_size=batch_size)
     sizes = _chunk_sizes(monkeypatch)
-    store, metrics = train(*args, epochs=epochs, batch_size=batch_size)
+    store, metrics = train(*args, epochs=epochs, batch_size=batch_size, workers=1)
     assert metrics == metrics_ref
     assert store.get_vector().tobytes() == store_ref.get_vector().tobytes()
     assert sum(sizes) == len(pairs) * epochs
@@ -718,6 +733,168 @@ def test_training_in_chunks_is_bitwise_one_backward_per_pair(monkeypatch, case):
         assert set(sizes) == {1, 2}
     else:
         assert sizes == [4, 4, 2] * epochs
+
+
+def _recorded_pools(monkeypatch):
+    """The worker counts of the pools ``train`` starts, as it starts them;
+    two CPUs usable whatever the host has."""
+    pools = []
+
+    class RecordedPool(predictor_module.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(predictor_module, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(predictor_module, "usable_cpus", lambda: 2)
+    return pools
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="training pools where workers fork")
+@pytest.mark.parametrize("case", ["train-n8", "mixed-sizes", "short-last-batch", "batch-of-7",
+                                  "batch-of-1"])
+def test_pooled_training_is_bitwise_one_backward_per_pair(monkeypatch, case):
+    pairs, pcfg, epochs, batch_size = _bitwise_case(monkeypatch, case)
+    args = (pairs, pcfg, SolverConfig(), LossConfig())
+    store_ref, metrics_ref = reference_train(*args, epochs=epochs, batch_size=batch_size)
+    pools = _recorded_pools(monkeypatch)
+    store, metrics = train(*args, epochs=epochs, batch_size=batch_size, workers=2)
+    assert metrics == metrics_ref
+    assert store.get_vector().tobytes() == store_ref.get_vector().tobytes()
+    assert pools == ([] if case == "batch-of-1" else [1])
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("T", [0, 1, 3])
+def test_grad_terms_added_in_order_are_bitwise_the_backward(T):
+    # what a backing worker does, in this process: every grad a stand-in,
+    # then the terms added into zeroed grads; max(T, 1) terms of each
+    # parameter per pair fit
+    pcfg = PredictorConfig(d_V=4, d_E=4, T=T)
+    chunk = [_tiny_instance(4, seed=s)[1:] for s in range(3)]
+    store = init_params(pcfg, seed=5)
+    reduce(ad.add, chunk_losses(chunk, store, pcfg, SolverConfig(), LossConfig())).backward()
+    expected = store.grad_vector()
+    part = predictor_module._PartTerms(np.zeros(max(T, 1) * len(chunk) * store.n_params()))
+    for index, name in enumerate(store.names()):
+        store[name].grad = predictor_module._GradTerms(index, store[name].data.shape, part)
+    reduce(ad.add, chunk_losses(chunk, store, pcfg, SolverConfig(), LossConfig())).backward()
+    store.zero_grad()
+    predictor_module._add_terms(store, part.buffer, part.order)
+    assert store.grad_vector().tobytes() == expected.tobytes()
+    assert len(part.order) > len(store.names())
+
+
+def test_a_backing_workers_grad_takes_plus_equals_only():
+    part = predictor_module._PartTerms(np.zeros(8))
+    grad = predictor_module._GradTerms(3, (2, 2), part)
+    grad += np.ones((2, 2))
+    grad += np.arange(2.0)   # broadcast, as an ndarray's += would
+    assert part.order == [3, 3]
+    assert part.buffer.tolist() == [1, 1, 1, 1, 0, 1, 0, 1]
+    with pytest.raises(TypeError):
+        grad[0] += 1.0
+    with pytest.raises(TypeError):
+        grad = grad + np.ones((2, 2))
+    with pytest.raises(TypeError):
+        np.ones((2, 2)) + grad
+    with pytest.raises(TypeError):
+        grad[0]
+    with pytest.raises(TypeError):
+        np.asarray(grad)
+    with pytest.raises(TypeError):
+        float(grad)
+    with pytest.raises(RuntimeError, match="overflow"):
+        grad += np.ones((2, 2))   # the buffer is full
+    assert part.order == [3, 3]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="training pools where workers fork")
+def test_a_workers_exception_reaches_the_caller_and_the_pool_shuts_down(monkeypatch):
+    # a worker's part decodes zero scores, so its operator is zero and its
+    # backward raises; the caller's part is sound
+    caller = os.getpid()
+
+    def zero_in_a_worker(V, E, store):
+        x, e = decode(V, E, store)
+        if os.getpid() != caller:
+            x, e = ad.mul(x, 0.0), ad.mul(e, 0.0)
+        return x, e
+
+    monkeypatch.setattr(predictor_module, "decode", zero_in_a_worker)
+    pools = _recorded_pools(monkeypatch)
+    pairs = [synthesize_pair(5, 0.02, seed=s) for s in range(4)]
+    with pytest.raises(RuntimeError, match="zero-operator solve"):
+        train(pairs, TINY, SolverConfig(), LossConfig(), epochs=1, batch_size=4, workers=2)
+    assert pools == [1]
+    assert not multiprocessing.active_children()
+
+
+_TRAINING_BLAS = """
+import json
+import os
+import sys
+import probmatch.predictor as predictor
+from probmatch.allocator import openblas_threads
+from probmatch.graphs import synthesize_pair
+from probmatch.predictor import LossConfig, PredictorConfig, train
+from probmatch.solvers import SolverConfig
+
+def counts():
+    return [get() for get, _ in openblas_threads()]
+
+caller, losses = os.getpid(), predictor.chunk_losses
+
+def counted(*args):
+    with open(os.path.join(sys.argv[1], str(os.getpid())), "w") as f:
+        json.dump(counts(), f)
+    if os.getpid() != caller and failing:
+        raise RuntimeError("a part failed")
+    return losses(*args)
+
+predictor.chunk_losses = counted
+predictor.usable_cpus = lambda: 2
+pairs = [synthesize_pair(5, 0.02, seed=s) for s in range(4)]
+args = (pairs, PredictorConfig(d_V=4, d_E=4, T=1), SolverConfig(), LossConfig())
+before, failing = counts(), False
+train(*args, epochs=1, batch_size=4, workers=2)
+after_run, failing = counts(), True
+try:
+    train(*args, epochs=1, batch_size=4, workers=2)
+except RuntimeError:
+    after_raise = counts()
+seen = {int(pid): json.load(open(os.path.join(sys.argv[1], pid))) for pid in os.listdir(sys.argv[1])}
+print(json.dumps({"caller": caller, "before": before, "seen": seen, "after_run": after_run,
+                  "after_raise": after_raise}))
+"""
+
+
+def _run_training_blas(tmp_path, *flags):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
+    return json.loads(subprocess.run([sys.executable, *flags, "-c", _TRAINING_BLAS,
+                                      str(tmp_path)], env=env, check=True, capture_output=True,
+                                     text=True, timeout=300).stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="training pools where workers fork")
+def test_training_holds_blas_at_one_thread_and_gives_the_caller_its_threads_back(tmp_path):
+    out = _run_training_blas(tmp_path)
+    if not out["before"]:
+        pytest.skip("no OpenBLAS thread setter found")
+    if set(out["before"]) != {2}:
+        pytest.skip("this host's OpenBLAS runs fewer than 2 threads")
+    seen = {int(pid): counts for pid, counts in out["seen"].items()}
+    assert out["caller"] in seen and len(seen) >= 2   # the caller and a worker ran parts
+    assert all(set(counts) == {1} for counts in seen.values())
+    assert out["after_run"] == out["after_raise"] == out["before"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="training pools where workers fork")
+def test_pooled_training_forks_with_warnings_as_errors_while_blas_has_threads(tmp_path):
+    # Python 3.12+ warns when it forks a process with more than one OS thread
+    out = _run_training_blas(tmp_path, "-W", "error")
+    assert len(out["seen"]) >= 2
 
 
 def test_training_keeps_at_most_32_bytes_per_aa_edge_for_each_pair(monkeypatch):
@@ -814,7 +991,8 @@ def test_empty_pair_list_raises_before_any_work(monkeypatch):
     ({"lr": float("nan")}, "lr must be positive"), ({"lr": -1.0}, "lr must be positive"),
     ({"lr": 0.0}, "lr must be positive"), ({"lr": float("inf")}, "lr must be finite"),
     ({"batch_size": 0}, "batch_size must be at least 1"),
-], ids=["nan_lr", "negative_lr", "zero_lr", "infinite_lr", "zero_batch_size"])
+    ({"workers": 0}, "workers must be at least 1"),
+], ids=["nan_lr", "negative_lr", "zero_lr", "infinite_lr", "zero_batch_size", "zero_workers"])
 def test_bad_training_arguments_are_rejected_before_any_work(monkeypatch, kwargs, message):
     # ExperimentConfig's messages, before the heap policy, the parameters or
     # any AA graph
