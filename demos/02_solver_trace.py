@@ -21,7 +21,7 @@ from probmatch import (
 pair = synthesize_pair(n=10, noise_sigma=0.02, seed=42)
 K = assemble_affinity(pair.g1, pair.g2)
 print(f"instance: n = 10, sigma = 0.02, affinity with "
-      f"{len(K.vals) // 2} undirected support entries\n")
+      f"{K.stored[2].size} undirected support entries\n")
 
 X, trace = probabilistic_solve(K, np.full((10, 10), 0.1))
 

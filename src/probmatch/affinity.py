@@ -44,7 +44,8 @@ def assemble_affinity(g1: AttributedGraph, g2: AttributedGraph,
     Off-diagonal, on joint edges only:
     d = exp(-dlen^2 / sigma_len^2) * exp(-dang^2 / sigma_ang^2), where dlen is
     the absolute edge-length difference and dang the orientation difference
-    mod pi. All values lie in [0, 1].
+    mod pi. All values lie in [0, 1]. K is ``SparseAffinity.symmetric`` over
+    ``edge_pairs``' pairs, each weight kept once.
     """
     if g1.n == 0 or g2.n == 0:
         raise ValueError("graphs must be non-empty")

@@ -24,11 +24,14 @@ import threading
 
 # glibc's mallopt parameter M_TOP_PAD, and the pad set: the bytes of freed
 # heap that glibc keeps at the top instead of returning to the kernel. Each
-# handcrafted instance at n = 100 builds and frees about 12 MB (K's triplets,
-# its CSR view and the assembly temporaries; 2,937 minor page faults x
-# 4 KiB). Under glibc's default pad that memory is handed back after every
-# instance and faulted in again for the next, 5 to 7 ms of kernel time per
-# instance; with this pad it is kept, and the peak does not move.
+# handcrafted instance at n = 100 builds and frees about 8 MB (K's pairs,
+# its CSR view and the assembly temporaries; tracemalloc's peak for one
+# instance). Under glibc's default pad much of it is handed back after every
+# instance and faulted in again for the next, about 1,300 minor page faults
+# per instance; with this pad it is kept, the instances after the second
+# take almost none, and the peak does not move. A fresh process's first
+# instance faults its heap in either way, about 3,700 faults (measured on a
+# 2-core x86-64 host, one instance per chunk).
 _M_TOP_PAD = -2
 _TOP_PAD_BYTES = 64 << 20
 _heap_kept = False

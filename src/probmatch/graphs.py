@@ -132,14 +132,13 @@ def delaunay_adjacency(points: np.ndarray) -> tuple[np.ndarray, bool]:
 def _histogram_counts(values: np.ndarray, owner: np.ndarray, n: int,
                       lo: float, hi: float, bins: int) -> np.ndarray:
     """(n, bins) counts of ``values`` per owner in ``bins`` uniform bins on
-    [lo, hi], by ``np.histogram``'s index rule; values outside are dropped."""
+    [lo, hi], by ``np.histogram``'s rule: bin k holds the values in
+    [edges[k], edges[k + 1]), and the last bin holds hi too; values outside
+    are dropped."""
     keep = (values >= lo) & (values <= hi)
     values, owner = values[keep], owner[keep]
     edges = np.linspace(lo, hi, bins + 1)
-    idx = ((values - lo) / np.subtract(hi, lo) * bins).astype(np.intp)
-    idx[idx == bins] -= 1
-    idx[values < edges[idx]] -= 1
-    idx[(values >= edges[idx + 1]) & (idx != bins - 1)] += 1
+    idx = np.minimum(np.searchsorted(edges, values, side="right") - 1, bins - 1)
     return np.bincount(owner * bins + idx, minlength=n * bins).reshape(n, bins)
 
 

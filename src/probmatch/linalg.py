@@ -5,12 +5,21 @@ similarities on its diagonal and pairwise edge agreements off-diagonal. Only
 entries gated by joint edge existence are stored. The match (i, a) is encoded
 at flat index p = i * n2 + a throughout the package. ``graphs.edge_pairs``
 lists the match pairs (p, q) of joint edges; ``SparseAffinity.symmetric``
-stores one weight per pair at (p, q) and at (q, p). ``FLOOR`` is the one
-probability floor of Sinkhorn, its adjoint and the probabilistic solver, and
-``_sinkhorn_pass`` the one Sinkhorn pass: ``sinkhorn`` runs it in one loop,
-and ``sinkhorn_vjp`` runs it again, keeps every pass and reverses them. No
-solve keeps its passes: on a chunk's stack the replay costs what keeping them
-saved, and holds less.
+keeps each pair's weight once, and K holds it at (p, q) and at (q, p).
+``spmv`` reads both entries from one stable CSR view of the pairs: a row
+pass adds each row's (p, q) entries in their given order, then a column
+pass adds its (q, p) entries in increasing p, and K^T x runs the two passes
+in the other order. For pairs in ``edge_pairs``' order every column already
+lists its entries in increasing p, so each row is summed in the order of
+the stable CSR of the directed triplets, which list every (p, q) entry,
+then every (q, p) entry: the products are bitwise theirs. Those triplets,
+``rows``, ``cols`` and ``vals``, are built only when read.
+
+``FLOOR`` is the one probability floor of Sinkhorn, its adjoint and the
+probabilistic solver, and ``_sinkhorn_pass`` the one Sinkhorn pass:
+``sinkhorn`` runs it in one loop, and ``sinkhorn_vjp`` runs it again, keeps
+every pass and reverses them. No solve keeps its passes: on a chunk's stack
+the replay costs what keeping them saved, and holds less.
 
 Batched solvers work on a chunk of B same-size instances at once.
 ``block_diagonal`` stacks their operators into one operator of size B * N,
@@ -19,7 +28,7 @@ one instance, so each instance's result is bitwise what it would be alone.
 
 Operator indices are 32-bit where they fit: ``index_dtype(size)`` is the one
 rule, int32 for indices below 2**31 and int64 from there. ``edge_pairs``
-forms K's triplets at that width, ``SparseAffinity`` keeps int32 triplets as
+forms K's pairs at that width, ``SparseAffinity`` keeps int32 indices as
 given and widens any other integer input to int64, and ``stable_csr`` narrows
 only after its range check, so an index too large for int32 is rejected
 rather than wrapped.
@@ -28,7 +37,6 @@ rather than wrapped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -50,39 +58,49 @@ def _index_array(a) -> np.ndarray:
     return np.asarray(a, dtype=np.int64)
 
 
-@dataclass
+def _checked_entries(rows, cols, vals, names: str) -> tuple:
+    """Off-diagonal entries as stored: int32 indices as given, without a copy,
+    any other indices as int64, and float64 values. Raises ValueError unless
+    the three have one shape."""
+    rows, cols, vals = _index_array(rows), _index_array(cols), np.asarray(vals, dtype=np.float64)
+    if not rows.shape == cols.shape == vals.shape:
+        raise ValueError(f"{names} must have identical shapes")
+    return rows, cols, vals
+
+
 class SparseAffinity:
-    """Sparse symmetric affinity operator.
+    """Sparse affinity operator: ``unary`` on the diagonal and sparse
+    off-diagonal entries, in one of two forms.
 
-    ``rows``/``cols``/``vals`` store the off-diagonal entries in directed form:
-    every undirected affinity appears twice, once as (p, q) and once as (q, p).
-    ``unary`` holds the diagonal. int32 ``rows``/``cols`` are kept as
-    given, without a copy; any other input is stored as int64.
+    - ``SparseAffinity.symmetric(n1, n2, unary, p, q, weights)`` keeps each
+      weight once, at its pair (p, q) in the order given, and K holds it at
+      (p, q) and at (q, p).
+    - ``SparseAffinity(n1, n2, unary, rows, cols, vals)`` keeps directed
+      triplets: K holds ``vals[t]`` at (rows[t], cols[t]) alone.
 
-    ``spmv`` reads the off-diagonal entries through a CSR view that it builds
-    on the first product and rebuilds when ``rows``, ``cols`` or ``vals`` is
-    reassigned. Editing those arrays in place after a product is unsupported.
+    ``stored`` is the entries as kept: a symmetric operator's (p, q,
+    weights) or a directed operator's (rows, cols, vals). int32 indices are
+    kept as given, without a copy; any other integer input is stored as
+    int64. ``rows``/``cols``/``vals`` read the entries as directed triplets in
+    either form; a symmetric operator's list every (p, q) entry, then every
+    (q, p) entry, and are built on their first read and kept. Assigning any
+    of them makes K a directed operator with those triplets.
+
+    ``spmv`` reads ``stored`` through a CSR view that it builds on the first
+    product and rebuilds after an assignment. Editing the arrays in place
+    after a product is unsupported.
     """
 
-    n1: int
-    n2: int
-    unary: np.ndarray
-    rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    cols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    vals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    _csr: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.unary = np.asarray(self.unary, dtype=np.float64)
-        self.rows = _index_array(self.rows)
-        self.cols = _index_array(self.cols)
-        self.vals = np.asarray(self.vals, dtype=np.float64)
+    def __init__(self, n1: int, n2: int, unary, rows=(), cols=(), vals=()):
+        self.n1, self.n2 = n1, n2
+        self.unary = np.asarray(unary, dtype=np.float64)
         if self.unary.shape != (self.size,):
             raise ValueError(
                 f"unary must have length {self.size}, got {self.unary.shape}"
             )
-        if not (self.rows.shape == self.cols.shape == self.vals.shape):
-            raise ValueError("rows, cols and vals must have identical shapes")
+        self._pairs = None
+        self._triplets = _checked_entries(rows, cols, vals, "rows, cols and vals")
+        self._csr = None
 
     @property
     def size(self) -> int:
@@ -90,14 +108,44 @@ class SparseAffinity:
 
     @classmethod
     def symmetric(cls, n1, n2, unary, p, q, weights) -> "SparseAffinity":
-        """K with ``weights[t]`` stored at (p[t], q[t]) and at (q[t], p[t]).
+        """K with ``weights[t]`` at (p[t], q[t]) and at (q[t], p[t]), kept once.
 
-        The triplets list every (p, q) entry in order, then every (q, p) entry.
+        ``spmv`` sums each row's (p, q) entries in their given order, then
+        its (q, p) entries in increasing p. Pairs from ``graphs.edge_pairs``
+        list each q's entries in increasing p already, so every product is
+        bitwise that of the directed triplets ``rows``/``cols``/``vals``.
         """
-        return cls(n1, n2, unary, np.concatenate([p, q]), np.concatenate([q, p]),
-                   np.concatenate([weights, weights]))
+        K = cls(n1, n2, unary)
+        K._pairs, K._triplets = _checked_entries(p, q, weights, "p, q and weights"), None
+        return K
+
+    @property
+    def mirrored(self) -> bool:
+        """Whether each stored entry also stands at its mirror (``symmetric``)."""
+        return self._pairs is not None
+
+    @property
+    def stored(self) -> tuple:
+        return self._pairs if self.mirrored else self._triplets
+
+    def _directed(self) -> tuple:
+        if self._triplets is None:
+            p, q, w = self._pairs
+            self._triplets = (np.concatenate([p, q]), np.concatenate([q, p]),
+                              np.concatenate([w, w]))
+        return self._triplets
+
+    def _assign(self, k: int, a):
+        triplets = list(self._directed())
+        triplets[k] = a
+        self._pairs, self._triplets, self._csr = None, tuple(triplets), None
+
+    rows = property(lambda self: self._directed()[0], lambda self, a: self._assign(0, a))
+    cols = property(lambda self: self._directed()[1], lambda self, a: self._assign(1, a))
+    vals = property(lambda self: self._directed()[2], lambda self, a: self._assign(2, a))
 
     def copy(self) -> "SparseAffinity":
+        """A directed operator with copies of K's diagonal and triplets."""
         return SparseAffinity(self.n1, self.n2, self.unary.copy(),
                               self.rows.copy(), self.cols.copy(), self.vals.copy())
 
@@ -172,27 +220,34 @@ class Incidence:
 
 
 def _csr_view(K: SparseAffinity) -> tuple:
-    """``stable_csr`` of K's off-diagonal entries, cached on K.
-
-    Each row's products are summed in the order ``np.bincount`` over the
-    triplets would sum them, so the product is bitwise the same.
-    """
-    key = (K.rows, K.cols, K.vals)
-    if K._csr is None or any(a is not b for a, b in zip(K._csr[0], key)):
-        K._csr = (key, stable_csr(K.size, K.size, *key))
-    return K._csr[1]
+    """``stable_csr`` of K's stored off-diagonal entries, cached on K."""
+    if K._csr is None:
+        K._csr = stable_csr(K.size, K.size, *K.stored)
+    return K._csr
 
 
-def spmv(K: SparseAffinity, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product y = K x.
+def spmv(K: SparseAffinity, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Sparse matrix-vector product y = K x, or K^T x with ``transpose``.
 
-    Raises ValueError on a length mismatch.
+    Every off-diagonal product goes through the one CSR view of the stored
+    entries: ``csr_matvec`` sums each row's entries in their stored order,
+    and ``csc_matvec`` adds the view's transpose, column by column in
+    increasing row. K x is the row pass, then, on a symmetric operator, the
+    column pass; K^T x runs the column pass first. On a directed operator K x
+    sums each row in stored order, as ``np.bincount`` over the triplets
+    would, and K^T x each row of K^T in increasing column. On a symmetric
+    operator from pairs in ``graphs.edge_pairs``' order, K x and K^T x are
+    bitwise the products of the directed triplets and of those triplets with
+    rows and cols swapped. Raises ValueError on a length mismatch.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (K.size,):
         raise ValueError(f"expected vector of length {K.size}, got {x.shape}")
     off = np.zeros(K.size)
-    _sparsetools.csr_matvec(K.size, K.size, *_csr_view(K), x, off)
+    passes = (_sparsetools.csr_matvec, _sparsetools.csc_matvec)
+    view = _csr_view(K)
+    for kernel in (passes[::-1] if transpose else passes)[:1 + K.mirrored]:
+        kernel(K.size, K.size, *view, x, off)
     return K.unary * x + off
 
 
@@ -200,15 +255,17 @@ def block_diagonal(Ks) -> SparseAffinity:
     """The operators of a chunk of same-size instances as one block-diagonal K.
 
     Instance b's match (i, a) sits at flat index b * N + i * n2 + a, so the
-    stacked K has ``n1`` equal to B times each instance's n1. The triplets are
-    concatenated in block order; each row keeps its instance's entries in
-    their stored order, so ``spmv`` on the stack is bitwise the product of
-    each block alone. A chunk of one is that operator itself. The stacked
-    indices take ``index_dtype`` of the stacked size, widened to int64 if any
-    block's are, and the offsets are added at that width, so they cannot
-    wrap. Raises ValueError on an empty chunk, on operators of different
-    sizes, or on an index outside [0, N) of its own block, which would
-    otherwise land silently in a neighbouring block.
+    stacked K has ``n1`` equal to B times each instance's n1. The stored
+    entries are concatenated in block order, so a column of the stack lists
+    its entries in the order of its block's column, and ``spmv`` on the stack
+    is bitwise the product of each block alone. A chunk of symmetric
+    operators stacks their pairs into a symmetric operator; any other chunk
+    stacks the directed triplets. A chunk of one is that operator itself.
+    The stacked indices take ``index_dtype`` of the stacked size, widened to
+    int64 if any block's are, and the offsets are added at that width, so
+    they cannot wrap. Raises ValueError on an empty chunk, on operators of
+    different sizes, or on an index outside [0, N) of its own block, which
+    would otherwise land silently in a neighbouring block.
     """
     Ks = list(Ks)
     if not Ks:
@@ -220,19 +277,21 @@ def block_diagonal(Ks) -> SparseAffinity:
     if len(Ks) == 1:
         return Ks[0]
     N = n1 * n2
+    mirrored = all(K.mirrored for K in Ks)
+    blocks = [K.stored if mirrored else (K.rows, K.cols, K.vals) for K in Ks]
     index = np.result_type(index_dtype(len(Ks) * N),
-                           *{a.dtype for K in Ks for a in (K.rows, K.cols)})
+                           *{a.dtype for block in blocks for a in block[:2]})
+    offsets = np.repeat(np.arange(len(Ks), dtype=index) * N, [b[2].size for b in blocks])
 
-    def stacked(blocks):
-        flat = np.concatenate(blocks).astype(index, copy=False)
+    def stacked(k):
+        flat = np.concatenate([b[k] for b in blocks]).astype(index, copy=False)
         if flat.size and not 0 <= flat.min() <= flat.max() < N:
             raise ValueError(f"each operator's rows and cols must lie in [0, {N})")
-        return flat + np.repeat(np.arange(len(Ks), dtype=index) * N,
-                                [K.vals.size for K in Ks])
+        return flat + offsets
 
-    return SparseAffinity(len(Ks) * n1, n2, np.concatenate([K.unary for K in Ks]),
-                          stacked([K.rows for K in Ks]), stacked([K.cols for K in Ks]),
-                          np.concatenate([K.vals for K in Ks]))
+    make = SparseAffinity.symmetric if mirrored else SparseAffinity
+    return make(len(Ks) * n1, n2, np.concatenate([K.unary for K in Ks]),
+                stacked(0), stacked(1), np.concatenate([b[2] for b in blocks]))
 
 
 def _sinkhorn_pass(Z: np.ndarray, r: np.ndarray):

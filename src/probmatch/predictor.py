@@ -6,13 +6,13 @@ times, and decodes sigmoid scores for every candidate match and every
 affinity-bearing match pair. The decoded assignment seeds the probabilistic
 solver, whose output is supervised with a balanced cross-entropy loss against
 the ground-truth permutation. The learned operator is ``SparseAffinity.symmetric``
-over the AA-edges, weighted by the edge scores, with the assignment scores as
-its diagonal. Training builds each chunk's losses, the chunks cut by
-``solvers.chunks``, in one function (``chunk_losses``). On two processes
-``train`` cuts each chunk into parts: the caller backs the first part, and
-a forked worker backs each other part and hands back every grad term, which
-the caller adds in pair order, so the bits do not depend on the process
-count. Inference runs the same predictor forward without a tape
+over the AA-edges, each edge score kept once as the weight of its pair, with
+the assignment scores as its diagonal. Training builds each chunk's losses,
+the chunks cut by ``solvers.chunks``, in one function (``chunk_losses``). On
+two processes ``train`` cuts each chunk into parts: the caller backs the
+first part, and a forked worker backs each other part and hands back every
+grad term, which the caller adds in pair order, so the bits do not depend on
+the process count. Inference runs the same predictor forward without a tape
 (``learned_affinity``) and the solver through ``dpgm_assignment``, one call
 per chunk, as the experiment runner does. Each update round is two tape
 nodes, an edge and a node update, that keep only their inputs

@@ -127,7 +127,7 @@ def probabilistic_solve(K, X_init: np.ndarray, cfg: SolverConfig | None = None):
     X = np.maximum(np.asarray(X_init, dtype=np.float64), FLOOR).reshape(B, n1, n2)
     traces = [SolveTrace(K_b) for K_b in Ks]
     out = np.empty((B, n1, n2))     # each instance's final iterate
-    live = np.array([b for b, K_b in enumerate(Ks) if K_b.unary.any() or K_b.vals.any()],
+    live = np.array([b for b, K_b in enumerate(Ks) if K_b.unary.any() or K_b.stored[2].any()],
                     dtype=np.intp)
     if live.size < B:
         # Degenerate operators: propagation is identically zero. Their solve
@@ -185,11 +185,14 @@ def solve_tape(xs, es, aas, cfg: SolverConfig) -> list:
     is the exact adjoint of the iterations each instance ran, over the
     stacked iterates of the instances still live at each one, as the solve
     ran them: it reads x_t, K x_t and s_t from the records and runs each
-    Sinkhorn's passes again. Its only products are with K^T, one per
-    iteration: the stack of the live operators with rows and cols swapped,
-    made anew when the live set changes. Every instance's grads are bitwise
-    what its solve alone would give. An instance with a zero operator has
-    no iteration to differentiate, and the backward raises.
+    Sinkhorn's passes again. Its only products are K^T x, one per iteration
+    (``spmv`` with ``transpose``), on the stack of the live operators, made
+    anew when the live set changes: the forward's kernels on a view of the
+    same pairs, in the other order. Each edge's grad is taken at (p, q) and
+    at (q, p) apart and added to ``es[b].grad`` in that order. Every
+    instance's grads are bitwise what its solve alone would give. An
+    instance with a zero operator has no iteration to differentiate, and
+    the backward raises.
     """
     B, n1, n2 = len(xs), aas[0].n1, aas[0].n2
     N = n1 * n2
@@ -207,16 +210,16 @@ def solve_tape(xs, es, aas, cfg: SolverConfig) -> list:
             xs_t[:its[b] + 1, b] = np.reshape(trace.assignments, (-1, N))
             Kx_t[:its[b], b] = trace.products
             s_t[:its[b], b] = trace.scales
-        ends = np.cumsum([0] + [K.vals.size for K in Ks])
+        ends = np.cumsum([0] + [e.data.size for e in es])
         g_x = np.stack([x.grad for x in xs])        # each x.grad, added to in its order
-        g_vals = np.zeros(ends[-1])                  # per directed entry of each K
+        g_pq, g_qp = np.zeros(ends[-1]), np.zeros(ends[-1])   # per edge, at (p, q) and at (q, p)
         g, g_s = G.copy(), np.zeros((B, N))
         live = np.zeros(0, dtype=np.intp)
         for t in range(its.max() - 1, -1, -1):
             if np.count_nonzero(its > t) != live.size:     # instances join as t falls
                 live = np.flatnonzero(its > t)
                 K = block_diagonal([Ks[b] for b in live])
-                K_T = SparseAffinity(K.n1, K.n2, K.unary, K.cols, K.rows, K.vals)
+                p, q, _ = K.stored
                 entries = np.concatenate([np.arange(ends[b], ends[b + 1]) for b in live])
             x_t, x_next, s, Kx = xs_t[t, live], xs_t[t + 1, live], s_t[t, live], Kx_t[t, live]
             g_l, g_s_l = g[live], g_s[live]
@@ -228,13 +231,15 @@ def solve_tape(xs, es, aas, cfg: SolverConfig) -> list:
             g_s[live] = g_s_l * (x_next / den) + g_y * Kx
             g_Kx = g_y * s
             g_x[live] += g_Kx * x_t              # x as K's unary diagonal
-            g_vals[entries] += g_Kx.ravel()[K.rows] * x_t.ravel()[K.cols]
-            g[live] = g_prev + spmv(K_T, g_Kx.ravel()).reshape(-1, N)
+            g_flat, x_flat = g_Kx.ravel(), x_t.ravel()
+            g_pq[entries] += g_flat[p] * x_flat[q]
+            g_qp[entries] += g_flat[q] * x_flat[p]
+            g[live] = g_prev + spmv(K, g_flat, transpose=True).reshape(-1, N)
         g_x += g * (X0 > FLOOR)                  # x as the initial assignment
         for x, e, g_x_b, start, stop in zip(xs, es, g_x, ends, ends[1:]):
             x.grad[...] = g_x_b
-            for half in np.split(g_vals[start:stop], 2):   # the (p, q), then the (q, p) entries
-                e.grad += half
+            e.grad += g_pq[start:stop]
+            e.grad += g_qp[start:stop]
 
     return unstack(Tensor(X.reshape(B, N), [t for pair in zip(xs, es) for t in pair], backward))
 

@@ -67,6 +67,18 @@ def is_symmetric(K, tol=0.0):
     return bool(np.all(np.abs(dense - dense.T) <= tol))
 
 
+def directed(K):
+    """K as a directed operator over its triplets ``rows``/``cols``/``vals``:
+    the layout whose stable CSR sums each row in stored order, which every
+    product of the package's operators is bitwise."""
+    return SparseAffinity(K.n1, K.n2, K.unary, K.rows, K.cols, K.vals)
+
+
+def transposed(K):
+    """K^T as a directed operator: K's triplets with rows and cols swapped."""
+    return SparseAffinity(K.n1, K.n2, K.unary, K.cols, K.rows, K.vals)
+
+
 def int64_copy(K):
     """K with its triplets copied to int64, for checks that the index width
     changes no result."""
@@ -432,10 +444,10 @@ def reference_sinkhorn_vjp(Y, passes, G):
 def reference_solve_tape(x, e, aa, cfg):
     """``solvers.solve_tape`` of one instance as the single-pair node it was
     before it took a chunk: its own solve, and a backward that adds into
-    x.grad once per iteration."""
-    shape, (p, q) = (aa.n1, aa.n2), aa.edges.T
-    K = SparseAffinity.symmetric(aa.n1, aa.n2, x.data, p, q, e.data)
-    K_T = SparseAffinity.symmetric(aa.n1, aa.n2, x.data, q, p, e.data)
+    x.grad once per iteration, with the directed triplets of K and of K^T."""
+    shape = (aa.n1, aa.n2)
+    K = directed(SparseAffinity.symmetric(aa.n1, aa.n2, x.data, *aa.edges.T, e.data))
+    K_T = transposed(K)
     X, trace = probabilistic_solve(K, x.data.reshape(shape), cfg)
 
     def backward(g):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,10 @@ from hypothesis import strategies as st
 from conftest import (builder_graph_pairs, is_symmetric, random_sparse_affinity,
                       reference_edge_pairs, to_dense)
 from probmatch.affinity import AffinityConfig, assemble_affinity, objective
-from probmatch.graphs import FEATURE_DIM, AttributedGraph, synthesize_pair
+from probmatch.graphs import FEATURE_DIM, AttributedGraph, build_aa_graph, synthesize_pair
 from probmatch.linalg import SparseAffinity, perm_matrix
+from probmatch.predictor import PredictorConfig, init_params, learned_affinity
+from probmatch.solvers import discretize, probabilistic_solve
 
 
 def _naive_affinity(g1, g2, cfg):
@@ -142,3 +147,30 @@ def test_ground_truth_beats_random_permutations_at_zero_noise(seed, n):
         if np.array_equal(perm, pair.ground_truth):
             continue
         assert gt_val > objective(K, perm_matrix(perm).ravel())
+
+
+def _benchmark_checks():
+    """``perfbench/checks.py``, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmarks_objective_check_passes_on_the_packages_operators():
+    # the benchmark rebuilds K from rows/cols/vals with scipy.sparse; an
+    # operator layout it cannot read fails here before the benchmark reports
+    # its outputs incorrect
+    check_objective = _benchmark_checks().check_objective
+    pcfg = PredictorConfig(d_V=4, d_E=4, T=1)
+    for n in (6, 30):
+        pair = synthesize_pair(n, 0.01, seed=n)
+        learned, _ = learned_affinity(build_aa_graph(pair.g1, pair.g2),
+                                      init_params(pcfg, seed=n), pcfg)
+        for K in (assemble_affinity(pair.g1, pair.g2), learned):
+            X, _ = probabilistic_solve(K, np.full((n, n), 1.0 / n))
+            perm = discretize(X)
+            reported = objective(K, perm_matrix(perm).ravel())
+            assert check_objective(K, perm, reported) == []
+            assert check_objective(K, perm, reported * (1.0 + 1e-9))

@@ -249,6 +249,23 @@ def test_chunked_rows_equal_per_instance_solves(tmp_path, monkeypatch):
         assert _rows_without_wall_time(bench._run(cfg, SOLVERS)) == expected
 
 
+
+def test_the_runner_and_training_never_build_the_directed_triplets(tmp_path, monkeypatch):
+    # every operator they build keeps each weight once; its directed
+    # triplets are built only when read, and they never read them
+    def refuse(K):
+        raise AssertionError("the directed triplets were built")
+
+    monkeypatch.setattr(SparseAffinity, "_directed", refuse)
+    checkpoint = _untrained_checkpoint(tmp_path)
+    for source in AFFINITY_SOURCES:
+        cfg = _tiny_cfg(noise_levels=(0.02,), affinity_source=source, checkpoint=checkpoint,
+                        workers=1)
+        assert set(bench._run(cfg, SOLVERS)) == set(SOLVERS)
+    pairs = [synthesize_pair(5, 0.02, seed=seed) for seed in range(4)]
+    predictor_module.train(pairs, TINY_PRED, SolverConfig(max_iters=3),
+                           predictor_module.LossConfig(), epochs=1, batch_size=4, workers=1)
+
 def _counting_solve(monkeypatch):
     """Wrap the solve that ``dpgm_assignment`` calls; returns the list of
     the instance counts it was called with, None for a single operator."""

@@ -63,6 +63,25 @@ def test_histogram_counts_follow_numpy_histogram_at_bin_edges(lo, hi):
                                                       range=(lo, hi))[0])
 
 
+
+def test_histogram_counts_follow_numpy_histogram_on_random_ranges():
+    # 20,000 values over 200 random ranges and bin counts, with every edge,
+    # hi and lo among them, each also one ulp either side
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        lo = rng.uniform(-4.0, 4.0)
+        hi = lo + rng.choice([1e-3, 1.0, 7.0]) * rng.uniform(0.1, 1.0)
+        bins = int(rng.integers(1, 17))
+        edges = np.linspace(lo, hi, bins + 1)
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        values = np.concatenate([near, rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo),
+                                                   size=100 - near.size)])
+        owner = rng.integers(0, 3, size=values.size)
+        counts = _histogram_counts(values, owner, 3, lo, hi, bins)
+        for k in range(3):
+            assert np.array_equal(counts[k], np.histogram(values[owner == k], bins=bins,
+                                                          range=(lo, hi))[0])
+
 def test_geometric_features_are_bitwise_the_per_node_loop():
     for n in range(3, 201):
         points = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 2))

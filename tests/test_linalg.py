@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (int64_copy, is_symmetric, random_sparse_affinity, reference_sinkhorn,
-                      reference_sinkhorn_vjp, reference_spmv, to_dense)
+from conftest import (directed, int64_copy, is_symmetric, random_pairs, random_sparse_affinity,
+                      reference_sinkhorn, reference_sinkhorn_vjp, reference_spmv, to_dense,
+                      transposed)
 from probmatch import linalg as linalg_module
 from probmatch.affinity import assemble_affinity
 from probmatch.graphs import FEATURE_DIM, AttributedGraph, build_aa_graph, synthesize_pair
@@ -125,6 +126,87 @@ def test_spmv_is_bitwise_the_triplet_kernel_on_random_operators():
         for x in _bitwise_cases(K, rng):
             assert np.array_equal(spmv(K, x), reference_spmv(K, x))
 
+
+
+def _package_operators(kind, rng):
+    """Operators of each kind the package builds, each weight kept once."""
+    pcfg = PredictorConfig(d_V=4, d_E=4, T=1)
+    store = init_params(pcfg, seed=1)
+    pairs = [synthesize_pair(n, 0.03, seed=n) for n in (3, 8, 21)]
+    if kind == "handcrafted":
+        return [assemble_affinity(pair.g1, pair.g2) for pair in pairs]
+    if kind == "learned":
+        return [learned_affinity(build_aa_graph(pair.g1, pair.g2), store, pcfg)[0]
+                for pair in pairs]
+    chunk = [synthesize_pair(7, 0.03, seed=seed) for seed in range(4)]
+    aas = [build_aa_graph(pair.g1, pair.g2) for pair in chunk]
+    stacks = [block_diagonal([assemble_affinity(pair.g1, pair.g2) for pair in chunk]),
+              block_diagonal([learned_affinity(aa, store, pcfg)[0] for aa in aas]),
+              block_diagonal([SparseAffinity.symmetric(7, 7, rng.uniform(size=49), *aa.edges.T,
+                                                       rng.uniform(size=len(aa.edges)))
+                              for aa in aas])]     # as solve_tape builds them
+    if kind == "stack":
+        return stacks
+    chunks = [[assemble_affinity(pair.g1, pair.g2)] for pair in pairs] + [stacks[:1]]
+    assert all(block_diagonal(chunk) is chunk[0] for chunk in chunks)
+    return [block_diagonal(chunk) for chunk in chunks]
+
+
+@pytest.mark.parametrize("kind", ["handcrafted", "learned", "stack", "chunk of one"])
+def test_products_are_bitwise_those_of_the_directed_triplets_stable_csr(kind):
+    rng = np.random.default_rng(7)
+    for K in _package_operators(kind, rng):
+        assert K.mirrored and K.stored[2].size * 2 == K.vals.size
+        for x in _bitwise_cases(K, rng):
+            assert np.array_equal(spmv(K, x), spmv(directed(K), x))
+            assert np.array_equal(spmv(K, x, transpose=True), spmv(transposed(K), x))
+
+
+def test_symmetric_products_add_each_columns_entries_in_increasing_p():
+    # one column's pairs given in decreasing p: 1 + 1e16 - 1e16 sums to 0 in
+    # the given order and to 1 in increasing p
+    K = SparseAffinity.symmetric(2, 2, np.zeros(4), np.array([2, 0, 1]), np.array([3, 3, 3]),
+                                 np.array([1.0, 1e16, -1e16]))
+    assert spmv(directed(K), np.ones(4))[3] == 0.0
+    assert spmv(K, np.ones(4))[3] == spmv(K, np.ones(4), transpose=True)[3] == 1.0
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n1, n2 = (int(v) for v in rng.integers(1, 7, size=2))
+        unary, p, q, _ = random_pairs(rng, n1, n2, density=0.4)
+        order = rng.permutation(p.size)
+        swap = rng.uniform(size=p.size) < 0.5
+        p, q = np.where(swap, q, p)[order], np.where(swap, p, q)[order]
+        w = rng.normal(size=p.size)
+        K = SparseAffinity.symmetric(n1, n2, unary, p, q, w)
+        # K x: each row's (p, q) entries as given, then its (q, p) entries
+        # in increasing p; K^T x: those two parts the other way round
+        o = np.argsort(p, kind="stable")
+        documented = SparseAffinity(n1, n2, unary, np.concatenate([p, q[o]]),
+                                    np.concatenate([q, p[o]]), np.concatenate([w, w[o]]))
+        documented_T = SparseAffinity(n1, n2, unary, np.concatenate([q[o], p]),
+                                      np.concatenate([p[o], q]), np.concatenate([w[o], w]))
+        # a directed operator's K^T x: each row of K^T in increasing column
+        D = directed(K)
+        o = np.argsort(D.rows, kind="stable")
+        directed_T = SparseAffinity(n1, n2, unary, D.cols[o], D.rows[o], D.vals[o])
+        for x in _bitwise_cases(K, rng):
+            assert np.array_equal(spmv(K, x), reference_spmv(documented, x))
+            assert np.array_equal(spmv(K, x, transpose=True), reference_spmv(documented_T, x))
+            assert np.array_equal(spmv(D, x, transpose=True), reference_spmv(directed_T, x))
+
+
+def test_assigning_triplets_makes_a_symmetric_operator_directed():
+    rng = np.random.default_rng(2)
+    K = random_sparse_affinity(rng, 3, 4, density=0.4)
+    x = rng.uniform(size=12)
+    before = spmv(K, x)
+    rows = K.rows
+    assert K.mirrored and K.rows is rows             # built once, then kept
+    K.vals = K.vals * 2.0
+    assert not K.mirrored and K.rows is rows
+    assert all(a is b for a, b in zip(K.stored, (K.rows, K.cols, K.vals)))
+    assert np.array_equal(spmv(K, x), reference_spmv(K, x))
+    assert not np.array_equal(spmv(K, x), before)
 
 def test_block_diagonal_products_are_each_block_alone():
     rng = np.random.default_rng(5)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (aa_graph_of_pairs, is_symmetric, random_pairs, reference_solve_tape,
-                      reference_spmv, reference_train, tape_matmul, to_dense)
+                      reference_spmv, reference_train, tape_matmul, to_dense, transposed)
 
 import probmatch.allocator as allocator
 import probmatch.autodiff as ad
@@ -368,15 +368,15 @@ def test_solve_tape_gradient_of_a_chunk_that_stops_at_different_iterations():
 
 
 def test_solve_tape_backward_products_are_bitwise_the_triplet_kernel(monkeypatch):
-    # the backward multiplies by K and by its transpose, whose triplets are
-    # K's with rows and cols swapped, through a view of its own
+    # the backward multiplies by K^T through K's own view, bitwise the
+    # product of K's directed triplets with rows and cols swapped
     spmv = solvers_module.spmv
-    operators = []
+    products = []
 
-    def checked(K, x):
-        y = spmv(K, x)
-        assert np.array_equal(y, reference_spmv(K, x))
-        operators.append((K.rows, K.cols))
+    def checked(K, x, transpose=False):
+        y = spmv(K, x, transpose=transpose)
+        assert np.array_equal(y, reference_spmv(transposed(K) if transpose else K, x))
+        products.append((K, transpose))
         return y
 
     monkeypatch.setattr(solvers_module, "spmv", checked)
@@ -388,23 +388,23 @@ def test_solve_tape_backward_products_are_bitwise_the_triplet_kernel(monkeypatch
         X, = solve_tape([x], [e], [aa_graph_of_pairs(n, n, p, q)], SolverConfig())
         _, trace = probabilistic_solve(SparseAffinity.symmetric(n, n, x.data, p, q, e.data),
                                        x.data.reshape(n, n), SolverConfig())
-        operators.clear()
+        products.clear()
         ad.tsum(ad.mul(X, rng.normal(size=n * n))).backward()
         # the backward reads K x_t from the record: its only products are
         # one per iteration with the transpose
-        rows, cols = np.concatenate([p, q]), np.concatenate([q, p])
-        assert trace.iterations >= 1 and len(operators) == trace.iterations
-        assert all(np.array_equal(r, cols) and np.array_equal(c, rows)
-                   for r, c in operators)
+        assert trace.iterations >= 1 and len(products) == trace.iterations
+        for K, transpose in products:
+            assert transpose and K.mirrored
+            assert np.array_equal(K.stored[0], p) and np.array_equal(K.stored[1], q)
 
 
 @pytest.mark.parametrize("B", [1, 3])
 def test_solve_tape_builds_the_symmetric_operator_and_its_transpose(monkeypatch, B):
     # the node stacks only K, in symmetric's layout over the AA edges. The
     # forward multiplies by the stack of the live operators, and the backward
-    # only by its transpose: those triplets with rows and cols swapped, one
+    # only by its transpose: spmv with ``transpose`` on that stack, one
     # operator per change of the live set, with the CSR view of a fresh
-    # stable_csr of its triplets
+    # stable_csr of its pairs
     stacked, products = [], []
     block_diagonal, spmv = solvers_module.block_diagonal, solvers_module.spmv
 
@@ -413,9 +413,9 @@ def test_solve_tape_builds_the_symmetric_operator_and_its_transpose(monkeypatch,
         stacked.extend(Ks)
         return block_diagonal(Ks)
 
-    def product_spy(K, x):
-        products.append(K)
-        return spmv(K, x)
+    def product_spy(K, x, transpose=False):
+        products.append((K, transpose))
+        return spmv(K, x, transpose=transpose)
 
     monkeypatch.setattr(solvers_module, "block_diagonal", stack_spy)
     monkeypatch.setattr(solvers_module, "spmv", product_spy)
@@ -430,22 +430,21 @@ def test_solve_tape_builds_the_symmetric_operator_and_its_transpose(monkeypatch,
     monkeypatch.undo()
     for M in stacked:
         K = Ks[next(b for b, x in enumerate(xs) if M.unary is x.data)]
-        assert all(got.dtype == want.dtype and np.array_equal(got, want)
-                   for got, want in zip((M.rows, M.cols, M.vals), (K.rows, K.cols, K.vals)))
+        assert M.mirrored and all(got.dtype == want.dtype and np.array_equal(got, want)
+                                  for got, want in zip(M.stored, K.stored))
     its = np.array([trace.iterations for trace in probabilistic_solve(
         Ks, np.stack([x.data for x in xs]).reshape(B, 6, 6), cfg)[1]])
     assert len(forward) == len(products) == its.max() and (B == 1 or len(set(its)) > 1)
-    for t, F, M in zip(range(its.max()), forward, products[::-1]):
+    assert not any(t for _, t in forward) and all(t for _, t in products)
+    for t, (F, _), (M, _) in zip(range(its.max()), forward, products[::-1]):
         live = np.flatnonzero(its > t)
         stack = block_diagonal([Ks[b] for b in live])
         assert np.array_equal(F.unary, stack.unary) and np.array_equal(M.unary, stack.unary)
-        for got, want in zip((F.rows, F.cols, F.vals, M.rows, M.cols, M.vals,
-                              *_csr_view(M)),
-                             (stack.rows, stack.cols, stack.vals, stack.cols, stack.rows,
-                              stack.vals, *stable_csr(stack.size, stack.size, stack.cols,
-                                                      stack.rows, stack.vals))):
+        for got, want in zip((*F.stored, *M.stored, *_csr_view(M)),
+                             (*stack.stored, *stack.stored,
+                              *stable_csr(stack.size, stack.size, *stack.stored))):
             assert got.dtype == want.dtype and np.array_equal(got, want), t
-    assert len({id(M) for M in products}) == len(set(its))
+    assert len({id(M) for M, _ in products}) == len(set(its))
 
 
 def _solve_tape_pool(n=6, size=12):
